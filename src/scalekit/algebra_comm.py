@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounded
-from .model import InstanceError, Space, fmt_value
+from .metric import _ball_cover
+from .model import InstanceError, Space, fmt_value, positive_grid
 from .reports import CheckReport, truncation_label
 from .scales import Cover, ScaleBase
 
@@ -95,18 +96,7 @@ class FunctionFamily:
 
 def family_ball_cover(fam: FunctionFamily, radius: float) -> Cover:
     """Open d_F balls, duplicates collapsed."""
-    if radius <= 0:
-        raise InstanceError("ball radius must be positive")
-    d = fam.pseudometric()
-    seen = set()
-    elements = []
-    for x in range(fam.space.n):
-        el = frozenset(np.flatnonzero(d[x] < radius).tolist())
-        if el not in seen:
-            seen.add(el)
-            elements.append(el)
-    return Cover(fam.space, elements, name="dF-balls(%s)" % fmt_value(radius),
-                 open_flag=True)
+    return _ball_cover(fam.space, fam.pseudometric(), radius, "dF-balls")
 
 
 def ss_base_from_family(fam: FunctionFamily, eps_grid) -> ScaleBase:
@@ -115,9 +105,7 @@ def ss_base_from_family(fam: FunctionFamily, eps_grid) -> ScaleBase:
     Consecutive ratios above one third are flagged: the double-star of the
     finer cover is then not guaranteed inside the coarser one.
     """
-    eps = [float(e) for e in eps_grid]
-    if not eps or any(e <= 0 for e in eps):
-        raise InstanceError("eps grid must be positive")
+    eps = positive_grid(eps_grid, "eps grid")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise InstanceError("eps grid must be strictly descending")
     warnings = []
@@ -131,29 +119,22 @@ def ss_base_from_family(fam: FunctionFamily, eps_grid) -> ScaleBase:
     return ScaleBase(fam.space, covers, kind="ss", warnings=tuple(warnings))
 
 
+def _spread(f: np.ndarray, el) -> float:
+    """Greatest value gap of f inside one element."""
+    vals = f[np.fromiter(el, dtype=np.int64)]
+    return float(np.abs(vals[:, None] - vals[None, :]).max())
+
+
 def is_ss_continuous(f, base: ScaleBase, eps_grid) -> CheckReport:
     """For each eps some base scale must keep the value spread of f inside
     eps on every element; first such scale wins."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (base.space.n,):
         raise InstanceError("function shape mismatch")
-    eps = [float(e) for e in eps_grid]
-    if not eps or any(e <= 0 for e in eps):
-        raise InstanceError("eps grid must be positive")
     witnesses = []
-    for e in eps:
-        hit = None
-        for cov in base.covers:
-            spread = 0.0
-            for el in cov.elements:
-                idx = np.fromiter(el, dtype=np.int64)
-                vals = f[idx]
-                spread = max(spread, float(np.abs(vals[:, None] - vals[None, :]).max()))
-                if spread > e:
-                    break
-            if spread <= e:
-                hit = cov.name
-                break
+    for e in positive_grid(eps_grid, "eps grid"):
+        hit = next((cov.name for cov in base.covers
+                    if all(_spread(f, el) <= e for el in cov.elements)), None)
         if hit is None:
             return CheckReport("ss_continuous", False,
                                witnesses=tuple(witnesses),
@@ -213,13 +194,7 @@ def stone_weierstrass_desk_test(fam: FunctionFamily, probe, name: str = "probe")
     pos = d[d > 0]
     delta = 0.5 * float(pos.min()) if pos.size else 1.0
     cover = family_ball_cover(fam, delta)
-    ball_route = True
-    for el in cover.elements:
-        idx = np.fromiter(el, dtype=np.int64)
-        vals = probe[idx]
-        if np.abs(vals[:, None] - vals[None, :]).max() > 0:
-            ball_route = False
-            break
+    ball_route = all(_spread(probe, el) == 0 for el in cover.elements)
 
     notes = []
     if not fam.is_unital:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entourages import Entourage, compose, diagonal
-from .model import InstanceError, Space, fmt_value
+from .metric import _ball_cover
+from .model import InstanceError, Space, fmt_value, positive_grid
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, PartitionOfUnity, ScaleBase, pou_support, refines,
                      smaller_or_equal, star_family)
@@ -286,30 +287,17 @@ def column_pseudometric(a: OperatorMatrix) -> np.ndarray:
 
 def ss_from_algebra(a: OperatorMatrix, eps_grid) -> ScaleBase:
     """Ball covers of the column pseudometric along a descending grid."""
-    eps = [float(e) for e in eps_grid]
-    if not eps or any(e <= 0 for e in eps):
-        raise InstanceError("eps grid must be positive")
+    eps = positive_grid(eps_grid, "eps grid")
     if any(x <= y for x, y in zip(eps, eps[1:])):
         raise InstanceError("eps grid must be strictly descending")
     d = column_pseudometric(a)
-    covers = []
-    for e in eps:
-        seen = set()
-        elements = []
-        for x in range(a.space.n):
-            el = frozenset(np.flatnonzero(d[x] < e).tolist())
-            if el not in seen:
-                seen.add(el)
-                elements.append(el)
-        covers.append(Cover(a.space, elements,
-                            name="d_%s-balls(%s)" % (a.name, fmt_value(e)),
-                            open_flag=True))
+    covers = tuple(_ball_cover(a.space, d, e, "d_%s-balls" % a.name) for e in eps)
     warnings = []
     for x, y in zip(eps, eps[1:]):
         if y > x / 3:
             warnings.append("spacing %s -> %s above one third"
                             % (fmt_value(x), fmt_value(y)))
-    return ScaleBase(a.space, tuple(covers), kind="ss", warnings=tuple(warnings))
+    return ScaleBase(a.space, covers, kind="ss", warnings=tuple(warnings))
 
 
 def cstar_ss_membership(cover: Cover, fam: StarFamily, eps_grid) -> CheckReport:
@@ -445,6 +433,12 @@ def roe_comparison_tests(cover: Cover, r: float, n_max: int = 3,
                        truncation=truncation_label(space))
 
 
+def _row_jump(phi: PartitionOfUnity, el) -> float:
+    """Largest sum-norm gap between the weight rows of an element."""
+    rows = phi.weights[np.fromiter(el, dtype=np.int64)]
+    return float(np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2).max())
+
+
 def ssp_witness_check(phi: PartitionOfUnity, base: ScaleBase, u: Cover,
                       eps_grid) -> CheckReport:
     """Small-scale continuity of the weight map plus support subordination.
@@ -453,24 +447,10 @@ def ssp_witness_check(phi: PartitionOfUnity, base: ScaleBase, u: Cover,
     scale for each eps, and the support cover must be non-strictly smaller
     than the target cover.
     """
-    eps = [float(e) for e in eps_grid]
-    if not eps or any(e <= 0 for e in eps):
-        raise InstanceError("eps grid must be positive")
     witnesses = []
-    for e in eps:
-        hit = None
-        for cov in base.covers:
-            worst = 0.0
-            for el in cov.elements:
-                idx = np.fromiter(el, dtype=np.int64)
-                rows = phi.weights[idx]
-                gaps = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-                worst = max(worst, float(gaps.max()))
-                if worst > e:
-                    break
-            if worst <= e:
-                hit = cov.name
-                break
+    for e in positive_grid(eps_grid, "eps grid"):
+        hit = next((cov.name for cov in base.covers
+                    if all(_row_jump(phi, el) <= e for el in cov.elements)), None)
         if hit is None:
             return CheckReport("ssp_witness", False,
                                witnesses=tuple(witnesses),

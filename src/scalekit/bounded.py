@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import Filtration, InstanceError, Space
 from .reports import CheckReport, truncation_label
-from .scales import Cover, star_set
+from .scales import Cover, _distinct_rows, star_set
 
 
 def _as_subset(space: Space, subset) -> frozenset[int]:
@@ -61,10 +61,10 @@ def _partition_from_sets(space: Space, sets) -> ComponentPartition:
     return ComponentPartition(tuple(comps), tuple(ids))
 
 
-def _finite_distance_classes(space: Space) -> list[frozenset[int]]:
-    # union-find over finite-distance pairs; transitive even without triangle
-    finite = np.isfinite(space.d)
-    parent = list(range(space.n))
+def _components(n: int, groups) -> list[frozenset[int]]:
+    """Union-find classes of the points once the points of each (nonempty)
+    group are joined; listed by minimal point."""
+    parent = list(range(n))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -72,15 +72,22 @@ def _finite_distance_classes(space: Space) -> list[frozenset[int]]:
             a = parent[a]
         return a
 
-    for x in range(space.n):
-        for y in np.flatnonzero(finite[x]).tolist():
-            ra, rb = find(x), find(int(y))
-            if ra != rb:
-                parent[rb] = ra
+    for g in groups:
+        it = iter(g)
+        first = find(next(it))
+        for x in it:
+            parent[find(x)] = first
     buckets: dict[int, set[int]] = {}
-    for x in range(space.n):
+    for x in range(n):
         buckets.setdefault(find(x), set()).add(x)
     return [frozenset(b) for b in buckets.values()]
+
+
+def _finite_distance_classes(space: Space) -> list[frozenset[int]]:
+    # transitive closure of finite distance, which holds even without the
+    # triangle inequality; identical rows would add no unions
+    rows = _distinct_rows(np.isfinite(space.d))
+    return _components(space.n, (np.flatnonzero(r).tolist() for r in rows))
 
 
 class BoundedStructure:
@@ -96,29 +103,8 @@ class BoundedStructure:
                 raise InstanceError("empty generator")
             gens.append(gs)
         self.generators: tuple[frozenset[int], ...] = tuple(gens)
-        # union-find over the overlap graph of the generators
-        parent = list(range(space.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for g in self.generators:
-            it = iter(sorted(g))
-            first = find(next(it))
-            for x in it:
-                parent[find(x)] = first
-        buckets: dict[int, set[int]] = {}
-        for x in range(space.n):
-            buckets.setdefault(find(x), set()).add(x)
-        comps = sorted((frozenset(b) for b in buckets.values()), key=min)
-        ids = [0] * space.n
-        for cid, comp in enumerate(comps):
-            for x in comp:
-                ids[x] = cid
-        self._partition = ComponentPartition(tuple(comps), tuple(ids))
+        self._partition = _partition_from_sets(
+            space, _components(space.n, self.generators))
         self._ideal = None
 
     def components(self) -> ComponentPartition:
@@ -139,9 +125,6 @@ class BoundedStructure:
                 self._ideal = _partition_from_sets(
                     self.space, _finite_distance_classes(self.space))
         return self._ideal
-
-    def component_of(self, x: int) -> frozenset[int]:
-        return self._partition.components[self._partition.ids[x]]
 
     def is_member(self, subset) -> bool:
         """Singleton, or inside one component."""
@@ -311,11 +294,9 @@ def witness_space(b: BoundedStructure) -> list[tuple[str, frozenset[int]]]:
 def uniformly_bounded(cover: Cover, ls_base) -> bool:
     """Every element sits inside some element of some base cover."""
     from .scales import _covers, refines
-    pool = []
-    for v in _covers(ls_base):
-        pool.extend(v.elements)
-    pooled = Cover(cover.space, pool, name="pooled-base")
-    return refines(cover, pooled)
+    pool = [v.matrix for v in _covers(ls_base)]
+    return refines(cover, Cover(cover.space, np.vstack(pool) if pool else pool,
+                                name="pooled-base"))
 
 
 def check_proper(f_map, b_x: BoundedStructure, b_y: BoundedStructure) -> CheckReport:
@@ -423,11 +404,8 @@ def st_weakly_bounded_test(subset, cover: Cover, b: BoundedStructure,
     literal = is_weakly_bounded(st, b)
     desk, detail = desk_weakly_bounded(st, b)
     ids = b.components().ids
-    straddler = None
-    for k, el in enumerate(cover.elements):
-        if len({ids[x] for x in el}) > 1:
-            straddler = k
-            break
+    straddler = next((k for k, el in enumerate(cover.elements)
+                      if len({ids[x] for x in el}) > 1), None)
     identity = None
     if straddler is None:
         identity = True
@@ -440,12 +418,8 @@ def st_weakly_bounded_test(subset, cover: Cover, b: BoundedStructure,
     notes = []
     if straddler is not None:
         notes.append("component identity skipped: element %d straddles" % straddler)
-    level_home = None
-    if space.filtration is not None:
-        for i, k in enumerate(space.filtration.levels):
-            if st <= k:
-                level_home = "K%d" % (i + 1)
-                break
+    levels = space.filtration.levels if space.filtration is not None else ()
+    level_home = next(("K%d" % (i + 1) for i, k in enumerate(levels) if st <= k), None)
     status = literal and desk and (identity is not False)
     return CheckReport(
         "st_weakly_bounded_test", status,

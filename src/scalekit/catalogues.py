@@ -12,7 +12,6 @@ import numpy as np
 
 from . import bounded
 from .algebra_comm import FunctionFamily
-from .metric import ball_cover, metric_ls_base, metric_ss_base
 from .model import Filtration, InstanceError, Space, builder_grid, builder_line, fmt_value
 from .oscillation import build_bump_refuter
 from .scales import Cover
@@ -42,12 +41,6 @@ def halfline() -> Space:
 
 
 @lru_cache(maxsize=None)
-def halfline_doc() -> Space:
-    """Documentation variant ending exactly at the top window."""
-    return _windowed_line(np.arange(0, 801) / 8.0, [10.0 * k for k in range(1, 11)])
-
-
-@lru_cache(maxsize=None)
 def trunc_nat() -> Space:
     """Integers 0..200 with windows [0, 10], ..., [0, 100]."""
     return _windowed_line(np.arange(201.0), [10.0 * k for k in range(1, 11)])
@@ -56,11 +49,6 @@ def trunc_nat() -> Space:
 @lru_cache(maxsize=None)
 def line20() -> Space:
     return builder_line(20, 1.0)
-
-
-@lru_cache(maxsize=None)
-def line10() -> Space:
-    return builder_line(10, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -99,21 +87,6 @@ def halfline_structure() -> bounded.BoundedStructure:
 @lru_cache(maxsize=None)
 def trunc_nat_structure() -> bounded.BoundedStructure:
     return bounded.from_filtration(trunc_nat())
-
-
-@lru_cache(maxsize=None)
-def halfline_ls_base():
-    return metric_ls_base(halfline(), (1.0, 3.0))
-
-
-@lru_cache(maxsize=None)
-def halfline_ss_base():
-    return metric_ss_base(halfline(), (3.0, 1.0, 1.0 / 3.0))
-
-
-@lru_cache(maxsize=None)
-def trunc_nat_ls_base():
-    return metric_ls_base(trunc_nat(), (1.0, 3.0))
 
 
 @lru_cache(maxsize=None)

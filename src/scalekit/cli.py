@@ -67,7 +67,7 @@ def _load(args):
         relabeled = instances.InstanceCatalogue()
         for nm, cov in cat.covers.items():
             from .scales import Cover
-            relabeled.covers[nm] = Cover(space, cov.elements, name=nm,
+            relabeled.covers[nm] = Cover(space, cov.matrix, name=nm,
                                          open_flag=cov.open_flag)
         relabeled.functions = cat.functions
         relabeled.tags = cat.tags

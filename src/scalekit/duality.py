@@ -17,7 +17,7 @@ import numpy as np
 from .algebra_comm import FunctionFamily, is_ss_continuous
 from .bounded import (BoundedStructure, desk_weakly_bounded, star_probes,
                       uniformly_bounded, witness_space)
-from .model import InstanceError, fmt_value
+from .model import InstanceError, fmt_value, positive_grid
 from .oscillation import SOQuery, build_scaled_refuter, heavy_pairs, is_slowly_oscillating
 from .reports import CheckReport, truncation_label
 from .scales import Cover, ScaleBase, star_family, star_set
@@ -37,9 +37,7 @@ class LSQuery:
         space = self.structure.space
         if self.cover.space is not space or self.catalogue.space is not space:
             raise InstanceError("cover, structure and catalogue must share a space")
-        eps = tuple(float(e) for e in self.eps_grid)
-        if not eps or any(e <= 0 for e in eps):
-            raise InstanceError("eps grid must be positive")
+        eps = positive_grid(self.eps_grid, "eps grid")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise InstanceError("eps grid must be strictly descending")
         self.eps_grid = eps
@@ -90,21 +88,17 @@ def ls_membership(q: LSQuery) -> CheckReport:
             xs = np.fromiter((p[1] for p in pairs), dtype=np.int64)
             ys = np.fromiter((p[2] for p in pairs), dtype=np.int64)
             for bname, base in bases:
-                hit = None
-                for wname, s, mask in masks:
-                    if not (base <= s):
-                        continue
-                    if not xs.size or bool((mask[xs] | mask[ys]).all()):
-                        hit = wname
-                        break
+                hit = next((wname for wname, s, mask in masks
+                            if base <= s and (not xs.size
+                                              or bool((mask[xs] | mask[ys]).all()))),
+                           None)
                 if hit is None:
-                    surv = None
-                    for k, x, y, gap in pairs:
-                        if all(not (m[x] or m[y]) for _, s, m in masks if base <= s):
-                            surv = {"element": q.cover.labels()[k],
-                                    "pair": [space.points[x], space.points[y]],
-                                    "gap": fmt_value(gap)}
-                            break
+                    surv = next(({"element": q.cover.labels()[k],
+                                  "pair": [space.points[x], space.points[y]],
+                                  "gap": fmt_value(gap)}
+                                 for k, x, y, gap in pairs
+                                 if all(not (m[x] or m[y]) for _, s, m in masks
+                                        if base <= s)), None)
                     return CheckReport(
                         "ls_membership", False, witnesses=tuple(witnesses),
                         counterexample={"condition": 2, "function": fname,
@@ -167,11 +161,9 @@ def wright_c0_check(cover: Cover, space) -> CheckReport:
     eps_grid = (1.0, 0.5, 0.25)
     witnesses = []
     for eps in eps_grid:
-        hit = None
-        for j, k in enumerate(levels):
-            if all(_element_sub_diam(space, el, k) < eps for el in cover.elements):
-                hit = j
-                break
+        hit = next((j for j, k in enumerate(levels)
+                    if all(_element_sub_diam(space, el, k) < eps
+                           for el in cover.elements)), None)
         if hit is None:
             j = len(levels) - 1
             k = levels[j]
@@ -229,20 +221,16 @@ def continuously_controlled_check(cover: Cover, b: BoundedStructure) -> CheckRep
                            truncation=truncation_label(space))
     levels = space.filtration.levels
     all_pts = frozenset(range(space.n))
+    outside = [all_pts - k for k in levels]
     witnesses = [{"condition": 1, "stars": hits}]
     for i in range(len(levels) - 1):
         inner = levels[i]
-        hit = None
-        for j in range(i, len(levels)):
-            out_j = all_pts - levels[j]
-            if all((not el & out_j) or (not el & inner) for el in cover.elements):
-                hit = j
-                break
+        hit = next((j for j in range(i, len(levels))
+                    if all(not (el & outside[j] and el & inner)
+                           for el in cover.elements)), None)
         if hit is None:
-            j = len(levels) - 1
-            out_j = all_pts - levels[j]
             viol = next(k for k, el in enumerate(cover.elements)
-                        if (el & out_j) and (el & inner))
+                        if el & outside[-1] and el & inner)
             return CheckReport(
                 "continuously_controlled", False, witnesses=tuple(witnesses),
                 counterexample={"condition": 2, "window": "K%d" % (i + 1),

@@ -1,9 +1,12 @@
 """Entourage calculus: relations over a space and the cover dictionary.
 
-Entourages are finite sets of ordered point pairs.  Small-scale bases ask for
-symmetric members with a half-step (G o G inside E and F), large-scale bases
-ask for a member absorbing each composition.  The dictionary with covers sends
-a scale to the union of its squares and an entourage to its slice cover.
+An entourage is a relation on the points, stored as an n x n bool matrix
+with entry (x, y) set when the pair is in the relation; the pair set is
+derived from it on demand.  Composition is a boolean matrix product and
+inversion a transpose.  Small-scale bases ask for symmetric members with a
+half-step (G o G inside E and F), large-scale bases ask for a member absorbing
+each composition.  The dictionary with covers sends a scale to the union of
+its squares and an entourage to its slice cover.
 """
 from __future__ import annotations
 
@@ -17,99 +20,111 @@ from .scales import Cover
 
 
 class Entourage:
-    """Relation on a space, stored extensionally as ordered index pairs."""
+    """Relation on a space.
+
+    ``pairs`` is an iterable of ordered index pairs or the n x n bool
+    relation matrix itself.
+    """
 
     def __init__(self, space: Space, pairs, name: str | None = None):
         self.space = space
-        ps = set()
-        for p in pairs:
-            x, y = int(p[0]), int(p[1])
-            if not (0 <= x < space.n and 0 <= y < space.n):
-                raise InstanceError("entourage pair out of range: %r" % ((x, y),))
-            ps.add((x, y))
-        self.pairs: frozenset[tuple[int, int]] = frozenset(ps)
+        n = space.n
+        if isinstance(pairs, np.ndarray) and pairs.dtype == bool:
+            if pairs.shape != (n, n):
+                raise InstanceError("entourage matrix must be %d x %d" % (n, n))
+            m = pairs.copy()
+        else:
+            xy = np.array(list(pairs), dtype=np.int64)
+            if xy.size and (xy.ndim != 2 or xy.shape[1] != 2):
+                raise InstanceError("entourage pairs must be (x, y) index pairs")
+            xy = xy.reshape(-1, 2)
+            bad = np.flatnonzero(((xy < 0) | (xy >= n)).any(axis=1))
+            if bad.size:
+                raise InstanceError("entourage pair out of range: %r"
+                                    % (tuple(xy[bad[0]].tolist()),))
+            m = np.zeros((n, n), dtype=bool)
+            m[xy[:, 0], xy[:, 1]] = True
+        m.setflags(write=False)
+        self.matrix = m
         self.name = name
+        self._pairs = None
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The relation as a set of (x, y) index pairs, built on first use."""
+        if self._pairs is None:
+            xs, ys = np.nonzero(self.matrix)
+            self._pairs = frozenset(zip(xs.tolist(), ys.tolist()))
+        return self._pairs
 
     def __len__(self):
-        return len(self.pairs)
+        return int(np.count_nonzero(self.matrix))
 
     def __contains__(self, pair):
-        return tuple(pair) in self.pairs
+        x, y = int(pair[0]), int(pair[1])
+        n = self.space.n
+        return 0 <= x < n and 0 <= y < n and bool(self.matrix[x, y])
 
     def __eq__(self, other):
         if not isinstance(other, Entourage):
             return NotImplemented
-        return self.space is other.space and self.pairs == other.pairs
+        return self.space is other.space and np.array_equal(self.matrix, other.matrix)
 
     __hash__ = object.__hash__
 
     def contains_diagonal(self) -> bool:
-        return all((i, i) in self.pairs for i in range(self.space.n))
+        return bool(self.matrix.diagonal().all())
 
     def is_symmetric(self) -> bool:
-        return all((y, x) in self.pairs for (x, y) in self.pairs)
+        return np.array_equal(self.matrix, self.matrix.T)
 
     def issubset(self, other: "Entourage") -> bool:
-        return self.pairs <= other.pairs
-
-    def union(self, other: "Entourage") -> "Entourage":
-        return Entourage(self.space, self.pairs | other.pairs)
+        return not (self.matrix & ~other.matrix).any()
 
     def intersection(self, other: "Entourage") -> "Entourage":
-        return Entourage(self.space, self.pairs & other.pairs)
+        return Entourage(self.space, self.matrix & other.matrix)
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+        return [tuple(p) for p in np.argwhere(self.matrix).tolist()]
 
     def __repr__(self):
         nm = self.name or "entourage"
-        return "<%s: %d pairs>" % (nm, len(self.pairs))
+        return "<%s: %d pairs>" % (nm, len(self))
 
 
 def diagonal(space: Space) -> Entourage:
-    return Entourage(space, [(i, i) for i in range(space.n)], name="diagonal")
+    return Entourage(space, np.eye(space.n, dtype=bool), name="diagonal")
 
 
 def invert(e: Entourage) -> Entourage:
-    return Entourage(e.space, [(y, x) for (x, y) in e.pairs])
+    return Entourage(e.space, e.matrix.T)
 
 
 def compose(e: Entourage, f: Entourage) -> Entourage:
     """e o f = {(x, z): (x, y) in e and (y, z) in f for some y}."""
     if e.space is not f.space:
         raise InstanceError("entourages live on different spaces")
-    by_first: dict[int, list[int]] = {}
-    for (y, z) in f.pairs:
-        by_first.setdefault(y, []).append(z)
-    out = set()
-    for (x, y) in e.pairs:
-        for z in by_first.get(y, ()):
-            out.add((x, z))
-    return Entourage(e.space, out)
+    # float32 keeps the path counts exact and the product in BLAS
+    paths = e.matrix.astype(np.float32) @ f.matrix.astype(np.float32)
+    return Entourage(e.space, paths > 0)
 
 
 def slice_at(e: Entourage, x: int) -> frozenset[int]:
     """E[x] = {y : (y, x) in E}: second coordinate fixed."""
-    return frozenset(y for (y, x2) in e.pairs if x2 == x)
+    return frozenset(np.flatnonzero(e.matrix[:, x]).tolist())
 
 
 def entourage_of_scale(u: Cover) -> Entourage:
     """Union of U x U over the cover elements."""
-    out = set()
-    for el in u.elements:
-        pts = sorted(el)
-        for a in pts:
-            for b in pts:
-                out.add((a, b))
-    return Entourage(u.space, out, name="of-scale")
+    m = u.matrix.astype(np.float32)
+    return Entourage(u.space, (m.T @ m) > 0, name="of-scale")
 
 
 def scale_of_entourage(e: Entourage) -> Cover:
     """Slice cover {E[x]}, one element per point in load order."""
     if not e.contains_diagonal():
         raise InstanceError("entourage misses the diagonal; slices would not cover")
-    return Cover(e.space, [slice_at(e, x) for x in range(e.space.n)],
-                 name="of-entourage")
+    return Cover(e.space, e.matrix.T, name="of-entourage")
 
 
 def metric_entourage(space: Space, r: float, closed: bool = True) -> Entourage:
@@ -117,8 +132,7 @@ def metric_entourage(space: Space, r: float, closed: bool = True) -> Entourage:
     if space.d is None:
         raise InstanceError("space carries no metric")
     mask = (space.d <= r) if closed else (space.d < r)
-    pairs = [(int(a), int(b)) for a, b in np.argwhere(mask)]
-    return Entourage(space, pairs, name="E_%s%s" % (r, "" if closed else "<"))
+    return Entourage(space, mask, name="E_%s%s" % (r, "" if closed else "<"))
 
 
 # -- base checks -------------------------------------------------------------
@@ -142,11 +156,8 @@ def check_uniform_axioms(base) -> CheckReport:
         for j in range(i, len(members)):
             f = members[j]
             target = e.intersection(f)
-            found = None
-            for k, g in enumerate(members):
-                if compose(g, g).issubset(target):
-                    found = k
-                    break
+            found = next((k for k, g in enumerate(members)
+                          if compose(g, g).issubset(target)), None)
             if found is None:
                 return CheckReport(
                     "check_uniform_axioms", False,
@@ -171,11 +182,7 @@ def check_coarse_axioms(base) -> CheckReport:
     witnesses = []
     for i, e in enumerate(members):
         inv = invert(e)
-        found = None
-        for k, g in enumerate(members):
-            if inv.issubset(g):
-                found = k
-                break
+        found = next((k for k, g in enumerate(members) if inv.issubset(g)), None)
         if found is None:
             return CheckReport("check_coarse_axioms", False,
                                counterexample={"member": i, "reason": "inverse not absorbed"},
@@ -184,11 +191,7 @@ def check_coarse_axioms(base) -> CheckReport:
     for i, e in enumerate(members):
         for j, f in enumerate(members):
             comp = compose(e, f)
-            found = None
-            for k, g in enumerate(members):
-                if comp.issubset(g):
-                    found = k
-                    break
+            found = next((k for k, g in enumerate(members) if comp.issubset(g)), None)
             if found is None:
                 return CheckReport(
                     "check_coarse_axioms", False,

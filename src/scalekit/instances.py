@@ -51,15 +51,16 @@ class InstanceCatalogue:
                               constant_at_infinity=bool(names) and set(names) <= cai)
 
 
-def _subset(space: Space, raw, where: str) -> frozenset:
+def _subset(index: dict, raw, where: str) -> frozenset:
+    """Point labels or indices of a carrier (``index``: label -> index)."""
     out = set()
     for v in raw:
         if isinstance(v, str):
-            if v not in space.index:
+            if v not in index:
                 raise InstanceError("%s: unknown point label %r" % (where, v))
-            out.add(space.index[v])
+            out.add(index[v])
         elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-            if not (0 <= int(v) < space.n):
+            if not (0 <= int(v) < len(index)):
                 raise InstanceError("%s: point index %d out of range" % (where, int(v)))
             out.add(int(v))
         else:
@@ -128,9 +129,9 @@ def load_space(document) -> tuple:
     if "metric" in document:
         metric, kind, coords = _parse_metric(document["metric"], points)
     filtration = None
-    space_probe = Space(points, metric=metric, metric_kind=kind, coords=coords)
     if "filtration" in document:
-        levels = tuple(_subset(space_probe, lv, "filtration level %d" % i)
+        index = {p: i for i, p in enumerate(points)}
+        levels = tuple(_subset(index, lv, "filtration level %d" % i)
                        for i, lv in enumerate(document["filtration"]))
         filtration = Filtration(levels)
     group_table = None
@@ -150,7 +151,7 @@ def load_space(document) -> tuple:
             open_flag = bool(raw.get("open", False))
             if elements is None:
                 raise InstanceError("cover %r: object form needs elements" % nm)
-        els = [_subset(space, e, "cover %r element %d" % (nm, k))
+        els = [_subset(space.index, e, "cover %r element %d" % (nm, k))
                for k, e in enumerate(elements)]
         cat.covers[nm] = Cover(space, els, name=nm, open_flag=open_flag)
     for nm, raw in document.get("functions", {}).items():
@@ -163,15 +164,15 @@ def load_space(document) -> tuple:
     for nm, raw in document.get("maps", {}).items():
         if len(raw) != space.n:
             raise InstanceError("map %r: one target per point" % nm)
-        tgt = [next(iter(_subset(space, [v], "map %r" % nm))) for v in raw]
+        tgt = [next(iter(_subset(space.index, [v], "map %r" % nm))) for v in raw]
         cat.maps[nm] = np.asarray(tgt, dtype=np.int64)
     for nm, raw in document.get("entourages", {}).items():
         pairs = set()
         for k, pair in enumerate(raw):
             if len(pair) != 2:
                 raise InstanceError("entourage %r row %d is not a pair" % (nm, k))
-            x = next(iter(_subset(space, [pair[0]], "entourage %r" % nm)))
-            y = next(iter(_subset(space, [pair[1]], "entourage %r" % nm)))
+            x = next(iter(_subset(space.index, [pair[0]], "entourage %r" % nm)))
+            y = next(iter(_subset(space.index, [pair[1]], "entourage %r" % nm)))
             pairs.add((x, y))
         cat.entourages[nm] = Entourage(space, pairs)
     for tag, names in document.get("catalogues", {}).items():

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InstanceError, Space, fmt_value
-from .scales import Cover, ScaleBase, refines, star_family
+from .model import InstanceError, Space, fmt_value, positive_grid
+from .scales import Cover, ScaleBase, _distinct_rows, refines, star_family
 
 
 def distance_candidates(space: Space) -> list[float]:
@@ -31,6 +31,16 @@ def distance_candidates(space: Space) -> list[float]:
     return out
 
 
+def _ball_cover(space: Space, d: np.ndarray, r: float, kind: str) -> Cover:
+    """Open balls d(x, .) < r of a pseudometric table, one per point,
+    duplicates dropped; the first center of each distinct ball decides
+    element order."""
+    if not r > 0:
+        raise InstanceError("ball radius must be positive")
+    return Cover(space, _distinct_rows(d < r), name="%s(%s)" % (kind, fmt_value(r)),
+                 open_flag=True)
+
+
 def ball_cover(space: Space, r: float) -> Cover:
     """Cover by open balls of radius r, one per point, duplicates dropped.
 
@@ -38,17 +48,7 @@ def ball_cover(space: Space, r: float) -> Cover:
     """
     if space.d is None:
         raise InstanceError("space carries no metric")
-    if r <= 0:
-        raise InstanceError("ball radius must be positive")
-    mask = space.d < r
-    seen = set()
-    elements = []
-    for x in range(space.n):
-        ball = frozenset(np.flatnonzero(mask[x]).tolist())
-        if ball not in seen:
-            seen.add(ball)
-            elements.append(ball)
-    return Cover(space, elements, name="balls(%s)" % fmt_value(r), open_flag=True)
+    return _ball_cover(space, space.d, r, "balls")
 
 
 def lebesgue_number(cover: Cover) -> float:
@@ -115,11 +115,7 @@ def metric_ss_base(space: Space, radii) -> ScaleBase:
 
     Structural warnings only; the verdict belongs to the base check.
     """
-    rs = [float(r) for r in radii]
-    if not rs:
-        raise InstanceError("need at least one radius")
-    if any(r <= 0 for r in rs):
-        raise InstanceError("radii must be positive")
+    rs = list(positive_grid(radii, "radii"))
     if sorted(rs, reverse=True) != rs:
         raise InstanceError("small-scale radii must decrease")
     warnings = []
@@ -137,11 +133,7 @@ def metric_ss_base(space: Space, radii) -> ScaleBase:
 
 def metric_ls_base(space: Space, radii) -> ScaleBase:
     """Ball covers at increasing radii, packaged as a large-scale base."""
-    rs = [float(r) for r in radii]
-    if not rs:
-        raise InstanceError("need at least one radius")
-    if any(r <= 0 for r in rs):
-        raise InstanceError("radii must be positive")
+    rs = list(positive_grid(radii, "radii"))
     if sorted(rs) != rs:
         raise InstanceError("large-scale radii must increase")
     warnings = []

@@ -28,6 +28,17 @@ def fmt_value(v: float) -> str:
     return repr(f)
 
 
+def positive_grid(values, what: str) -> tuple[float, ...]:
+    """Values as floats, checked nonempty, finite and positive; ``what``
+    names the grid in the error.  Ordering rules stay with the caller."""
+    vals = tuple(float(v) for v in values)
+    if not vals:
+        raise InstanceError("%s needs at least one value" % what)
+    if not all(math.isfinite(v) and v > 0 for v in vals):
+        raise InstanceError("%s must be finite and positive" % what)
+    return vals
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Strictly increasing chain K_1 c K_2 c ... of declared-bounded windows."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
-from .model import InstanceError, fmt_value
+from .model import InstanceError, fmt_value, positive_grid
 from .reports import CheckReport, truncation_label
 from .scales import Cover, star_set
 
@@ -48,9 +48,7 @@ class SOQuery:
         for cov in self.base:
             if cov.space is not self.structure.space:
                 raise InstanceError("cover %s lives on a different space" % cov.name)
-        eps = tuple(float(e) for e in self.eps_grid)
-        if not eps or any(e <= 0 for e in eps):
-            raise InstanceError("eps grid must be positive")
+        eps = positive_grid(self.eps_grid, "eps grid")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise InstanceError("eps grid must be strictly descending")
         self.eps_grid = eps
@@ -131,11 +129,7 @@ def is_slowly_oscillating(q: SOQuery, form: str = "strict") -> CheckReport:
                 xs = np.fromiter((p[1] for p in pairs), dtype=np.int64)
                 ys = np.fromiter((p[2] for p in pairs), dtype=np.int64)
                 test = lambda m: _relaxed_pass(m, xs, ys)
-            hit = None
-            for name, _, mask in cells:
-                if test(mask):
-                    hit = name
-                    break
+            hit = next((name for name, _, mask in cells if test(mask)), None)
             if hit is None:
                 cx = _refutation(q, cov, eps, form, pairs, bad if form == "strict" else None,
                                  diams, cells)
@@ -157,12 +151,9 @@ def _refutation(q, cov, eps, form, pairs, bad, diams, cells):
     space = q.structure.space
     base = {"cover": cov.name, "eps": eps, "form": form}
     if form == "strict":
-        common = None
-        for k in bad:
-            idx = np.fromiter(cov.elements[k], dtype=np.int64)
-            if all(not mask[idx].all() for _, _, mask in cells):
-                common = k
-                break
+        common = next((k for k in bad
+                       if all(not mask[cov.matrix[k]].all() for _, _, mask in cells)),
+                      None)
         if common is not None:
             k = common
             best = max((p for p in pairs if p[0] == k), key=lambda p: p[3])
@@ -172,17 +163,14 @@ def _refutation(q, cov, eps, form, pairs, bad, diams, cells):
         per = []
         for name, _, mask in cells:
             for k in bad:
-                idx = np.fromiter(cov.elements[k], dtype=np.int64)
-                if not mask[idx].all():
+                if not mask[cov.matrix[k]].all():
                     per.append({"witness": name, "element": cov.labels()[k]})
                     break
         base.update({"mode": "no single witness", "refutations": per})
         return base
-    common = None
-    for k, x, y, gap in pairs:
-        if all(not (mask[x] or mask[y]) for _, _, mask in cells):
-            common = (k, x, y, gap)
-            break
+    common = next((p for p in pairs
+                   if all(not (mask[p[1]] or mask[p[2]]) for _, _, mask in cells)),
+                  None)
     if common is not None:
         base.update(_pair_entry(space, cov, *common))
         base["mode"] = "pair survives every witness"

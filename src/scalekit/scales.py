@@ -1,10 +1,12 @@
 """Covers, stars and scale bases.
 
-A scale is a cover of the whole space.  Covers are compared through star
-refinement: ``u`` is a smaller scale than ``v`` when the family of stars
-st(U, u) refines ``v`` and the two covers differ as element sets.  Small-scale
-bases are downward directed under star refinement, large-scale bases are
-directed the opposite way (every star of two members is coarsened by a third).
+A scale is a cover of the whole space.  A cover is stored as its bool
+incidence matrix, elements x points; the element sets are derived from it on
+demand.  Covers are compared through star refinement: ``u`` is a smaller
+scale than ``v`` when the family of stars st(U, u) refines ``v`` and the two
+covers differ as element sets.  Small-scale bases are downward directed under
+star refinement, large-scale bases are directed the opposite way (every star
+of two members is coarsened by a third).
 """
 from __future__ import annotations
 
@@ -16,47 +18,72 @@ from .model import InstanceError, Space
 from .reports import CheckReport, truncation_label
 
 
+def _incidence(n: int, elements) -> np.ndarray:
+    """Bool elements x points matrix of point-index iterables, or a copy of
+    one given as such a matrix; raises on empty or out-of-range elements."""
+    if isinstance(elements, np.ndarray) and elements.dtype == bool:
+        if elements.ndim != 2 or elements.shape[1] != n:
+            raise InstanceError("incidence matrix needs one column per point")
+        m = elements.copy()
+        stray = np.zeros(0, dtype=np.int64)
+    else:
+        rows = [np.fromiter(e, dtype=np.int64) for e in elements]
+        owner = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+        pts = np.concatenate(rows) if rows else owner
+        inside = (pts >= 0) & (pts < n)
+        m = np.zeros((len(rows), n), dtype=bool)
+        m[owner[inside], pts[inside]] = True
+        stray = owner[~inside]
+    empty = np.flatnonzero(~m.any(axis=1))
+    if stray.size and (not empty.size or stray[0] <= empty[0]):
+        raise InstanceError("cover element %d has out-of-range points" % stray[0])
+    if empty.size:
+        raise InstanceError("cover element %d is empty" % empty[0])
+    if not len(m):
+        raise InstanceError("a cover needs at least one element")
+    m.setflags(write=False)
+    return m
+
+
+def _distinct_rows(m: np.ndarray) -> np.ndarray:
+    """The distinct rows of a bool matrix, each at its first occurrence."""
+    packed = np.packbits(m, axis=1)
+    # bytes keys: np.unique(axis=0) would sort the rows, which is far slower
+    kept = b"".join(dict.fromkeys(map(bytes, packed)))
+    rows = np.frombuffer(kept, dtype=np.uint8).reshape(-1, packed.shape[1])
+    return np.unpackbits(rows, axis=1, count=m.shape[1]).astype(bool)
+
+
 class Cover:
     """Indexed family of nonempty point subsets of one space.
 
-    Element order is preserved; duplicate element sets are allowed (they can
-    arise from star families) and only collapse when callers dedupe.
+    ``elements`` is an iterable of point-index iterables or the bool
+    incidence matrix itself.  Element order is preserved; duplicate element
+    sets are allowed (they can arise from star families) and only collapse
+    when callers dedupe.
     """
 
     def __init__(self, space: Space, elements, name: str | None = None,
                  open_flag: bool = False):
         self.space = space
-        elts = []
-        for k, e in enumerate(elements):
-            e = frozenset(int(i) for i in e)
-            if not e:
-                raise InstanceError("cover element %d is empty" % k)
-            if not all(0 <= i < space.n for i in e):
-                raise InstanceError("cover element %d has out-of-range points" % k)
-            elts.append(e)
-        if not elts:
-            raise InstanceError("a cover needs at least one element")
-        self.elements: tuple[frozenset[int], ...] = tuple(elts)
+        self.matrix = _incidence(space.n, elements)
         self.name = name
         self.open_flag = bool(open_flag)
-        self._matrix = None
+        self._elements = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.matrix)
 
     def __iter__(self):
         return iter(self.elements)
 
     @property
-    def matrix(self) -> np.ndarray:
-        # bool incidence matrix, elements x points
-        if self._matrix is None:
-            m = np.zeros((len(self.elements), self.space.n), dtype=bool)
-            for k, e in enumerate(self.elements):
-                m[k, list(e)] = True
-            m.setflags(write=False)
-            self._matrix = m
-        return self._matrix
+    def elements(self) -> tuple[frozenset[int], ...]:
+        """The element sets in matrix row order, built on first use."""
+        if self._elements is None:
+            self._elements = tuple(frozenset(np.flatnonzero(row).tolist())
+                                   for row in self.matrix)
+        return self._elements
 
     def element_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.elements)
@@ -64,23 +91,12 @@ class Cover:
     def is_scale(self) -> bool:
         return bool(self.matrix.any(axis=0).all())
 
-    def union(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.matrix.any(axis=0)))
-
-    def restrict(self, subset) -> "Cover":
-        """Trace of the cover on a subset (empty traces dropped)."""
-        subset = frozenset(subset)
-        kept = [e & subset for e in self.elements if e & subset]
-        if not kept:
-            raise InstanceError("restriction to the given subset is empty")
-        return Cover(self.space, kept, name=self.name)
-
     def labels(self) -> list[list[str]]:
         return [list(self.space.labels(e)) for e in self.elements]
 
     def __repr__(self):
         nm = self.name or "cover"
-        return "<%s: %d elements on %d points>" % (nm, len(self.elements), self.space.n)
+        return "<%s: %d elements on %d points>" % (nm, len(self), self.space.n)
 
 
 @dataclass
@@ -110,11 +126,9 @@ def _covers(base) -> tuple:
 def star_set(subset, cover: Cover) -> frozenset[int]:
     """st(A, u) = A together with every element of u meeting A."""
     subset = frozenset(subset)
-    out = set(subset)
-    for e in cover.elements:
-        if e & subset:
-            out |= e
-    return frozenset(out)
+    m = cover.matrix
+    meets = m[:, np.fromiter(subset, dtype=np.int64)].any(axis=1)
+    return subset | frozenset(np.flatnonzero(m[meets].any(axis=0)).tolist())
 
 
 def star_family(u: Cover, v: Cover) -> Cover:
@@ -126,8 +140,7 @@ def star_family(u: Cover, v: Cover) -> Cover:
     mv = v.matrix.astype(np.float32)
     meets = (mu.astype(np.float32) @ mv.T) > 0
     stars = mu | ((meets.astype(np.float32) @ mv) > 0)
-    elements = [frozenset(np.flatnonzero(row)) for row in stars]
-    return Cover(u.space, elements, name=None)
+    return Cover(u.space, stars)
 
 
 def refines(u: Cover, v: Cover) -> bool:
@@ -153,8 +166,8 @@ def is_smaller(u: Cover, v: Cover) -> bool:
 def trivial_extension(family: Cover, space: Space | None = None) -> Cover:
     """The family together with every singleton, the minimal scale above it."""
     space = space or family.space
-    elements = list(family.elements) + [frozenset([i]) for i in range(space.n)]
-    return Cover(space, elements, name=(family.name or "family") + "+singletons")
+    m = np.vstack([family.matrix, np.eye(family.space.n, dtype=bool)])
+    return Cover(space, m, name=(family.name or "family") + "+singletons")
 
 
 # -- base checks -----------------------------------------------------------------
@@ -176,11 +189,8 @@ def check_ss_base(base) -> CheckReport:
     witnesses = []
     for i in range(len(covers)):
         for j in range(i, len(covers)):
-            found = None
-            for k in range(len(covers)):
-                if star_refines[k][i] and star_refines[k][j]:
-                    found = k
-                    break
+            found = next((k for k, row in enumerate(star_refines)
+                          if row[i] and row[j]), None)
             if found is None:
                 return CheckReport(
                     "check_ss_base", False,
@@ -207,11 +217,7 @@ def check_ls_base(base) -> CheckReport:
     for i, u in enumerate(covers):
         for j, v in enumerate(covers):
             st = star_family(u, v)
-            found = None
-            for k, w in enumerate(covers):
-                if refines(st, w):
-                    found = k
-                    break
+            found = next((k for k, w in enumerate(covers) if refines(st, w)), None)
             if found is None:
                 return CheckReport(
                     "check_ls_base", False,
@@ -295,8 +301,7 @@ class PartitionOfUnity:
 
 def pou_support(phi: PartitionOfUnity) -> Cover:
     """Support cover {S_v}; empty supports are dropped with their labels."""
-    pruned = phi.prune()
-    return Cover(phi.space, pruned.supports(), name="pou-support")
+    return Cover(phi.space, phi.prune().weights.T > 0, name="pou-support")
 
 
 def subordinated(phi: PartitionOfUnity, u: Cover) -> bool:

@@ -219,11 +219,7 @@ def check_translation_ls(g: GroupWindow, f_list) -> CheckReport:
     for i, u in enumerate(covers):
         for j, v in enumerate(covers):
             st = star_family(u, v)
-            found = None
-            for name, w in cand_covers:
-                if refines(st, w):
-                    found = name
-                    break
+            found = next((name for name, w in cand_covers if refines(st, w)), None)
             if found is None:
                 return CheckReport(
                     "check_translation_ls", False,

@@ -50,6 +50,14 @@ def test_corrupt_json_exits_two(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_nan_radius_exits_two(capsys):
+    code, out, err = run(capsys, "check-ss", "--space", "line20",
+                         "--radii", "nan")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_t75_without_tagged_functions_exits_two(capsys):
     code, _, err = run(capsys, "t75", "--space", "line20")
     assert code == 2

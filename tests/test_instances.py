@@ -112,3 +112,18 @@ def test_operators_keep_complex_entries(tmp_path):
     space2, cat2 = load_path(p)
     assert cat2.operators["mix"].entry(0, 1) == 1.0 + 2.0j
     assert cat2.operators["mix"].entry(3, 2) == -0.5
+
+
+def test_filtered_document_checks_its_metric_once(monkeypatch):
+    from scalekit.model import Space
+    doc = save_instance(builder_line(4, 1.0))
+    doc["filtration"] = [["0", "1"], ["0", "1", "2"]]
+    calls = []
+    check = Space._check_pseudometric
+    monkeypatch.setattr(Space, "_check_pseudometric",
+                        staticmethod(lambda d: calls.append(1) or check(d)))
+    space, _ = load_space(doc)
+    assert calls == [1]
+    assert space.filtration.levels == (frozenset({0, 1}), frozenset({0, 1, 2}))
+    with pytest.raises(InstanceError, match="out of range"):
+        load_space(dict(doc, filtration=[[7]]))

@@ -59,12 +59,11 @@ def test_heavy_pairs_ordered_and_heavy():
     u = ball_cover(space, 3.0)
     pairs = heavy_pairs(f, u, 0.5)
     assert pairs
-    ks = [k for k, _, _, _ in pairs]
-    assert ks == sorted(ks)
-    for k, x, y, gap in pairs:
-        assert x in u.elements[k] and y in u.elements[k]
-        assert gap > 0.5
-        assert np.isclose(gap, abs(f[x] - f[y]))
+    k, x, y, gap = (np.array(col) for col in zip(*pairs))
+    assert (np.diff(k) >= 0).all()
+    assert u.matrix[k, x].all() and u.matrix[k, y].all()
+    assert (gap > 0.5).all()
+    assert np.isclose(gap, np.abs(f[x] - f[y])).all()
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
