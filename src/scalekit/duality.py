@@ -18,7 +18,9 @@ from .algebra_comm import FunctionFamily, is_ss_continuous
 from .bounded import (BoundedStructure, desk_weakly_bounded, star_probes,
                       uniformly_bounded, witness_space)
 from .model import InstanceError, fmt_value, positive_grid
-from .oscillation import SOQuery, build_scaled_refuter, heavy_pairs, is_slowly_oscillating
+from .oscillation import (SOQuery, _every, _first, _masks, _pair_entry,
+                          _relaxed_pass, build_scaled_refuter, heavy_pairs,
+                          is_slowly_oscillating)
 from .reports import CheckReport, truncation_label
 from .scales import Cover, ScaleBase, star_family, star_set
 
@@ -55,13 +57,6 @@ def _star_condition(cover: Cover, b: BoundedStructure):
     return hits, None
 
 
-def _mask_of(space, subset) -> np.ndarray:
-    m = np.zeros(space.n, dtype=bool)
-    if subset:
-        m[np.fromiter(subset, dtype=np.int64)] = True
-    return m
-
-
 def ls_membership(q: LSQuery) -> CheckReport:
     """Does the cover belong to the structure the catalogue induces.
 
@@ -74,8 +69,7 @@ def ls_membership(q: LSQuery) -> CheckReport:
     if fail is not None:
         return CheckReport("ls_membership", False, counterexample=fail,
                            truncation=truncation_label(space))
-    ws = witness_space(q.structure)
-    masks = [(name, s, _mask_of(space, s)) for name, s in ws]
+    masks = _masks(space, witness_space(q.structure))
     if space.filtration is not None:
         bases = [("K%d" % (i + 1), k)
                  for i, k in enumerate(space.filtration.levels)]
@@ -85,20 +79,15 @@ def ls_membership(q: LSQuery) -> CheckReport:
     for fname, fvals in zip(q.catalogue.names, q.catalogue.values):
         for eps in q.eps_grid:
             pairs = heavy_pairs(fvals, q.cover, eps)
-            xs = np.fromiter((p[1] for p in pairs), dtype=np.int64)
-            ys = np.fromiter((p[2] for p in pairs), dtype=np.int64)
+            xs, ys = pairs["x"], pairs["y"]
             for bname, base in bases:
                 hit = next((wname for wname, s, mask in masks
-                            if base <= s and (not xs.size
-                                              or bool((mask[xs] | mask[ys]).all()))),
-                           None)
+                            if base <= s and _relaxed_pass(mask, xs, ys)), None)
                 if hit is None:
-                    surv = next(({"element": q.cover.labels()[k],
-                                  "pair": [space.points[x], space.points[y]],
-                                  "gap": fmt_value(gap)}
-                                 for k, x, y, gap in pairs
-                                 if all(not (m[x] or m[y]) for _, s, m in masks
-                                        if base <= s)), None)
+                    alive = _every((~(m[xs] | m[ys]) for _, s, m in masks
+                                    if base <= s), len(pairs))
+                    k = _first(alive)
+                    surv = None if k is None else _pair_entry(space, q.cover, pairs[k])
                     return CheckReport(
                         "ls_membership", False, witnesses=tuple(witnesses),
                         counterexample={"condition": 2, "function": fname,

@@ -10,6 +10,7 @@ its squares and an entourage to its slice cover.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,19 +129,28 @@ def scale_of_entourage(e: Entourage) -> Cover:
 
 
 def metric_entourage(space: Space, r: float, closed: bool = True) -> Entourage:
-    """{(x, y): d(x, y) <= r} (or strict < r)."""
+    """{(x, y): d(x, y) <= r} (or strict < r); r must be finite and >= 0."""
     if space.d is None:
         raise InstanceError("space carries no metric")
+    if not (math.isfinite(r) and r >= 0):
+        raise InstanceError("entourage radius %r must be finite and nonnegative" % float(r))
     mask = (space.d <= r) if closed else (space.d < r)
     return Entourage(space, mask, name="E_%s%s" % (r, "" if closed else "<"))
 
 
 # -- base checks -------------------------------------------------------------
 
+def _members(base) -> list:
+    members = list(base)
+    if not members:
+        raise InstanceError("an entourage base needs at least one member")
+    return members
+
+
 def check_uniform_axioms(base) -> CheckReport:
     """Small-scale entourage base: symmetric members, diagonal inside each,
     and for every pair a member whose square sits inside the intersection."""
-    members = list(base)
+    members = _members(base)
     space = members[0].space
     for k, e in enumerate(members):
         if not e.contains_diagonal():
@@ -172,7 +182,7 @@ def check_uniform_axioms(base) -> CheckReport:
 def check_coarse_axioms(base) -> CheckReport:
     """Large-scale entourage base: diagonal inside each member, inverses and
     compositions absorbed by some member."""
-    members = list(base)
+    members = _members(base)
     space = members[0].space
     for k, e in enumerate(members):
         if not e.contains_diagonal():

@@ -69,35 +69,61 @@ def _subset(index: dict, raw, where: str) -> frozenset:
     return frozenset(out)
 
 
+def _coords(block, width: int) -> list:
+    """Finite coordinates of a line (width 1) or grid (width 2) block: one
+    number, or one [a, b] pair, per point."""
+    if "coords" not in block:
+        raise InstanceError("metric: kind %r needs coords" % block["kind"])
+    raw = block["coords"]
+    what = "numbers" if width == 1 else "[a, b] number pairs"
+    if not isinstance(raw, (list, tuple)) or (width == 2 and not all(
+            isinstance(c, (list, tuple)) and len(c) == 2 for c in raw)):
+        raise InstanceError("metric: coords must be a list of %s" % what)
+    try:
+        coords = ([float(c) for c in raw] if width == 1
+                  else [(float(a), float(b)) for a, b in raw])
+    except (TypeError, ValueError) as exc:
+        raise InstanceError("metric: coords must be a list of %s" % what) from exc
+    if not np.isfinite(coords).all():
+        raise InstanceError("metric: coords must be finite")
+    return coords
+
+
 def _parse_metric(block, points):
     n = len(points)
     if not isinstance(block, dict) or "kind" not in block:
         raise InstanceError("metric block needs a kind")
     kind = block["kind"]
     if kind == "line":
-        coords = [float(c) for c in block["coords"]]
+        coords = _coords(block, 1)
         if len(coords) != n:
             raise InstanceError("metric: one coordinate per point")
         arr = np.asarray(coords)
         return np.abs(np.subtract.outer(arr, arr)), "line", tuple(coords)
     if kind == "grid":
-        coords = [(float(a), float(b)) for a, b in block["coords"]]
+        coords = _coords(block, 2)
         if len(coords) != n:
             raise InstanceError("metric: one coordinate pair per point")
         arr = np.asarray(coords)
         d = np.max(np.abs(arr[:, None, :] - arr[None, :, :]), axis=2)
         return d, "grid", tuple(coords)
     if kind == "table":
+        if "distances" not in block:
+            raise InstanceError("metric: kind 'table' needs distances")
         rows = block["distances"]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        try:
+            square = len(rows) == n and all(len(r) == n for r in rows)
+        except TypeError as exc:
+            raise InstanceError("metric: distance table rows must be lists") from exc
+        if not square:
             raise InstanceError("metric: distance table must be %d x %d" % (n, n))
-        d = np.empty((n, n))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v == "inf":
-                    d[i, j] = math.inf
-                else:
-                    d[i, j] = float(v)
+        try:
+            d = np.array([[math.inf if v == "inf" else float(v) for v in row]
+                          for row in rows], dtype=float).reshape(n, n)
+        except (TypeError, ValueError) as exc:
+            raise InstanceError('metric: distances must be numbers or "inf"') from exc
+        if np.isnan(d).any():
+            raise InstanceError("metric: distances must not be NaN")
         return d, "table", None
     raise InstanceError("unknown metric kind %r" % kind)
 

@@ -57,30 +57,40 @@ class SOQuery:
 def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
     """Greatest value gap inside each element."""
     f = np.asarray(f, dtype=complex)
-    out = np.zeros(len(cover.elements))
-    for k, el in enumerate(cover.elements):
-        if len(el) < 2:
-            continue
-        vals = f[np.fromiter(el, dtype=np.int64)]
-        out[k] = float(np.abs(vals[:, None] - vals[None, :]).max())
+    out = np.zeros(len(cover))
+    for k, row in enumerate(cover.matrix):
+        vals = f[row]
+        if vals.size >= 2:
+            out[k] = float(np.abs(vals[:, None] - vals[None, :]).max())
     return out
 
 
-def heavy_pairs(f: np.ndarray, cover: Cover, eps: float):
-    """Within-element point pairs whose value gap exceeds eps, ordered by
-    (element, first point, second point)."""
+# one heavy pair: element index, first point, second point, value gap
+PAIR = np.dtype([("k", np.int64), ("x", np.int64), ("y", np.int64),
+                 ("gap", np.float64)])
+
+
+def _element_pairs(f: np.ndarray, k: int, idx: np.ndarray, eps: float) -> np.ndarray:
+    """Heavy pairs of element k, whose points are the sorted indices idx."""
+    vals = f[idx]
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    ii, jj = np.nonzero(np.triu(gaps > eps, k=1))
+    out = np.empty(ii.size, dtype=PAIR)
+    out["k"] = k
+    out["x"] = idx[ii]
+    out["y"] = idx[jj]
+    out["gap"] = gaps[ii, jj]
+    return out
+
+
+def heavy_pairs(f: np.ndarray, cover: Cover, eps: float) -> np.ndarray:
+    """Within-element point pairs whose value gap exceeds eps, as a ``PAIR``
+    structured array ordered by (element, first point, second point)."""
     f = np.asarray(f, dtype=complex)
-    pairs = []
-    for k, el in enumerate(cover.elements):
-        idx = np.fromiter(sorted(el), dtype=np.int64)
-        if idx.size < 2:
-            continue
-        vals = f[idx]
-        gaps = np.abs(vals[:, None] - vals[None, :])
-        ii, jj = np.nonzero(np.triu(gaps > eps, k=1))
-        for a, b in zip(ii, jj):
-            pairs.append((k, int(idx[a]), int(idx[b]), float(gaps[a, b])))
-    return pairs
+    parts = [_element_pairs(f, k, idx, eps)
+             for k, idx in enumerate(map(np.flatnonzero, cover.matrix))
+             if idx.size >= 2]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=PAIR)
 
 
 def _masks(space, witnesses):
@@ -101,12 +111,26 @@ def _relaxed_pass(mask, xs, ys):
     return bool((mask[xs] | mask[ys]).all()) if xs.size else True
 
 
+def _first(flags) -> int | None:
+    """Index of the first true entry of a bool vector, or None."""
+    return int(np.argmax(flags)) if flags.any() else None
+
+
+def _every(rows, size: int) -> np.ndarray:
+    """Entrywise AND of equal-length bool vectors; all true when none."""
+    out = np.ones(size, dtype=bool)
+    for r in rows:
+        out &= r
+    return out
+
+
 def is_slowly_oscillating(q: SOQuery, form: str = "strict") -> CheckReport:
     """Search the canonical witness family for every (cover, eps) cell.
 
     Passing cells record the first witness; a failing cell reports either a
     single refutation surviving every witness or one refutation per witness
-    when no common one exists.
+    when no common one exists.  The strict form needs only the elements
+    wider than eps, never their pairs, until it fails.
     """
     if form not in FORMS:
         raise InstanceError("unknown form %r" % form)
@@ -114,74 +138,69 @@ def is_slowly_oscillating(q: SOQuery, form: str = "strict") -> CheckReport:
     cells = _masks(space, witness_space(q.structure))
     found = []
     for cov in q.base:
-        diams = None
+        diams = element_diameters(q.f, cov) if form == "strict" else None
         for eps in q.eps_grid:
-            pairs = heavy_pairs(q.f, cov, eps)
             if form == "strict":
-                if diams is None:
-                    diams = element_diameters(q.f, cov)
-                bad = [k for k in range(len(cov.elements)) if diams[k] > eps]
-                bad_union = np.fromiter(
-                    sorted(set().union(*(cov.elements[k] for k in bad))) if bad else (),
-                    dtype=np.int64)
+                bad = np.flatnonzero(diams > eps)
+                bad_union = np.flatnonzero(cov.matrix[bad].any(axis=0))
                 test = lambda m: _strict_pass(m, bad_union)
+                refute = lambda: _strict_refutation(q, cov, eps, bad, cells)
             else:
-                xs = np.fromiter((p[1] for p in pairs), dtype=np.int64)
-                ys = np.fromiter((p[2] for p in pairs), dtype=np.int64)
+                pairs = heavy_pairs(q.f, cov, eps)
+                xs, ys = pairs["x"], pairs["y"]
                 test = lambda m: _relaxed_pass(m, xs, ys)
+                refute = lambda: _relaxed_refutation(q, cov, eps, pairs, cells)
             hit = next((name for name, _, mask in cells if test(mask)), None)
             if hit is None:
-                cx = _refutation(q, cov, eps, form, pairs, bad if form == "strict" else None,
-                                 diams, cells)
                 return CheckReport("slowly_oscillating[%s,%s]" % (q.name, form), False,
-                                   witnesses=tuple(found), counterexample=cx,
+                                   witnesses=tuple(found), counterexample=refute(),
                                    truncation=truncation_label(space))
             found.append({"cover": cov.name, "eps": eps, "witness": hit})
     return CheckReport("slowly_oscillating[%s,%s]" % (q.name, form), True,
                        witnesses=tuple(found), truncation=truncation_label(space))
 
 
-def _pair_entry(space, cov, k, x, y, gap):
-    return {"element": cov.labels()[k], "pair": [space.points[x], space.points[y]],
-            "gap": fmt_value(gap)}
+def _pair_entry(space, cov, pair):
+    return {"element": cov.labels()[pair["k"]],
+            "pair": [space.points[pair["x"]], space.points[pair["y"]]],
+            "gap": fmt_value(pair["gap"])}
 
 
-def _refutation(q, cov, eps, form, pairs, bad, diams, cells):
-    """Deterministic failure record for one (cover, eps) cell."""
+def _strict_refutation(q, cov, eps, bad, cells):
+    """Deterministic failure record for one strict (cover, eps) cell: the
+    first oversized element that no witness swallows, with its widest pair
+    (the first of equals), or else the first element each witness misses."""
     space = q.structure.space
-    base = {"cover": cov.name, "eps": eps, "form": form}
-    if form == "strict":
-        common = next((k for k in bad
-                       if all(not mask[cov.matrix[k]].all() for _, _, mask in cells)),
-                      None)
-        if common is not None:
-            k = common
-            best = max((p for p in pairs if p[0] == k), key=lambda p: p[3])
-            base.update(_pair_entry(space, cov, k, best[1], best[2], best[3]))
-            base["mode"] = "element survives every witness"
-            return base
-        per = []
-        for name, _, mask in cells:
-            for k in bad:
-                if not mask[cov.matrix[k]].all():
-                    per.append({"witness": name, "element": cov.labels()[k]})
-                    break
-        base.update({"mode": "no single witness", "refutations": per})
-        return base
-    common = next((p for p in pairs
-                   if all(not (mask[p[1]] or mask[p[2]]) for _, _, mask in cells)),
-                  None)
+    base = {"cover": cov.name, "eps": eps, "form": "strict"}
+    outside = [(cov.matrix[bad] & ~mask).any(axis=1) for _, _, mask in cells]
+    common = _first(_every(outside, bad.size))
     if common is not None:
-        base.update(_pair_entry(space, cov, *common))
+        k = int(bad[common])
+        pairs = _element_pairs(q.f, k, np.flatnonzero(cov.matrix[k]), eps)
+        base.update(_pair_entry(space, cov, pairs[np.argmax(pairs["gap"])]))
+        base["mode"] = "element survives every witness"
+        return base
+    per = [{"witness": name, "element": cov.labels()[bad[_first(miss)]]}
+           for (name, _, _), miss in zip(cells, outside)]
+    base.update({"mode": "no single witness", "refutations": per})
+    return base
+
+
+def _relaxed_refutation(q, cov, eps, pairs, cells):
+    """Deterministic failure record for one relaxed (cover, eps) cell: the
+    first heavy pair that keeps both endpoints outside every witness, or else
+    the first such pair per witness."""
+    space = q.structure.space
+    base = {"cover": cov.name, "eps": eps, "form": "relaxed"}
+    xs, ys = pairs["x"], pairs["y"]
+    alive = [~(mask[xs] | mask[ys]) for _, _, mask in cells]
+    common = _first(_every(alive, len(pairs)))
+    if common is not None:
+        base.update(_pair_entry(space, cov, pairs[common]))
         base["mode"] = "pair survives every witness"
         return base
-    per = []
-    for name, _, mask in cells:
-        for k, x, y, gap in pairs:
-            if not (mask[x] or mask[y]):
-                per.append({"witness": name,
-                            **_pair_entry(space, cov, k, x, y, gap)})
-                break
+    per = [{"witness": name, **_pair_entry(space, cov, pairs[_first(live)])}
+           for (name, _, _), live in zip(cells, alive)]
     base.update({"mode": "no single witness", "refutations": per})
     return base
 
@@ -205,11 +224,8 @@ def equivalence_test(q: SOQuery) -> CheckReport:
         b = by_name[cell["witness"]]
         starred = star_set(b, cov)
         diams = element_diameters(q.f, cov)
-        bad_union = set()
-        for k, el in enumerate(cov.elements):
-            if diams[k] > cell["eps"]:
-                bad_union |= el
-        contained = bad_union <= starred
+        bad_union = cov.matrix[diams > cell["eps"]].any(axis=0)
+        contained = frozenset(np.flatnonzero(bad_union).tolist()) <= starred
         ok = ok and contained
         wb, _ = desk_weakly_bounded(starred, q.structure)
         checks.append({"cover": cell["cover"], "eps": cell["eps"],

@@ -185,7 +185,8 @@ def check_ss_base(base) -> CheckReport:
             return CheckReport("check_ss_base", False,
                                counterexample={"non_scale": k},
                                truncation=truncation_label(space))
-    star_refines = [[smaller_or_equal(w, u) for u in covers] for w in covers]
+    stars = [star_family(w, w) for w in covers]
+    star_refines = [[refines(st, u) for u in covers] for st in stars]
     witnesses = []
     for i in range(len(covers)):
         for j in range(i, len(covers)):

@@ -58,6 +58,23 @@ def test_nan_radius_exits_two(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("radii", ["nan", "-1", "1,inf", ""])
+def test_bad_entourage_radius_exits_two(capsys, radii):
+    # not a counterexample: the request itself is malformed
+    code, out, err = run(capsys, "entourage", "--space", "line20",
+                         "--axioms", "coarse", "--radii=" + radii)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_zero_entourage_radius_is_valid(capsys):
+    code, out, _ = run(capsys, "entourage", "--space", "line20",
+                       "--axioms", "coarse", "--radii", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["status"] == "pass"
+
+
 def test_t75_without_tagged_functions_exits_two(capsys):
     code, _, err = run(capsys, "t75", "--space", "line20")
     assert code == 2

@@ -91,6 +91,38 @@ def test_load_rejects_malformed_documents():
         load_space(dict(base, filtration=[["zzz"]]))
 
 
+@pytest.mark.parametrize("metric, message", [
+    pytest.param({"kind": "line"}, "needs coords", id="line-no-coords"),
+    pytest.param({"kind": "grid"}, "needs coords", id="grid-no-coords"),
+    pytest.param({"kind": "table"}, "needs distances", id="table-no-distances"),
+    pytest.param({"kind": "line", "coords": [0, "x"]}, "list of numbers",
+                 id="line-text"),
+    pytest.param({"kind": "line", "coords": [0, None]}, "list of numbers",
+                 id="line-null"),
+    pytest.param({"kind": "line", "coords": 3}, "list of numbers",
+                 id="line-scalar"),
+    pytest.param({"kind": "line", "coords": [0, float("inf")]}, "finite",
+                 id="line-inf"),
+    pytest.param({"kind": "grid", "coords": [[0, 0], 1]}, "number pairs",
+                 id="grid-scalar"),
+    pytest.param({"kind": "grid", "coords": [[0, 0], [1, 2, 3]]}, "number pairs",
+                 id="grid-triple"),
+    pytest.param({"kind": "grid", "coords": [[0, 0], "12"]}, "number pairs",
+                 id="grid-string"),
+    pytest.param({"kind": "grid", "coords": [[0, 0], ["x", 1]]}, "number pairs",
+                 id="grid-text"),
+    pytest.param({"kind": "table", "distances": [[0, "x"], [1, 0]]},
+                 "numbers or", id="table-text"),
+    pytest.param({"kind": "table", "distances": [1, 2]}, "rows must be lists",
+                 id="table-scalar-rows"),
+    pytest.param({"kind": "table", "distances": [[0, float("nan")], [1, 0]]},
+                 "NaN", id="table-nan"),
+])
+def test_malformed_metric_block_is_an_instance_error(metric, message):
+    with pytest.raises(InstanceError, match=message):
+        load_space({"points": ["a", "b"], "metric": metric})
+
+
 def test_load_path_errors_are_clean(tmp_path):
     with pytest.raises(InstanceError):
         load_path(tmp_path / "missing.json")

@@ -58,8 +58,8 @@ def test_heavy_pairs_ordered_and_heavy():
     f = oscillation_family().member("wave")
     u = ball_cover(space, 3.0)
     pairs = heavy_pairs(f, u, 0.5)
-    assert pairs
-    k, x, y, gap = (np.array(col) for col in zip(*pairs))
+    assert len(pairs)
+    k, x, y, gap = pairs["k"], pairs["x"], pairs["y"], pairs["gap"]
     assert (np.diff(k) >= 0).all()
     assert u.matrix[k, x].all() and u.matrix[k, y].all()
     assert (gap > 0.5).all()
