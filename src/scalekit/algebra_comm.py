@@ -8,13 +8,16 @@ generated algebra reduce to the partition where d_F vanishes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounded
-from .metric import _ball_cover
-from .model import InstanceError, Space, fmt_value, positive_grid
+from .metric import _ball_cover, ball_ladder
+from .model import (InstanceError, Space, fmt_value, gap_table, positive_grid,
+                    widest_pair)
+from .oscillation import element_diameters
 from .reports import CheckReport, truncation_label
 from .scales import Cover, ScaleBase
 
@@ -89,8 +92,7 @@ class FunctionFamily:
     def pseudometric(self) -> np.ndarray:
         """d_F(x, y) = max over the family of |f(x) - f(y)|."""
         if self._d is None:
-            gaps = np.abs(self.values[:, :, None] - self.values[:, None, :])
-            self._d = gaps.max(axis=0)
+            self._d = functools.reduce(np.maximum, map(gap_table, self.values))
         return self._d
 
 
@@ -100,29 +102,24 @@ def family_ball_cover(fam: FunctionFamily, radius: float) -> Cover:
 
 
 def ss_base_from_family(fam: FunctionFamily, eps_grid) -> ScaleBase:
-    """Small-scale base of d_F ball covers along a descending eps grid.
+    """Small-scale base of d_F ball covers along a descending eps grid."""
+    return ball_ladder(fam.space, fam.pseudometric(), eps_grid, "small", "dF-balls")
 
-    Consecutive ratios above one third are flagged: the double-star of the
-    finer cover is then not guaranteed inside the coarser one.
+
+def fine_scales(values, base: ScaleBase, eps_grid) -> tuple[list, float | None]:
+    """For each eps, the first base scale whose elements all spread at most
+    eps (``element_diameters``), as {"eps", "cover"} records.  Stops at the
+    first eps that no scale meets and returns it too; None when all are met.
     """
-    eps = positive_grid(eps_grid, "eps grid")
-    if any(a <= b for a, b in zip(eps, eps[1:])):
-        raise InstanceError("eps grid must be strictly descending")
-    warnings = []
-    if len(eps) == 1:
-        warnings.append("single radius: no second scale to compare")
-    for a, b in zip(eps, eps[1:]):
-        if b > a / 3:
-            warnings.append("spacing %s -> %s above one third"
-                            % (fmt_value(a), fmt_value(b)))
-    covers = tuple(family_ball_cover(fam, e) for e in eps)
-    return ScaleBase(fam.space, covers, kind="ss", warnings=tuple(warnings))
-
-
-def _spread(f: np.ndarray, el) -> float:
-    """Greatest value gap of f inside one element."""
-    vals = f[np.fromiter(el, dtype=np.int64)]
-    return float(np.abs(vals[:, None] - vals[None, :]).max())
+    grid = positive_grid(eps_grid, "eps grid")
+    widest = [element_diameters(values, cov).max() for cov in base.covers]
+    found = []
+    for e in grid:
+        hit = next((cov.name for cov, w in zip(base.covers, widest) if w <= e), None)
+        if hit is None:
+            return found, e
+        found.append({"eps": e, "cover": hit})
+    return found, None
 
 
 def is_ss_continuous(f, base: ScaleBase, eps_grid) -> CheckReport:
@@ -131,19 +128,11 @@ def is_ss_continuous(f, base: ScaleBase, eps_grid) -> CheckReport:
     f = np.asarray(f, dtype=complex)
     if f.shape != (base.space.n,):
         raise InstanceError("function shape mismatch")
-    witnesses = []
-    for e in positive_grid(eps_grid, "eps grid"):
-        hit = next((cov.name for cov in base.covers
-                    if all(_spread(f, el) <= e for el in cov.elements)), None)
-        if hit is None:
-            return CheckReport("ss_continuous", False,
-                               witnesses=tuple(witnesses),
-                               counterexample={"eps": e,
-                                               "reason": "no base scale keeps the spread inside eps"},
-                               truncation=truncation_label(base.space))
-        witnesses.append({"eps": e, "cover": hit})
-    return CheckReport("ss_continuous", True, witnesses=tuple(witnesses),
-                       truncation=truncation_label(base.space))
+    witnesses, miss = fine_scales(f, base, eps_grid)
+    cx = None if miss is None else {
+        "eps": miss, "reason": "no base scale keeps the spread inside eps"}
+    return CheckReport("ss_continuous", miss is None, witnesses=tuple(witnesses),
+                       counterexample=cx, truncation=truncation_label(base.space))
 
 
 def separation_blocks(fam: FunctionFamily) -> list[frozenset[int]]:
@@ -180,13 +169,10 @@ def stone_weierstrass_desk_test(fam: FunctionFamily, probe, name: str = "probe")
         raise InstanceError("probe values must be finite")
     blocks = separation_blocks(fam)
     sep_pair = None
-    for blk in blocks:
-        idx = sorted(blk)
-        vals = probe[np.fromiter(idx, dtype=np.int64)]
-        gaps = np.abs(vals[:, None] - vals[None, :])
-        if gaps.max() > 0:
-            i, j = np.unravel_index(int(gaps.argmax()), gaps.shape)
-            sep_pair = (idx[i], idx[j], float(gaps[i, j]))
+    for idx in map(sorted, blocks):
+        gap, i, j = widest_pair(gap_table(probe[idx]))
+        if gap > 0:
+            sep_pair = (idx[i], idx[j], gap)
             break
     block_constant = sep_pair is None
 
@@ -194,7 +180,7 @@ def stone_weierstrass_desk_test(fam: FunctionFamily, probe, name: str = "probe")
     pos = d[d > 0]
     delta = 0.5 * float(pos.min()) if pos.size else 1.0
     cover = family_ball_cover(fam, delta)
-    ball_route = all(_spread(probe, el) == 0 for el in cover.elements)
+    ball_route = bool(element_diameters(probe, cover).max() == 0)
 
     notes = []
     if not fam.is_unital:

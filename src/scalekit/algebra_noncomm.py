@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entourages import Entourage, compose, diagonal
-from .metric import _ball_cover
-from .model import InstanceError, Space, fmt_value, positive_grid
+from .algebra_comm import fine_scales
+from .entourages import Entourage, compose
+from .metric import ball_ladder, sup_diameter
+from .model import InstanceError, Space, fmt_value
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, PartitionOfUnity, ScaleBase, pou_support, refines,
                      smaller_or_equal, star_family)
@@ -44,12 +45,12 @@ class OperatorMatrix:
     def from_triplets(cls, space: Space, triplets, name: str = "a") -> "OperatorMatrix":
         """Rows of [row, col, re, im]; repeated positions accumulate."""
         acc: dict = {}
-        for t in triplets:
-            if len(t) != 4:
-                raise InstanceError("triplet rows are [row, col, re, im]")
-            row, col, re, im = t
-            key = (int(col), int(row))
-            acc[key] = acc.get(key, 0j) + complex(float(re), float(im))
+        try:
+            for row, col, re, im in triplets:
+                key = (int(col), int(row))
+                acc[key] = acc.get(key, 0j) + complex(float(re), float(im))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InstanceError("triplet rows are [row, col, re, im] numbers") from exc
         return cls(space, acc, name=name)
 
     def entry(self, x: int, y: int) -> complex:
@@ -287,17 +288,8 @@ def column_pseudometric(a: OperatorMatrix) -> np.ndarray:
 
 def ss_from_algebra(a: OperatorMatrix, eps_grid) -> ScaleBase:
     """Ball covers of the column pseudometric along a descending grid."""
-    eps = positive_grid(eps_grid, "eps grid")
-    if any(x <= y for x, y in zip(eps, eps[1:])):
-        raise InstanceError("eps grid must be strictly descending")
-    d = column_pseudometric(a)
-    covers = tuple(_ball_cover(a.space, d, e, "d_%s-balls" % a.name) for e in eps)
-    warnings = []
-    for x, y in zip(eps, eps[1:]):
-        if y > x / 3:
-            warnings.append("spacing %s -> %s above one third"
-                            % (fmt_value(x), fmt_value(y)))
-    return ScaleBase(a.space, covers, kind="ss", warnings=tuple(warnings))
+    return ball_ladder(a.space, column_pseudometric(a), eps_grid, "small",
+                       "d_%s-balls" % a.name)
 
 
 def cstar_ss_membership(cover: Cover, fam: StarFamily, eps_grid) -> CheckReport:
@@ -410,33 +402,24 @@ def roe_comparison_tests(cover: Cover, r: float, n_max: int = 3,
     space = cover.space
     if space.d is None:
         raise InstanceError("comparison needs a metric")
-    diams = []
-    for el in cover.elements:
-        idx = np.fromiter(el, dtype=np.int64)
-        diams.append(float(space.d[np.ix_(idx, idx)].max()))
-    if max(diams) > r:
+    top = sup_diameter(cover)
+    if top > r:
         raise InstanceError("an element outgrows the r-entourage")
     t = chain_cover_operator(cover, centers)
     fam = StarFamily(space, ("T", "T*"), (t, t.adjoint()))
     rep = f_bounded(cover, fam, n_max)
     n = rep.witnesses[0]["n"] if rep.witnesses else n_max
     bound = (n - 1) * r
-    holds = rep.status and max(diams) <= bound
+    holds = rep.status and top <= bound
     mult = int(cover.matrix.sum(axis=0).max())
     return CheckReport("roe_comparison", holds,
-                       witnesses=({"n": n, "max_diam": fmt_value(max(diams)),
+                       witnesses=({"n": n, "max_diam": fmt_value(top),
                                    "bound": fmt_value(bound),
                                    "norm": fmt_value(operator_norm(t)),
                                    "multiplicity": mult},),
                        counterexample=None if holds else rep.counterexample,
                        notes=("norm and multiplicity are informational",),
                        truncation=truncation_label(space))
-
-
-def _row_jump(phi: PartitionOfUnity, el) -> float:
-    """Largest sum-norm gap between the weight rows of an element."""
-    rows = phi.weights[np.fromiter(el, dtype=np.int64)]
-    return float(np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2).max())
 
 
 def ssp_witness_check(phi: PartitionOfUnity, base: ScaleBase, u: Cover,
@@ -447,21 +430,15 @@ def ssp_witness_check(phi: PartitionOfUnity, base: ScaleBase, u: Cover,
     scale for each eps, and the support cover must be non-strictly smaller
     than the target cover.
     """
-    witnesses = []
-    for e in positive_grid(eps_grid, "eps grid"):
-        hit = next((cov.name for cov in base.covers
-                    if all(_row_jump(phi, el) <= e for el in cov.elements)), None)
-        if hit is None:
-            return CheckReport("ssp_witness", False,
-                               witnesses=tuple(witnesses),
-                               counterexample={"eps": e,
-                                               "reason": "weight rows jump "
-                                                         "past eps on every scale"},
-                               truncation=truncation_label(phi.space))
-        witnesses.append({"eps": e, "cover": hit})
+    witnesses, miss = fine_scales(phi.weights, base, eps_grid)
+    if miss is not None:
+        return CheckReport("ssp_witness", False, witnesses=tuple(witnesses),
+                           counterexample={"eps": miss,
+                                           "reason": "weight rows jump "
+                                                     "past eps on every scale"},
+                           truncation=truncation_label(phi.space))
     sub = smaller_or_equal(pou_support(phi), u)
-    status = sub
     notes = () if sub else ("support cover is not smaller than the target",)
-    return CheckReport("ssp_witness", status,
+    return CheckReport("ssp_witness", sub,
                        witnesses=tuple(witnesses) + ({"supports_smaller": sub},),
                        notes=notes, truncation=truncation_label(phi.space))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Filtration, InstanceError, Space
+from .model import InstanceError, Space
 from .reports import CheckReport, truncation_label
 from .scales import Cover, _distinct_rows, star_set
 
@@ -50,6 +50,13 @@ class ComponentPartition:
     @property
     def one_component(self) -> bool:
         return len(self.components) == 1
+
+    def traces(self, subset) -> list[tuple[int, frozenset[int]]]:
+        """Nonempty component traces of a set of point indices, by id."""
+        out: dict[int, set[int]] = {}
+        for x in subset:
+            out.setdefault(self.ids[x], set()).add(x)
+        return [(cid, frozenset(t)) for cid, t in sorted(out.items())]
 
 
 def _partition_from_sets(space: Space, sets) -> ComponentPartition:
@@ -136,11 +143,7 @@ class BoundedStructure:
 
     def traces(self, subset) -> list[tuple[int, frozenset[int]]]:
         """Nonempty component traces of the subset, by component id."""
-        s = _as_subset(self.space, subset)
-        out: dict[int, set[int]] = {}
-        for x in s:
-            out.setdefault(self._partition.ids[x], set()).add(x)
-        return [(cid, frozenset(t)) for cid, t in sorted(out.items())]
+        return self._partition.traces(_as_subset(self.space, subset))
 
     def __repr__(self):
         return "<BoundedStructure %s: %d generators, %d components>" % (
@@ -214,15 +217,6 @@ def is_weakly_bounded(subset, b: BoundedStructure) -> bool:
     return all(b.is_member(t) for _, t in b.traces(subset))
 
 
-def _ideal_traces(b: BoundedStructure, subset) -> list[tuple[int, frozenset[int]]]:
-    s = _as_subset(b.space, subset)
-    part = b.ideal_components()
-    out: dict[int, set[int]] = {}
-    for x in s:
-        out.setdefault(part.ids[x], set()).add(x)
-    return [(cid, frozenset(t)) for cid, t in sorted(out.items())]
-
-
 def desk_weakly_bounded(subset, b: BoundedStructure) -> tuple[bool, dict]:
     """Truncation-aware weak boundedness.
 
@@ -237,7 +231,7 @@ def desk_weakly_bounded(subset, b: BoundedStructure) -> tuple[bool, dict]:
         return ok, {"mode": "literal", "verdict": ok}
     levels = space.filtration.levels
     bad = []
-    for cid, t in _ideal_traces(b, subset):
+    for cid, t in b.ideal_components().traces(_as_subset(space, subset)):
         if len(t) <= 1:
             continue
         if any(t <= k for k in levels):

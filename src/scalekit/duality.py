@@ -17,10 +17,11 @@ import numpy as np
 from .algebra_comm import FunctionFamily, is_ss_continuous
 from .bounded import (BoundedStructure, desk_weakly_bounded, star_probes,
                       uniformly_bounded, witness_space)
-from .model import InstanceError, fmt_value, positive_grid
+from .model import (InstanceError, fmt_value, gap_table, ordered_grid, row_spreads,
+                    widest_pair)
 from .oscillation import (SOQuery, _every, _first, _masks, _pair_entry,
-                          _relaxed_pass, build_scaled_refuter, heavy_pairs,
-                          is_slowly_oscillating)
+                          _relaxed_pass, _widest_in, build_scaled_refuter,
+                          element_diameters, heavy_pairs, is_slowly_oscillating)
 from .reports import CheckReport, truncation_label
 from .scales import Cover, ScaleBase, star_family, star_set
 
@@ -39,10 +40,7 @@ class LSQuery:
         space = self.structure.space
         if self.cover.space is not space or self.catalogue.space is not space:
             raise InstanceError("cover, structure and catalogue must share a space")
-        eps = positive_grid(self.eps_grid, "eps grid")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise InstanceError("eps grid must be strictly descending")
-        self.eps_grid = eps
+        self.eps_grid = ordered_grid(self.eps_grid, "eps grid", "strictly descending")
 
 
 def _star_condition(cover: Cover, b: BoundedStructure):
@@ -122,14 +120,6 @@ def ls_structure_axiom_test(u: Cover, v: Cover, q_template: LSQuery) -> CheckRep
                        notes=notes, truncation=truncation_label(b.space))
 
 
-def _element_sub_diam(space, el, removed: frozenset) -> float:
-    keep = sorted(el - removed)
-    if len(keep) < 2:
-        return 0.0
-    idx = np.fromiter(keep, dtype=np.int64)
-    return float(space.d[np.ix_(idx, idx)].max())
-
-
 def wright_c0_check(cover: Cover, space) -> CheckReport:
     """Vanishing family: past some window every element is thinner than eps.
 
@@ -147,22 +137,22 @@ def wright_c0_check(cover: Cover, space) -> CheckReport:
     if over:
         notes.append("%d elements reach past the top window; smallness out "
                      "there is taken on trust" % len(over))
-    eps_grid = (1.0, 0.5, 0.25)
+
+    def past(lv):
+        """The diameters of the elements once the window lv is removed."""
+        return row_spreads(cover.matrix & ~np.isin(np.arange(space.n), list(lv)),
+                           lambda row: space.d[np.ix_(row, row)])
+
     witnesses = []
-    for eps in eps_grid:
-        hit = next((j for j, k in enumerate(levels)
-                    if all(_element_sub_diam(space, el, k) < eps
-                           for el in cover.elements)), None)
+    for eps in (1.0, 0.5, 0.25):
+        hit = next((j for j, lv in enumerate(levels)
+                    if all(w < eps for w in past(lv))), None)
         if hit is None:
-            j = len(levels) - 1
-            k = levels[j]
-            viol = next(kk for kk, el in enumerate(cover.elements)
-                        if _element_sub_diam(space, el, k) >= eps)
+            viol, wide = next((k, w) for k, w in enumerate(past(levels[-1])) if w >= eps)
             return CheckReport(
                 "wright_c0", False, witnesses=tuple(witnesses),
                 counterexample={"eps": eps, "element": cover.labels()[viol],
-                                "diam_past_top": fmt_value(
-                                    _element_sub_diam(space, cover.elements[viol], k)),
+                                "diam_past_top": fmt_value(wide),
                                 "reason": "no window thins the family below eps"},
                 notes=tuple(notes), truncation=truncation_label(space))
         witnesses.append({"eps": eps, "window": "K%d" % (hit + 1)})
@@ -249,11 +239,7 @@ def theorem75_agreement(named_covers, b: BoundedStructure, fam: FunctionFamily,
     levels = space.filtration.levels
     far = sorted(frozenset(range(space.n)) - levels[-2]) if len(levels) > 1 \
         else list(range(space.n))
-    idx = np.fromiter(far, dtype=np.int64)
-    tail = 0.0
-    for row in fam.values:
-        vals = row[idx]
-        tail = max(tail, float(np.abs(vals[:, None] - vals[None, :]).max()))
+    tail = max(widest_pair(gap_table(row[far]))[0] for row in fam.values)
     notes = ("catalogue tail variation %s past K%d" % (fmt_value(tail),
                                                        len(levels) - 1),)
     rows = []
@@ -291,19 +277,12 @@ def s0_classify(f, name: str, b: BoundedStructure, ss_base: ScaleBase,
     case = cases[(rss.status, rso.status)]
     cx = {}
     if not rss.status:
-        eps = rss.counterexample["eps"]
         fine = ss_base.covers[-1]
-        for k, el in enumerate(fine.elements):
-            idx = np.fromiter(sorted(el), dtype=np.int64)
-            if idx.size < 2:
-                continue
-            vals = f[idx]
-            gaps = np.abs(vals[:, None] - vals[None, :])
-            if gaps.max() > eps:
-                i, j = np.unravel_index(int(gaps.argmax()), gaps.shape)
-                cx["small_scale_pair"] = [space.points[idx[i]], space.points[idx[j]]]
-                cx["small_scale_gap"] = fmt_value(float(gaps[i, j]))
-                break
+        # the finest scale has an element wider than the failing eps
+        k = _first(element_diameters(f, fine) > rss.counterexample["eps"])
+        gap, x, y = _widest_in(f, fine.matrix[k])
+        cx["small_scale_pair"] = [space.points[x], space.points[y]]
+        cx["small_scale_gap"] = fmt_value(gap)
     if not rso.status:
         cx["large_scale"] = rso.counterexample
     return CheckReport("s0_classify[%s]" % name, rss.status and rso.status,
@@ -317,15 +296,11 @@ def s0_classify(f, name: str, b: BoundedStructure, ss_base: ScaleBase,
 def _extreme_pairs(cover: Cover, space):
     """Per element, the lexicographically first pair realizing its diameter."""
     out = []
-    for k, el in enumerate(cover.elements):
-        idx = np.fromiter(sorted(el), dtype=np.int64)
-        if idx.size < 2:
-            continue
-        sub = space.d[np.ix_(idx, idx)]
-        i, j = np.unravel_index(int(sub.argmax()), sub.shape)
-        if sub[i, j] > 0:
-            x, y = int(idx[i]), int(idx[j])
-            out.append((k, min(x, y), max(x, y), float(sub[i, j])))
+    for k, row in enumerate(cover.matrix):
+        idx = np.flatnonzero(row)
+        gap, i, j = widest_pair(space.d[np.ix_(idx, idx)])
+        if gap > 0:
+            out.append((k, int(idx[i]), int(idx[j]), gap))
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra_comm import FunctionFamily
 from .algebra_noncomm import OperatorMatrix
 from .entourages import Entourage
-from .model import Filtration, InstanceError, Space
+from .model import Filtration, InstanceError, Space, check_group_table, gap_table
 from .scales import Cover
 
 
@@ -51,10 +51,25 @@ class InstanceCatalogue:
                               constant_at_infinity=bool(names) and set(names) <= cai)
 
 
+def _listed(raw, where: str):
+    """``raw``, checked to be a list."""
+    if not isinstance(raw, (list, tuple)):
+        raise InstanceError("%s must be a list" % where)
+    return raw
+
+
+def _block(document: dict, key: str) -> dict:
+    """The optional object under ``key``, empty when absent."""
+    raw = document.get(key, {})
+    if not isinstance(raw, dict):
+        raise InstanceError("%s must be an object" % key)
+    return raw
+
+
 def _subset(index: dict, raw, where: str) -> frozenset:
     """Point labels or indices of a carrier (``index``: label -> index)."""
     out = set()
-    for v in raw:
+    for v in _listed(raw, where):
         if isinstance(v, str):
             if v not in index:
                 raise InstanceError("%s: unknown point label %r" % (where, v))
@@ -82,7 +97,7 @@ def _coords(block, width: int) -> list:
     try:
         coords = ([float(c) for c in raw] if width == 1
                   else [(float(a), float(b)) for a, b in raw])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError("metric: coords must be a list of %s" % what) from exc
     if not np.isfinite(coords).all():
         raise InstanceError("metric: coords must be finite")
@@ -98,8 +113,7 @@ def _parse_metric(block, points):
         coords = _coords(block, 1)
         if len(coords) != n:
             raise InstanceError("metric: one coordinate per point")
-        arr = np.asarray(coords)
-        return np.abs(np.subtract.outer(arr, arr)), "line", tuple(coords)
+        return gap_table(np.asarray(coords)), "line", tuple(coords)
     if kind == "grid":
         coords = _coords(block, 2)
         if len(coords) != n:
@@ -120,7 +134,7 @@ def _parse_metric(block, points):
         try:
             d = np.array([[math.inf if v == "inf" else float(v) for v in row]
                           for row in rows], dtype=float).reshape(n, n)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceError('metric: distances must be numbers or "inf"') from exc
         if np.isnan(d).any():
             raise InstanceError("metric: distances must not be NaN")
@@ -129,16 +143,18 @@ def _parse_metric(block, points):
 
 
 def _parse_function(raw, n, where: str) -> np.ndarray:
-    if len(raw) != n:
+    if len(_listed(raw, where)) != n:
         raise InstanceError("%s: one value per point" % where)
     out = np.empty(n, dtype=complex)
     for i, v in enumerate(raw):
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise InstanceError("%s: complex values are [re, im]" % where)
-            out[i] = complex(float(v[0]), float(v[1]))
-        else:
-            out[i] = complex(float(v), 0.0)
+        pair = isinstance(v, (list, tuple))
+        if pair and len(v) != 2:
+            raise InstanceError("%s: complex values are [re, im]" % where)
+        try:
+            out[i] = complex(float(v[0]), float(v[1])) if pair else float(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InstanceError("%s: values must be numbers or [re, im] pairs"
+                                % where) from exc
     if not np.isfinite(out).all():
         raise InstanceError("%s: values must be finite" % where)
     return out
@@ -150,7 +166,7 @@ def load_space(document) -> tuple:
         raise InstanceError("instance document must be an object")
     if "points" not in document:
         raise InstanceError("instance document needs points")
-    points = [str(p) for p in document["points"]]
+    points = [str(p) for p in _listed(document["points"], "points")]
     metric = kind = coords = None
     if "metric" in document:
         metric, kind, coords = _parse_metric(document["metric"], points)
@@ -158,18 +174,21 @@ def load_space(document) -> tuple:
     if "filtration" in document:
         index = {p: i for i, p in enumerate(points)}
         levels = tuple(_subset(index, lv, "filtration level %d" % i)
-                       for i, lv in enumerate(document["filtration"]))
+                       for i, lv in enumerate(_listed(document["filtration"],
+                                                      "filtration")))
         filtration = Filtration(levels)
     group_table = None
     if "group" in document:
         block = document["group"]
         if not isinstance(block, dict) or "table" not in block:
             raise InstanceError("group block needs a table")
-        group_table = tuple(tuple(int(v) for v in row) for row in block["table"])
+        group_table, _ = check_group_table(block["table"])
+        if len(group_table) != len(points):
+            raise InstanceError("group table needs one row per point")
     space = Space(points, metric=metric, metric_kind=kind, coords=coords,
                   filtration=filtration, group_table=group_table)
     cat = InstanceCatalogue()
-    for nm, raw in document.get("covers", {}).items():
+    for nm, raw in _block(document, "covers").items():
         open_flag = False
         elements = raw
         if isinstance(raw, dict):
@@ -178,31 +197,31 @@ def load_space(document) -> tuple:
             if elements is None:
                 raise InstanceError("cover %r: object form needs elements" % nm)
         els = [_subset(space.index, e, "cover %r element %d" % (nm, k))
-               for k, e in enumerate(elements)]
+               for k, e in enumerate(_listed(elements, "cover %r" % nm))]
         cat.covers[nm] = Cover(space, els, name=nm, open_flag=open_flag)
-    for nm, raw in document.get("functions", {}).items():
+    for nm, raw in _block(document, "functions").items():
         cat.functions[nm] = _parse_function(raw, space.n, "function %r" % nm)
-    for nm, raw in document.get("operators", {}).items():
+    for nm, raw in _block(document, "operators").items():
         if not isinstance(raw, dict) or "triplets" not in raw:
             raise InstanceError("operator %r needs triplets" % nm)
         cat.operators[nm] = OperatorMatrix.from_triplets(space, raw["triplets"],
                                                          name=nm)
-    for nm, raw in document.get("maps", {}).items():
-        if len(raw) != space.n:
+    for nm, raw in _block(document, "maps").items():
+        if len(_listed(raw, "map %r" % nm)) != space.n:
             raise InstanceError("map %r: one target per point" % nm)
         tgt = [next(iter(_subset(space.index, [v], "map %r" % nm))) for v in raw]
         cat.maps[nm] = np.asarray(tgt, dtype=np.int64)
-    for nm, raw in document.get("entourages", {}).items():
+    for nm, raw in _block(document, "entourages").items():
         pairs = set()
-        for k, pair in enumerate(raw):
-            if len(pair) != 2:
+        for k, pair in enumerate(_listed(raw, "entourage %r" % nm)):
+            if len(_listed(pair, "entourage %r row %d" % (nm, k))) != 2:
                 raise InstanceError("entourage %r row %d is not a pair" % (nm, k))
             x = next(iter(_subset(space.index, [pair[0]], "entourage %r" % nm)))
             y = next(iter(_subset(space.index, [pair[1]], "entourage %r" % nm)))
             pairs.add((x, y))
         cat.entourages[nm] = Entourage(space, pairs)
-    for tag, names in document.get("catalogues", {}).items():
-        cat.tags[str(tag)] = tuple(str(v) for v in names)
+    for tag, names in _block(document, "catalogues").items():
+        cat.tags[str(tag)] = tuple(str(v) for v in _listed(names, "catalogue %r" % tag))
     return space, cat
 
 

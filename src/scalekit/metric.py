@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InstanceError, Space, fmt_value, positive_grid
+from .model import InstanceError, Space, fmt_value, ordered_grid, row_spreads
 from .scales import Cover, ScaleBase, _distinct_rows, refines, star_family
 
 
@@ -82,68 +82,56 @@ def lebesgue_number(cover: Cover) -> float:
 def mesh(cover: Cover) -> float:
     """inf of radii M with st(U, U) refining the ball cover B_M.
 
-    0 when stars already sit inside zero-balls, +inf when some star spans an
-    infinite distance.
+    A star S fits the open ball B(x, M) iff max over y in S of d(x, y) < M,
+    so the inf is the largest, over the stars, of the least such max over
+    the centers x: 0 when stars sit inside zero-balls, +inf when some star
+    is infinitely far from every center.
     """
     space = cover.space
-    if space.d is None:
-        raise InstanceError("space carries no metric")
-    cands = distance_candidates(space)
-    st = star_family(cover, cover)
-
-    def passes(m: float) -> bool:
-        return refines(st, ball_cover(space, m))
-
-    if not cands:
+    if not distance_candidates(space):
         return 0.0
-    if not passes(cands[-1] * 2.0 + 1.0):
-        return np.inf
-    prev = 0.0
-    for m in cands:
-        if passes(m):
-            return prev
-        prev = m
-    return prev
+    stars = _distinct_rows(star_family(cover, cover).matrix)
+    return float(max(space.d[:, s].max(axis=1).min() for s in stars))
 
 
 def sup_diameter(cover: Cover) -> float:
-    return max(cover.space.diam(el) for el in cover.elements)
+    d = cover.space.d
+    return max(row_spreads(cover.matrix, lambda row: d[np.ix_(row, row)]))
 
 
-def metric_ss_base(space: Space, radii) -> ScaleBase:
-    """Ball covers at decreasing radii, packaged as a small-scale base.
+# per kind of base: the order of its radii, and which steps are flagged
+_LADDERS = {
+    "small": ("descending", lambda a, b: b > a / 3.0,
+              "spacing %s -> %s above one third: star containment not generic"),
+    "large": ("ascending", lambda a, b: b < 3.0 * a,
+              "spacing %s -> %s below threefold: star absorption not generic"),
+}
+
+
+def ball_ladder(space: Space, d, radii, kind: str, label: str) -> ScaleBase:
+    """Ball covers of the pseudometric table ``d`` along a ladder of radii,
+    named ``label(r)``, as a base of ``kind`` "small" (radii descending) or
+    "large" (radii ascending); repeated radii are allowed.
 
     Structural warnings only; the verdict belongs to the base check.
     """
-    rs = list(positive_grid(radii, "radii"))
-    if sorted(rs, reverse=True) != rs:
-        raise InstanceError("small-scale radii must decrease")
-    warnings = []
+    order, off, text = _LADDERS[kind]
+    rs = ordered_grid(radii, "radii", order)
+    if d is None:
+        raise InstanceError("space carries no metric")
+    warnings = tuple(text % (fmt_value(a), fmt_value(b))
+                     for a, b in zip(rs, rs[1:]) if off(a, b))
     if len(rs) == 1:
-        warnings.append("single radius: the base condition is only self-referential")
-    for a, b in zip(rs, rs[1:]):
-        if b > a / 3.0:
-            warnings.append(
-                "spacing %s -> %s above one third: star containment not generic"
-                % (fmt_value(a), fmt_value(b)))
-    covers = tuple(ball_cover(space, r) for r in rs)
-    return ScaleBase(space=space, covers=covers, kind="small",
-                     warnings=tuple(warnings))
+        warnings = ("single radius: the base condition is only self-referential",)
+    covers = tuple(_ball_cover(space, d, r, label) for r in rs)
+    return ScaleBase(space=space, covers=covers, kind=kind, warnings=warnings)
+
+
+def metric_ss_base(space: Space, radii) -> ScaleBase:
+    """Ball covers at decreasing radii, packaged as a small-scale base."""
+    return ball_ladder(space, space.d, radii, "small", "balls")
 
 
 def metric_ls_base(space: Space, radii) -> ScaleBase:
     """Ball covers at increasing radii, packaged as a large-scale base."""
-    rs = list(positive_grid(radii, "radii"))
-    if sorted(rs) != rs:
-        raise InstanceError("large-scale radii must increase")
-    warnings = []
-    if len(rs) == 1:
-        warnings.append("single radius: the base condition is only self-referential")
-    for a, b in zip(rs, rs[1:]):
-        if b < 3.0 * a:
-            warnings.append(
-                "spacing %s -> %s below threefold: star absorption not generic"
-                % (fmt_value(a), fmt_value(b)))
-    covers = tuple(ball_cover(space, r) for r in rs)
-    return ScaleBase(space=space, covers=covers, kind="large",
-                     warnings=tuple(warnings))
+    return ball_ladder(space, space.d, radii, "large", "balls")

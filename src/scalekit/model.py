@@ -39,6 +39,48 @@ def positive_grid(values, what: str) -> tuple[float, ...]:
     return vals
 
 
+_ORDERS = {"ascending": np.greater_equal, "descending": np.less_equal,
+           "strictly descending": np.less}
+
+
+def ordered_grid(values, what: str, order: str) -> tuple[float, ...]:
+    """``positive_grid`` values that also run in one ``order``:
+    "ascending" or "descending" (repeats allowed), or "strictly descending"."""
+    vals = positive_grid(values, what)
+    if not _ORDERS[order](vals[1:], vals[:-1]).all():
+        raise InstanceError("%s must be %s" % (what, order))
+    return vals
+
+
+# -- the spread kernel: how far values, or a metric, spread over a point set --
+
+def gap_table(values: np.ndarray) -> np.ndarray:
+    """|v(x) - v(y)| for every pair of a point set's values; when each point
+    carries a vector (one row per point) the gap is the sum norm."""
+    gaps = np.abs(values[:, None] - values[None, :])
+    return gaps.sum(axis=2) if gaps.ndim == 3 else gaps
+
+
+def widest_pair(table: np.ndarray) -> tuple[float, int, int]:
+    """The largest entry of a symmetric, zero-diagonal gap (or distance)
+    table and the first row-major position attaining it, which has i < j (a
+    zero maximum is taken at (0, 1)); (0.0, 0, 0) below two points."""
+    if len(table) < 2:
+        return 0.0, 0, 0
+    k = int(table.argmax())
+    i, j = divmod(k, len(table))
+    gap = table.item(k)
+    return (gap, i, j) if i < j else (gap, 0, 1)
+
+
+def row_spreads(matrix: np.ndarray, table_of):
+    """The widest gap inside each row of a bool elements x points matrix, as
+    a lazy sequence, so that scans can stop early; ``table_of(row)`` gives
+    the gap (or distance) table of a row's points."""
+    return (widest_pair(table_of(row))[0] if size > 1 else 0.0
+            for row, size in zip(matrix, matrix.sum(axis=1)))
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Strictly increasing chain K_1 c K_2 c ... of declared-bounded windows."""
@@ -147,10 +189,7 @@ class Space:
     def diam(self, subset) -> float:
         """Largest pairwise distance inside ``subset`` (0 for <= 1 point)."""
         idx = sorted(subset)
-        if len(idx) <= 1:
-            return 0.0
-        sub = self.d[np.ix_(idx, idx)]
-        return float(np.max(sub))
+        return widest_pair(self.d[np.ix_(idx, idx)])[0]
 
     def values(self) -> np.ndarray:
         """1-d coordinates for line-kind spaces (used by interval helpers)."""
@@ -203,7 +242,7 @@ def builder_line(n: int, h: float) -> Space:
         raise InstanceError("builder_line needs n >= 0 and h > 0")
     coords = tuple(i * h for i in range(n + 1))
     labels = [fmt_value(c) for c in coords]
-    d = np.abs(np.subtract.outer(coords, coords)).astype(float)
+    d = gap_table(np.asarray(coords, dtype=float))
     return Space(labels, metric=d, metric_kind="line", coords=coords,
                  triangle_ok=True)
 
@@ -220,29 +259,34 @@ def builder_grid(n: int) -> Space:
                  triangle_ok=True)
 
 
-def builder_group_window(table, names=None) -> Space:
-    """Space carrying a finite multiplication table (no metric).
-
-    ``table[g][h]`` is the index of g*h.  The table must be a Latin square
-    with a two-sided identity; anything else is rejected.
-    """
-    table = tuple(tuple(int(v) for v in row) for row in table)
+def check_group_table(table) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A multiplication table as tuples of point indices, checked to be a
+    Latin square with a two-sided identity, and that identity's index;
+    ``table[g][h]`` is the index of g*h."""
+    try:
+        table = tuple(tuple(int(v) for v in row) for row in table)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError("multiplication table must be rows of point indices") from exc
     n = len(table)
     rng = set(range(n))
     for g, row in enumerate(table):
         if len(row) != n or set(row) != rng:
             raise InstanceError("row %d of the multiplication table is not a permutation" % g)
-    for h in range(n):
-        col = {table[g][h] for g in range(n)}
-        if col != rng:
+    for h, col in enumerate(zip(*table)):
+        if set(col) != rng:
             raise InstanceError("column %d of the multiplication table is not a permutation" % h)
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
+    identity = next((e for e in range(n)
+                     if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
     if identity is None:
         raise InstanceError("multiplication table has no two-sided identity")
+    return table, identity
+
+
+def builder_group_window(table, names=None) -> Space:
+    """Space carrying a finite multiplication table (no metric); see
+    ``check_group_table`` for what the table must satisfy."""
+    table, _ = check_group_table(table)
+    n = len(table)
     if names is None:
         names = ["g%d" % i for i in range(n)]
     return Space(names, group_table=table)

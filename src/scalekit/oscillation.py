@@ -11,12 +11,13 @@ first success is reported, which keeps runs reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
-from .model import InstanceError, fmt_value, positive_grid
+from .model import (InstanceError, fmt_value, gap_table, ordered_grid, row_spreads,
+                    widest_pair)
 from .reports import CheckReport, truncation_label
 from .scales import Cover, star_set
 
@@ -48,21 +49,23 @@ class SOQuery:
         for cov in self.base:
             if cov.space is not self.structure.space:
                 raise InstanceError("cover %s lives on a different space" % cov.name)
-        eps = positive_grid(self.eps_grid, "eps grid")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise InstanceError("eps grid must be strictly descending")
-        self.eps_grid = eps
+        self.eps_grid = ordered_grid(self.eps_grid, "eps grid", "strictly descending")
 
 
 def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
-    """Greatest value gap inside each element."""
+    """Greatest value gap inside each element; values that are vectors (one
+    row per point) are compared in the sum norm."""
     f = np.asarray(f, dtype=complex)
-    out = np.zeros(len(cover))
-    for k, row in enumerate(cover.matrix):
-        vals = f[row]
-        if vals.size >= 2:
-            out[k] = float(np.abs(vals[:, None] - vals[None, :]).max())
-    return out
+    return np.fromiter(row_spreads(cover.matrix, lambda row: gap_table(f[row])),
+                       dtype=float, count=len(cover))
+
+
+def _widest_in(f: np.ndarray, row: np.ndarray) -> tuple[float, int, int]:
+    """(gap, x, y): the widest value gap inside one element, given as a bool
+    row, and the first pair x < y attaining it."""
+    idx = np.flatnonzero(row)
+    gap, i, j = widest_pair(gap_table(f[idx]))
+    return gap, int(idx[i]), int(idx[j])
 
 
 # one heavy pair: element index, first point, second point, value gap
@@ -72,8 +75,7 @@ PAIR = np.dtype([("k", np.int64), ("x", np.int64), ("y", np.int64),
 
 def _element_pairs(f: np.ndarray, k: int, idx: np.ndarray, eps: float) -> np.ndarray:
     """Heavy pairs of element k, whose points are the sorted indices idx."""
-    vals = f[idx]
-    gaps = np.abs(vals[:, None] - vals[None, :])
+    gaps = gap_table(f[idx])
     ii, jj = np.nonzero(np.triu(gaps > eps, k=1))
     out = np.empty(ii.size, dtype=PAIR)
     out["k"] = k
@@ -176,8 +178,8 @@ def _strict_refutation(q, cov, eps, bad, cells):
     common = _first(_every(outside, bad.size))
     if common is not None:
         k = int(bad[common])
-        pairs = _element_pairs(q.f, k, np.flatnonzero(cov.matrix[k]), eps)
-        base.update(_pair_entry(space, cov, pairs[np.argmax(pairs["gap"])]))
+        gap, x, y = _widest_in(q.f, cov.matrix[k])
+        base.update(_pair_entry(space, cov, {"k": k, "x": x, "y": y, "gap": gap}))
         base["mode"] = "element survives every witness"
         return base
     per = [{"witness": name, "element": cov.labels()[bad[_first(miss)]]}

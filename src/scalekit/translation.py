@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Filtration, InstanceError, Space
+from .model import Filtration, InstanceError, Space, check_group_table, gap_table
 from .reports import CheckReport, truncation_label
 from .scales import Cover, refines, star_family
 
@@ -23,11 +23,10 @@ class GroupWindow:
         self.table = None
         self.values = None
         if table is not None:
-            t = np.asarray(table, dtype=np.int64)
-            if t.shape != (space.n, space.n):
+            table, self.identity = check_group_table(table)
+            if len(table) != space.n:
                 raise InstanceError("multiplication table shape mismatch")
-            self.table = t
-            self.identity = self._find_identity(t)
+            self.table = np.asarray(table, dtype=np.int64)
         elif values is not None:
             v = np.asarray(values, dtype=np.int64)
             if v.shape != (space.n,):
@@ -39,15 +38,6 @@ class GroupWindow:
             self.identity = self._index[0]
         else:
             raise InstanceError("need a multiplication table or window values")
-
-    @staticmethod
-    def _find_identity(t: np.ndarray) -> int:
-        n = t.shape[0]
-        rng = np.arange(n)
-        for e in range(n):
-            if np.array_equal(t[e], rng) and np.array_equal(t[:, e], rng):
-                return e
-        raise InstanceError("no two-sided identity in the table")
 
     @property
     def is_window(self) -> bool:
@@ -79,8 +69,7 @@ def z_window(n_half: int, level_step: int | None = None) -> Space:
         raise InstanceError("window half-width must be positive")
     vals = list(range(-n_half, n_half + 1))
     labels = [str(v) for v in vals]
-    arr = np.array(vals, dtype=float)
-    d = np.abs(np.subtract.outer(arr, arr))
+    d = gap_table(np.array(vals, dtype=float))
     filt = None
     if level_step is not None:
         levels = []

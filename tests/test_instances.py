@@ -103,6 +103,10 @@ def test_load_rejects_malformed_documents():
                  id="line-scalar"),
     pytest.param({"kind": "line", "coords": [0, float("inf")]}, "finite",
                  id="line-inf"),
+    pytest.param({"kind": "line", "coords": [0, 10 ** 400]}, "list of numbers",
+                 id="line-huge"),
+    pytest.param({"kind": "table", "distances": [[0, 10 ** 400], [1, 0]]},
+                 "numbers or", id="table-huge"),
     pytest.param({"kind": "grid", "coords": [[0, 0], 1]}, "number pairs",
                  id="grid-scalar"),
     pytest.param({"kind": "grid", "coords": [[0, 0], [1, 2, 3]]}, "number pairs",
@@ -159,3 +163,58 @@ def test_filtered_document_checks_its_metric_once(monkeypatch):
     assert space.filtration.levels == (frozenset({0, 1}), frozenset({0, 1, 2}))
     with pytest.raises(InstanceError, match="out of range"):
         load_space(dict(doc, filtration=[[7]]))
+
+
+TWO = {"points": ["a", "b"]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"points": 5}, "points must be a list", id="points-scalar"),
+    pytest.param(dict(TWO, filtration=3), "filtration must be a list",
+                 id="filtration-scalar"),
+    pytest.param(dict(TWO, filtration=[3]), "level 0 must be a list",
+                 id="filtration-level-scalar"),
+    pytest.param(dict(TWO, covers=3), "covers must be an object",
+                 id="covers-scalar"),
+    pytest.param(dict(TWO, covers={"u": 3}), "cover 'u' must be a list",
+                 id="cover-scalar"),
+    pytest.param(dict(TWO, covers={"u": [5]}), "element 0 must be a list",
+                 id="cover-element-scalar"),
+    pytest.param(dict(TWO, functions={"f": 3}), "function 'f' must be a list",
+                 id="function-scalar"),
+    pytest.param(dict(TWO, functions={"f": [1, "x"]}), "numbers or",
+                 id="function-text"),
+    pytest.param(dict(TWO, functions={"f": [1, [0, None]]}), "numbers or",
+                 id="function-null-part"),
+    pytest.param(dict(TWO, functions={"f": [1, 10 ** 400]}), "numbers or",
+                 id="function-huge"),
+    pytest.param(dict(TWO, maps={"m": 3}), "map 'm' must be a list",
+                 id="map-scalar"),
+    pytest.param(dict(TWO, operators={"t": {"triplets": [[0, 0, "x", 0]]}}),
+                 "triplet rows", id="triplet-text"),
+    pytest.param(dict(TWO, operators={"t": {"triplets": [[0, 0, 1]]}}),
+                 "triplet rows", id="triplet-short"),
+    pytest.param(dict(TWO, operators={"t": {"triplets": 3}}), "triplet rows",
+                 id="triplets-scalar"),
+    pytest.param(dict(TWO, entourages={"e": [3]}), "row 0 must be a list",
+                 id="entourage-row-scalar"),
+    pytest.param(dict(TWO, catalogues={"t": 3}), "catalogue 't' must be a list",
+                 id="catalogue-scalar"),
+    pytest.param(dict(TWO, group={"table": [[0, 0], [0, 0]]}), "not a permutation",
+                 id="group-not-latin"),
+    pytest.param(dict(TWO, group={"table": [[0, 1], [0, 1]]}), "column 0",
+                 id="group-column"),
+    pytest.param(dict(TWO, group={"table": [[0, 1], [1, "x"]]}), "point indices",
+                 id="group-text"),
+    pytest.param(dict(TWO, group={"table": [[0]]}), "one row per point",
+                 id="group-size"),
+])
+def test_malformed_block_is_an_instance_error(tmp_path, capsys, doc, message):
+    with pytest.raises(InstanceError, match=message):
+        load_space(doc)
+    from scalekit.cli import main
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-ss", "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

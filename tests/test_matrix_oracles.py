@@ -1,24 +1,34 @@
-"""Covers and entourages are stored as bool matrices and heavy pairs as
-structured arrays; these properties pit every matrix or array operation
-against the set- or tuple-based version it replaced, on seeded random
-carriers of 1 to 8 points, with duplicate cover elements allowed."""
+"""Covers and entourages are stored as bool matrices, heavy pairs as
+structured arrays, and every spread (the widest value or metric gap inside
+an element) comes from one kernel; these properties pit every matrix, array
+or kernel operation against the set- or loop-based version it replaced, on
+seeded random carriers of 1 to 8 points, with duplicate cover elements
+allowed."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scalekit.algebra_comm import FunctionFamily, family_ball_cover
+from scalekit.algebra_comm import (FunctionFamily, family_ball_cover,
+                                   is_ss_continuous, separation_blocks,
+                                   ss_base_from_family, stone_weierstrass_desk_test)
+from scalekit.algebra_noncomm import (OperatorMatrix, column_pseudometric,
+                                      roe_comparison_tests, ss_from_algebra,
+                                      ssp_witness_check)
 from scalekit.bounded import (BoundedStructure, desk_weakly_bounded,
                               witness_space)
-from scalekit.duality import LSQuery, _star_condition, ls_membership
+from scalekit.duality import (LSQuery, _extreme_pairs, _star_condition,
+                              ls_membership, s0_classify, wright_c0_check)
 from scalekit.entourages import (Entourage, compose, entourage_of_scale,
                                  invert, scale_of_entourage, slice_at)
-from scalekit.metric import ball_cover
+from scalekit.metric import (ball_cover, distance_candidates, mesh, metric_ls_base,
+                             metric_ss_base, sup_diameter)
 from scalekit.model import Filtration, InstanceError, Space, builder_line, fmt_value
 from scalekit.oscillation import (SOQuery, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
 from scalekit.reports import CheckReport, truncation_label
-from scalekit.scales import Cover, refines, star_family, star_set
+from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, pou_support, refines,
+                             smaller_or_equal, star_family, star_set)
 
 SEEDED = settings(deadline=None, derandomize=True, max_examples=60)
 
@@ -470,3 +480,403 @@ REFUTATIONS = {
 def test_each_refutation_mode_matches_oracle(name):
     q, want = REFUTATIONS[name]
     assert tuple(assert_so_matches_oracle(q)) == want
+
+
+# -- spreads: the per-site loops the kernel replaced ------------------------------
+
+def oracle_diam(d, el):
+    idx = sorted(el)
+    if len(idx) <= 1:
+        return 0.0
+    return float(np.max(d[np.ix_(idx, idx)]))
+
+
+def oracle_sup_diameter(cover):
+    return max(oracle_diam(cover.space.d, el) for el in cover.elements)
+
+
+def oracle_extreme_pairs(cover, space):
+    out = []
+    for k, el in enumerate(cover.elements):
+        idx = np.fromiter(sorted(el), dtype=np.int64)
+        if idx.size < 2:
+            continue
+        sub = space.d[np.ix_(idx, idx)]
+        i, j = np.unravel_index(int(sub.argmax()), sub.shape)
+        if sub[i, j] > 0:
+            x, y = int(idx[i]), int(idx[j])
+            out.append((k, min(x, y), max(x, y), float(sub[i, j])))
+    return out
+
+
+def oracle_spread(f, el):
+    vals = f[np.fromiter(el, dtype=np.int64)]
+    return float(np.abs(vals[:, None] - vals[None, :]).max())
+
+
+def oracle_row_jump(weights, el):
+    rows = weights[np.fromiter(el, dtype=np.int64)]
+    return float(np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2).max())
+
+
+def oracle_first_scales(jump, base, eps_grid, name, reason, space):
+    witnesses = []
+    for e in eps_grid:
+        hit = next((cov.name for cov in base.covers
+                    if all(jump(el) <= e for el in cov.elements)), None)
+        if hit is None:
+            return CheckReport(name, False, witnesses=tuple(witnesses),
+                               counterexample={"eps": e, "reason": reason},
+                               truncation=truncation_label(space)), None
+        witnesses.append({"eps": e, "cover": hit})
+    return None, witnesses
+
+
+def oracle_is_ss_continuous(f, base, eps_grid):
+    fail, witnesses = oracle_first_scales(
+        lambda el: oracle_spread(f, el), base, eps_grid, "ss_continuous",
+        "no base scale keeps the spread inside eps", base.space)
+    if fail is not None:
+        return fail
+    return CheckReport("ss_continuous", True, witnesses=tuple(witnesses),
+                       truncation=truncation_label(base.space))
+
+
+def oracle_ssp_witness_check(phi, base, u, eps_grid):
+    fail, witnesses = oracle_first_scales(
+        lambda el: oracle_row_jump(phi.weights, el), base, eps_grid, "ssp_witness",
+        "weight rows jump past eps on every scale", phi.space)
+    if fail is not None:
+        return fail
+    sub = smaller_or_equal(pou_support(phi), u)
+    notes = () if sub else ("support cover is not smaller than the target",)
+    return CheckReport("ssp_witness", sub,
+                       witnesses=tuple(witnesses) + ({"supports_smaller": sub},),
+                       notes=notes, truncation=truncation_label(phi.space))
+
+
+def oracle_small_scale_pair(f, space, fine, eps):
+    for el in fine.elements:
+        idx = np.fromiter(sorted(el), dtype=np.int64)
+        if idx.size < 2:
+            continue
+        vals = f[idx]
+        gaps = np.abs(vals[:, None] - vals[None, :])
+        if gaps.max() > eps:
+            i, j = np.unravel_index(int(gaps.argmax()), gaps.shape)
+            return {"small_scale_pair": [space.points[idx[i]], space.points[idx[j]]],
+                    "small_scale_gap": fmt_value(float(gaps[i, j]))}
+    return {}
+
+
+def oracle_s0_classify(f, name, b, ss_base, ls_base, eps_grid):
+    space = b.space
+    rss = oracle_is_ss_continuous(f, ss_base, eps_grid)
+    rso = oracle_slowly_oscillating(SOQuery(f, ls_base.covers, eps_grid, b, name=name),
+                                    "strict")
+    cases = {(True, True): "both regimes: doubly controlled",
+             (False, True): "slowly oscillating but jumps at small scale",
+             (True, False): "small-scale continuous but oscillates at infinity",
+             (False, False): "controlled at neither scale"}
+    cx = {}
+    if not rss.status:
+        cx.update(oracle_small_scale_pair(f, space, ss_base.covers[-1],
+                                          rss.counterexample["eps"]))
+    if not rso.status:
+        cx["large_scale"] = rso.counterexample
+    return CheckReport("s0_classify[%s]" % name, rss.status and rso.status,
+                       witnesses=({"ss_continuous": rss.status,
+                                   "slowly_oscillating": rso.status,
+                                   "case": cases[(rss.status, rso.status)]},),
+                       counterexample=cx or None, truncation=truncation_label(space))
+
+
+def oracle_pseudometric(values):
+    return np.abs(values[:, :, None] - values[:, None, :]).max(axis=0)
+
+
+def oracle_stone_weierstrass(fam, probe, name):
+    probe = np.asarray(probe, dtype=complex)
+    blocks = separation_blocks(fam)
+    sep_pair = None
+    for blk in blocks:
+        idx = sorted(blk)
+        vals = probe[np.fromiter(idx, dtype=np.int64)]
+        gaps = np.abs(vals[:, None] - vals[None, :])
+        if gaps.max() > 0:
+            i, j = np.unravel_index(int(gaps.argmax()), gaps.shape)
+            sep_pair = (idx[i], idx[j], float(gaps[i, j]))
+            break
+    block_constant = sep_pair is None
+    d = oracle_pseudometric(fam.values)
+    pos = d[d > 0]
+    delta = 0.5 * float(pos.min()) if pos.size else 1.0
+    ball_route = all(oracle_spread(probe, el) == 0 for el in oracle_balls(d, delta))
+    notes = []
+    if not fam.is_unital:
+        notes.append("family is not unital")
+    if not fam.conjugation_closed:
+        notes.append("family is not conjugation closed")
+    if block_constant != ball_route:
+        notes.append("block route and ball route disagree")
+    witnesses = ({"blocks": [sorted(fam.space.points[i] for i in blk) for blk in blocks],
+                  "delta": fmt_value(delta), "block_constant": block_constant,
+                  "ball_route": ball_route},)
+    cx = None
+    if sep_pair is not None:
+        x, y, gap = sep_pair
+        cx = {"pair": [fam.space.points[x], fam.space.points[y]],
+              "d_F": 0.0, "probe_gap": fmt_value(gap)}
+    return CheckReport("stone_weierstrass[%s]" % name,
+                       block_constant and ball_route == block_constant,
+                       witnesses=witnesses, counterexample=cx, notes=tuple(notes))
+
+
+def oracle_sub_diam(space, el, removed):
+    keep = sorted(el - removed)
+    if len(keep) < 2:
+        return 0.0
+    idx = np.fromiter(keep, dtype=np.int64)
+    return float(space.d[np.ix_(idx, idx)].max())
+
+
+def oracle_wright_c0(cover, space):
+    levels = space.filtration.levels
+    top = levels[-1]
+    notes = []
+    over = [k for k, el in enumerate(cover.elements) if not el <= top]
+    if over:
+        notes.append("%d elements reach past the top window; smallness out "
+                     "there is taken on trust" % len(over))
+    witnesses = []
+    for eps in (1.0, 0.5, 0.25):
+        hit = next((j for j, k in enumerate(levels)
+                    if all(oracle_sub_diam(space, el, k) < eps
+                           for el in cover.elements)), None)
+        if hit is None:
+            k = levels[-1]
+            viol = next(kk for kk, el in enumerate(cover.elements)
+                        if oracle_sub_diam(space, el, k) >= eps)
+            return CheckReport(
+                "wright_c0", False, witnesses=tuple(witnesses),
+                counterexample={"eps": eps, "element": cover.labels()[viol],
+                                "diam_past_top": fmt_value(
+                                    oracle_sub_diam(space, cover.elements[viol], k)),
+                                "reason": "no window thins the family below eps"},
+                notes=tuple(notes), truncation=truncation_label(space))
+        witnesses.append({"eps": eps, "window": "K%d" % (hit + 1)})
+    return CheckReport("wright_c0", True, witnesses=tuple(witnesses),
+                       notes=tuple(notes), truncation=truncation_label(space))
+
+
+def oracle_mesh(cover):
+    """The candidate scan, on sets: the first candidate radius whose balls
+    absorb every star of the cover, stepped back by one candidate."""
+    space = cover.space
+    cands = distance_candidates(space)
+    elements = oracle_cover(space.n, cover.elements)
+    stars = tuple(oracle_star(e, elements) for e in elements)
+
+    def passes(m):
+        return oracle_refines(stars, oracle_balls(space.d, m))
+
+    if not cands:
+        return 0.0
+    if not passes(cands[-1] * 2.0 + 1.0):
+        return np.inf
+    prev = 0.0
+    for m in cands:
+        if passes(m):
+            return prev
+        prev = m
+    return prev
+
+
+def oracle_ladder(d, radii, label):
+    return [("%s(%s)" % (label, fmt_value(r)), oracle_balls(d, r)) for r in radii]
+
+
+def ladder_of(base):
+    return [(c.name, c.elements) for c in base.covers]
+
+
+# small integer distances tie and sit on the eps grid; inf splits the carrier
+DISTANCES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, np.inf])
+
+
+@st.composite
+def metric_carriers(draw, windows=None):
+    """Points p0.. with a random pseudometric table (triangle inequality not
+    required), and windows half the time (always when ``windows``)."""
+    n = draw(st.integers(2, 8))
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = draw(DISTANCES)
+    filtration = None
+    if windows or (windows is None and draw(st.booleans())):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=3)))
+        filtration = Filtration(tuple(frozenset(order[:c]) for c in cuts))
+    return Space(["p%d" % i for i in range(n)], metric=d, filtration=filtration)
+
+
+@st.composite
+def metric_covers(draw, windows=None):
+    space = draw(metric_carriers(windows))
+    return Cover(space, draw(element_lists(space.n)), name="u")
+
+
+@st.composite
+def scale_bases(draw, space, k=2):
+    covers = draw(st.lists(element_lists(space.n), min_size=1, max_size=k))
+    return ScaleBase(space, tuple(Cover(space, els, name="s%d" % i)
+                                  for i, els in enumerate(covers)))
+
+
+any_eps = st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25]), min_size=1, max_size=3)
+
+
+@SEEDED
+@given(metric_covers())
+def test_metric_spreads_match_oracle(cover):
+    space = cover.space
+    assert sup_diameter(cover) == oracle_sup_diameter(cover)
+    assert _extreme_pairs(cover, space) == oracle_extreme_pairs(cover, space)
+    for el in cover.elements:
+        assert space.diam(el) == oracle_diam(space.d, el)
+
+
+@SEEDED
+@given(metric_covers())
+def test_mesh_matches_candidate_scan(cover):
+    assert mesh(cover) == oracle_mesh(cover)
+
+
+@SEEDED
+@given(metric_covers(windows=True))
+def test_wright_c0_matches_oracle(cover):
+    got = wright_c0_check(cover, cover.space)
+    assert payload_bytes(got) == payload_bytes(oracle_wright_c0(cover, cover.space))
+
+
+@SEEDED
+@given(st.data())
+def test_value_spreads_match_oracle(data):
+    space, _ = data.draw(carriers())
+    f = values(data.draw, space.n)
+    base = data.draw(scale_bases(space))
+    eps = data.draw(any_eps)
+    for cov in base.covers:
+        assert np.array_equal(element_diameters(f, cov), oracle_diameters(f, cov.elements))
+    assert payload_bytes(is_ss_continuous(f, base, eps)) == \
+        payload_bytes(oracle_is_ss_continuous(f, base, eps))
+
+
+# weight rows in quarters, so that sum-norm jumps are exact and tie
+WEIGHT_ROWS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0),
+               (0.25, 0.25, 0.5), (0.0, 0.25, 0.75)]
+
+
+@SEEDED
+@given(st.data())
+def test_ssp_witness_check_matches_oracle(data):
+    space, _ = data.draw(carriers())
+    rows = data.draw(st.lists(st.sampled_from(WEIGHT_ROWS), min_size=space.n,
+                              max_size=space.n))
+    phi = PartitionOfUnity(space, np.array(rows))
+    base = data.draw(scale_bases(space))
+    u = Cover(space, data.draw(element_lists(space.n)), name="u")
+    eps = data.draw(any_eps)
+    for cov in base.covers:
+        want = [oracle_row_jump(phi.weights, el) for el in cov.elements]
+        assert element_diameters(phi.weights, cov).tolist() == want
+    assert payload_bytes(ssp_witness_check(phi, base, u, eps)) == \
+        payload_bytes(oracle_ssp_witness_check(phi, base, u, eps))
+
+
+@SEEDED
+@given(st.data())
+def test_s0_classify_matches_oracle(data):
+    space, structure = data.draw(carriers())
+    f = values(data.draw, space.n)
+    ss_base = data.draw(scale_bases(space))
+    ls_base = data.draw(scale_bases(space))
+    eps = data.draw(eps_grids)
+    got = s0_classify(f, "f", structure, ss_base, ls_base, eps)
+    want = oracle_s0_classify(f, "f", structure, ss_base, ls_base, eps)
+    assert payload_bytes(got) == payload_bytes(want)
+
+
+def test_s0_small_scale_pair_is_the_first_wider_element():
+    # the first element spreads exactly eps, the second past it
+    space = Space(["p0", "p1", "p2"])
+    f = np.array([0.0, 1.0, 3.0])
+    ss_base = ScaleBase(space, (Cover(space, [[0, 1], [1, 2]], name="fine"),))
+    ls_base = ScaleBase(space, (Cover(space, [[0], [1], [2]], name="points"),))
+    b = BoundedStructure(space, [])
+    got = s0_classify(f, "f", b, ss_base, ls_base, (1.0,))
+    assert got.counterexample["small_scale_pair"] == ["p1", "p2"]
+    assert payload_bytes(got) == \
+        payload_bytes(oracle_s0_classify(f, "f", b, ss_base, ls_base, (1.0,)))
+
+
+@SEEDED
+@given(metric_covers())
+def test_roe_comparison_diameters_match_oracle(cover):
+    top = oracle_sup_diameter(cover)
+    assume(np.isfinite(top))
+    rep = roe_comparison_tests(cover, top)
+    assert rep.witnesses[0]["max_diam"] == fmt_value(top)
+    if top > 0:
+        with pytest.raises(InstanceError, match="outgrows"):
+            roe_comparison_tests(cover, top - 0.5)
+
+
+@SEEDED
+@given(st.data())
+def test_stone_weierstrass_matches_oracle(data):
+    n = data.draw(st.integers(2, 8))
+    space = Space(["p%d" % i for i in range(n)])
+    k = data.draw(st.integers(1, 2))
+    fam = FunctionFamily(space, ["g%d" % i for i in range(k)],
+                         [values(data.draw, n) for _ in range(k)])
+    probe = values(data.draw, n)
+    assert np.array_equal(fam.pseudometric(), oracle_pseudometric(fam.values))
+    assert payload_bytes(stone_weierstrass_desk_test(fam, probe)) == \
+        payload_bytes(oracle_stone_weierstrass(fam, probe, "probe"))
+
+
+# radii ladders with repeats; the metric builders always allowed them
+ladders = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 10.0]), min_size=1,
+                   max_size=4)
+
+
+@SEEDED
+@given(metric_carriers(), ladders)
+def test_ball_ladders_match_oracle(space, radii):
+    down, up = sorted(radii, reverse=True), sorted(radii)
+    fam = FunctionFamily(space, ("g",), np.arange(space.n, dtype=float).reshape(1, -1))
+    op = OperatorMatrix(space, {(x, (x + 1) % space.n): 1.0 for x in range(space.n)},
+                        name="t")
+    cases = [(metric_ss_base(space, down), space.d, down, "balls"),
+             (metric_ls_base(space, up), space.d, up, "balls"),
+             (ss_base_from_family(fam, down), oracle_pseudometric(fam.values), down,
+              "dF-balls"),
+             (ss_from_algebra(op, down), column_pseudometric(op), down, "d_t-balls")]
+    for (base, d, rs, label), kind in zip(cases, ("small", "large", "small", "small")):
+        assert ladder_of(base) == oracle_ladder(d, rs, label)
+        assert base.kind == kind
+    old_small = ["spacing %s -> %s above one third: star containment not generic"
+                 % (fmt_value(a), fmt_value(b)) for a, b in zip(down, down[1:]) if b > a / 3.0]
+    old_large = ["spacing %s -> %s below threefold: star absorption not generic"
+                 % (fmt_value(a), fmt_value(b)) for a, b in zip(up, up[1:]) if b < 3.0 * a]
+    if len(radii) == 1:
+        old_small = old_large = ["single radius: the base condition is only self-referential"]
+    assert list(cases[0][0].warnings) == old_small
+    assert list(cases[1][0].warnings) == old_large
+    if down != up:
+        for build in (lambda: metric_ss_base(space, up), lambda: metric_ls_base(space, down),
+                      lambda: ss_base_from_family(fam, up), lambda: ss_from_algebra(op, up)):
+            with pytest.raises(InstanceError, match="radii must be"):
+                build()

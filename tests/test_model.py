@@ -140,3 +140,36 @@ def test_to_document_round_trip():
     from scalekit.model import load_space
     sp2, _ = load_space(doc)
     assert sp2 == sp
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1, 1]], "row 1"),
+    ([[0, 1], [0, 1]], "column 0"),
+    ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "identity"),
+    ([[0, "x"], [1, 0]], "point indices"),
+])
+def test_group_table_checks_are_shared_with_loading(table, message):
+    from scalekit.instances import load_space
+    with pytest.raises(InstanceError, match=message):
+        builder_group_window(table)
+    with pytest.raises(InstanceError, match=message):
+        load_space({"points": list("abc")[:len(table)], "group": {"table": table}})
+
+
+@pytest.mark.parametrize("values, order, message", [
+    ((3.0, 1.0, 1.0), "descending", None),
+    ((1.0, 1.0, 3.0), "ascending", None),
+    ((3.0, 1.0), "strictly descending", None),
+    ((3.0, 1.0, 1.0), "strictly descending", "eps must be strictly descending"),
+    ((1.0, 3.0), "descending", "eps must be descending"),
+    ((3.0, 1.0), "ascending", "eps must be ascending"),
+    ((), "ascending", "needs at least one value"),
+    ((1.0, -1.0), "descending", "finite and positive"),
+])
+def test_ordered_grid(values, order, message):
+    from scalekit.model import ordered_grid
+    if message is None:
+        assert ordered_grid(values, "eps", order) == values
+    else:
+        with pytest.raises(InstanceError, match=message):
+            ordered_grid(values, "eps", order)
