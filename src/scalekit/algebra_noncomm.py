@@ -280,10 +280,13 @@ def ls_from_algebra(cover: Cover, gens: StarFamily, degree: int,
 
 def column_pseudometric(a: OperatorMatrix) -> np.ndarray:
     """d_a(x, y): euclidean distance between image columns."""
+    # columns are the images of the basis vectors; summing one row at a time
+    # keeps memory at n x n and adds in the same order as a sum over axis 0
     m = a.dense()
-    # columns are the images of the basis vectors
-    diff = m[:, :, None] - m[:, None, :]
-    return np.sqrt((np.abs(diff) ** 2).sum(axis=0))
+    sq = np.zeros((m.shape[1],) * 2)
+    for row in m:
+        sq += np.abs(row[:, None] - row[None, :]) ** 2
+    return np.sqrt(sq)
 
 
 def ss_from_algebra(a: OperatorMatrix, eps_grid) -> ScaleBase:

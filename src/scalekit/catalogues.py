@@ -12,8 +12,7 @@ import numpy as np
 
 from . import bounded
 from .algebra_comm import FunctionFamily
-from .model import (Filtration, InstanceError, Space, builder_grid, builder_line, fmt_value,
-                    gap_table)
+from .model import Filtration, InstanceError, Space, builder_grid, builder_line, fmt_value
 from .oscillation import build_bump_refuter
 from .scales import Cover
 
@@ -22,13 +21,10 @@ EPS_DEFAULT = (1.0, 0.5, 0.25)
 
 def _windowed_line(values, window_tops) -> Space:
     values = np.asarray(values, dtype=float)
-    labels = [fmt_value(v) for v in values]
-    d = gap_table(values)
     levels = tuple(frozenset(np.flatnonzero(values <= top).tolist())
                    for top in window_tops)
-    return Space(labels, metric=d, metric_kind="line",
-                 coords=tuple(float(v) for v in values),
-                 filtration=Filtration(levels), triangle_ok=True)
+    return Space([fmt_value(v) for v in values], metric_kind="line",
+                 coords=tuple(float(v) for v in values), filtration=Filtration(levels))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ from .duality import (LSQuery, continuously_controlled_check, ls_membership,
                       theorem75_agreement, wright_c0_check)
 from .entourages import check_coarse_axioms, check_uniform_axioms, metric_entourage
 from .metric import lebesgue_number, mesh, metric_ls_base, metric_ss_base
-from .model import Filtration, InstanceError, Space, fmt_value
+from .model import InstanceError, Space, fmt_value
 from .oscillation import SOQuery, is_slowly_oscillating
 from .reports import CheckReport
 from .scales import check_ls_base, check_ss_base
@@ -53,25 +54,18 @@ def _load(args):
     else:
         space, cat = instances.load_path(name)
     if getattr(args, "levels", None):
+        # impose the windows on the document, so that the one loader binds
+        # every payload to the windowed carrier
         tops = _floats(args.levels)
+        if not all(math.isfinite(t) for t in tops):
+            raise InstanceError("window tops must be finite")
         vals = space.values()
-        levels = []
-        for t in tops:
-            lv = frozenset(np.flatnonzero(vals <= t).tolist())
-            if not lv:
+        doc = instances.save_instance(space, cat)
+        doc["filtration"] = [np.flatnonzero(vals <= t).tolist() for t in tops]
+        for t, level in zip(tops, doc["filtration"]):
+            if not level:
                 raise InstanceError("window top %s catches no point" % fmt_value(t))
-            levels.append(lv)
-        space = Space(space.points, metric=space.d, metric_kind=space.metric_kind,
-                      coords=space.coords, filtration=Filtration(tuple(levels)),
-                      triangle_ok=True)
-        relabeled = instances.InstanceCatalogue()
-        for nm, cov in cat.covers.items():
-            from .scales import Cover
-            relabeled.covers[nm] = Cover(space, cov.matrix, name=nm,
-                                         open_flag=cov.open_flag)
-        relabeled.functions = cat.functions
-        relabeled.tags = cat.tags
-        cat = relabeled
+        space, cat = instances.load_space(doc)
     return space, cat
 
 

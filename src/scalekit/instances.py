@@ -19,7 +19,7 @@ import numpy as np
 from .algebra_comm import FunctionFamily
 from .algebra_noncomm import OperatorMatrix
 from .entourages import Entourage
-from .model import Filtration, InstanceError, Space, check_group_table, gap_table
+from .model import COORD_METRICS, Filtration, InstanceError, Space, check_group_table
 from .scales import Cover
 
 
@@ -84,16 +84,19 @@ def _subset(index: dict, raw, where: str) -> frozenset:
     return frozenset(out)
 
 
-def _coords(block, width: int) -> list:
-    """Finite coordinates of a line (width 1) or grid (width 2) block: one
-    number, or one [a, b] pair, per point."""
+def _coords(block, n: int) -> tuple:
+    """Finite coordinates of a line or grid block, one per point: a number
+    on a line, an [a, b] integer pair on a grid."""
     if "coords" not in block:
         raise InstanceError("metric: kind %r needs coords" % block["kind"])
     raw = block["coords"]
+    width = 1 if block["kind"] == "line" else 2
     what = "numbers" if width == 1 else "[a, b] number pairs"
     if not isinstance(raw, (list, tuple)) or (width == 2 and not all(
             isinstance(c, (list, tuple)) and len(c) == 2 for c in raw)):
         raise InstanceError("metric: coords must be a list of %s" % what)
+    if len(raw) != n:
+        raise InstanceError("metric: one coordinate per point")
     try:
         coords = ([float(c) for c in raw] if width == 1
                   else [(float(a), float(b)) for a, b in raw])
@@ -101,7 +104,9 @@ def _coords(block, width: int) -> list:
         raise InstanceError("metric: coords must be a list of %s" % what) from exc
     if not np.isfinite(coords).all():
         raise InstanceError("metric: coords must be finite")
-    return coords
+    if width == 2 and (np.mod(coords, 1) != 0).any():
+        raise InstanceError("metric: grid coords must be integers")
+    return tuple(coords)
 
 
 def _parse_metric(block, points):
@@ -109,18 +114,8 @@ def _parse_metric(block, points):
     if not isinstance(block, dict) or "kind" not in block:
         raise InstanceError("metric block needs a kind")
     kind = block["kind"]
-    if kind == "line":
-        coords = _coords(block, 1)
-        if len(coords) != n:
-            raise InstanceError("metric: one coordinate per point")
-        return gap_table(np.asarray(coords)), "line", tuple(coords)
-    if kind == "grid":
-        coords = _coords(block, 2)
-        if len(coords) != n:
-            raise InstanceError("metric: one coordinate pair per point")
-        arr = np.asarray(coords)
-        d = np.max(np.abs(arr[:, None, :] - arr[None, :, :]), axis=2)
-        return d, "grid", tuple(coords)
+    if isinstance(kind, str) and kind in COORD_METRICS:
+        return None, kind, _coords(block, n)
     if kind == "table":
         if "distances" not in block:
             raise InstanceError("metric: kind 'table' needs distances")
@@ -298,8 +293,6 @@ def bundled(name: str) -> tuple:
     if name == "line20":
         space = cats.line20()
         cat = InstanceCatalogue()
-        from .algebra_noncomm import OperatorMatrix
-        from .scales import Cover
         vals = space.values()
         blocks = [frozenset(np.flatnonzero((vals >= 5 * k)
                                            & (vals <= 5 * k + 4)).tolist())
@@ -319,7 +312,6 @@ def bundled(name: str) -> tuple:
     if name == "grid6":
         space = cats.grid6()
         cat = InstanceCatalogue()
-        from .scales import Cover
         horiz = [space.subset(["%d,%d" % (i, 2 * k), "%d,%d" % (i, 2 * k + 1)])
                  for i in range(6) for k in range(3)]
         vert = [space.subset(["%d,%d" % (2 * k, j), "%d,%d" % (2 * k + 1, j)])

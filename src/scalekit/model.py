@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,13 @@ def row_spreads(matrix: np.ndarray, table_of):
             for row, size in zip(matrix, matrix.sum(axis=1)))
 
 
+# coordinate kind -> its metric on an array of coordinates (one row per point)
+COORD_METRICS = {
+    "line": gap_table,
+    "grid": lambda c: np.abs(c[:, None, :] - c[None, :, :]).max(axis=2),
+}
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Strictly increasing chain K_1 c K_2 c ... of declared-bounded windows."""
@@ -88,6 +96,8 @@ class Filtration:
     levels: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if not self.levels:
+            raise InstanceError("a filtration needs at least one level")
         prev = None
         for i, lv in enumerate(self.levels):
             if prev is not None and not (prev < lv):
@@ -108,10 +118,12 @@ class Filtration:
 
 
 class Space:
-    """Finite point list with optional pseudometric and filtration."""
+    """Finite point list with optional pseudometric and filtration.  A space
+    of a coordinate kind ("line", "grid") derives its metric from ``coords``
+    through ``COORD_METRICS``; any other space takes a distance table."""
 
     def __init__(self, points, metric=None, metric_kind=None, coords=None,
-                 filtration=None, group_table=None, triangle_ok=None):
+                 filtration=None, group_table=None):
         points = tuple(str(p) for p in points)
         if len(points) == 0:
             raise InstanceError("a space needs at least one point")
@@ -122,6 +134,11 @@ class Space:
         self.metric_kind = metric_kind
         self.coords = coords
         self.group_table = group_table
+        if metric_kind in COORD_METRICS:
+            if metric is not None:
+                raise InstanceError("a %s space derives its metric from coords"
+                                    % metric_kind)
+            metric = COORD_METRICS[metric_kind](np.asarray(coords, dtype=float))
         if metric is not None:
             metric = np.asarray(metric, dtype=float)
             if metric.shape != (len(points), len(points)):
@@ -133,15 +150,19 @@ class Space:
         if filtration is not None and not isinstance(filtration, Filtration):
             filtration = Filtration(tuple(frozenset(l) for l in filtration))
         self.filtration = filtration
-        if triangle_ok is None and metric is not None:
-            triangle_ok = self._triangle_holds(metric)
-        self.triangle_ok = triangle_ok
+
+    @cached_property
+    def triangle_ok(self) -> bool | None:
+        """Whether the metric obeys the triangle inequality (None without
+        one); coordinate metrics do by construction."""
+        if self.d is None:
+            return None
+        return self.metric_kind in COORD_METRICS or self._triangle_holds(self.d)
 
     # -- structural checks -------------------------------------------------
 
     @staticmethod
     def _check_pseudometric(d: np.ndarray) -> None:
-        n = d.shape[0]
         if np.any(np.diag(d) != 0.0):
             k = int(np.flatnonzero(np.diag(d) != 0.0)[0])
             raise InstanceError("nonzero self-distance at point %d" % k)
@@ -151,7 +172,6 @@ class Space:
         if np.any(asym):
             i, j = map(int, np.argwhere(asym)[0])
             raise InstanceError("asymmetric metric at (%d,%d)" % (i, j))
-        del n
 
     @staticmethod
     def _triangle_holds(d: np.ndarray) -> bool:
@@ -241,10 +261,7 @@ def builder_line(n: int, h: float) -> Space:
     if n < 0 or h <= 0:
         raise InstanceError("builder_line needs n >= 0 and h > 0")
     coords = tuple(i * h for i in range(n + 1))
-    labels = [fmt_value(c) for c in coords]
-    d = gap_table(np.asarray(coords, dtype=float))
-    return Space(labels, metric=d, metric_kind="line", coords=coords,
-                 triangle_ok=True)
+    return Space([fmt_value(c) for c in coords], metric_kind="line", coords=coords)
 
 
 def builder_grid(n: int) -> Space:
@@ -252,11 +269,7 @@ def builder_grid(n: int) -> Space:
     if n < 1:
         raise InstanceError("builder_grid needs n >= 1")
     coords = tuple((i, j) for i in range(n) for j in range(n))
-    labels = ["%d,%d" % c for c in coords]
-    arr = np.array(coords, dtype=float)
-    d = np.max(np.abs(arr[:, None, :] - arr[None, :, :]), axis=2)
-    return Space(labels, metric=d, metric_kind="grid", coords=coords,
-                 triangle_ok=True)
+    return Space(["%d,%d" % c for c in coords], metric_kind="grid", coords=coords)
 
 
 def check_group_table(table) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Filtration, InstanceError, Space, check_group_table, gap_table
+from .model import Filtration, InstanceError, Space, check_group_table
 from .reports import CheckReport, truncation_label
 from .scales import Cover, refines, star_family
 
 
 class GroupWindow:
     """Multiplication oracle over a carrier: a whole finite group, or a
-    symmetric integer window with clipped addition."""
+    symmetric integer window with clipped addition.  Both are one partial
+    product table, ``table[a, b]`` the index of a*b or -1 when the product
+    leaves the window, and an inverse vector with the same convention."""
 
     def __init__(self, space: Space, table=None, values=None):
         self.space = space
-        self.table = None
         self.values = None
         if table is not None:
             table, self.identity = check_group_table(table)
@@ -31,13 +32,21 @@ class GroupWindow:
             v = np.asarray(values, dtype=np.int64)
             if v.shape != (space.n,):
                 raise InstanceError("window values shape mismatch")
-            self.values = v
-            self._index = {int(x): i for i, x in enumerate(v)}
-            if 0 not in self._index:
+            order = np.argsort(v, kind="stable")
+            ranked = v[order]
+            if (ranked[1:] == ranked[:-1]).any():
+                raise InstanceError("window values must be distinct")
+            if 0 not in ranked:
                 raise InstanceError("window must contain 0")
-            self.identity = self._index[0]
+            self.values = v
+            sums = v[:, None] + v[None, :]
+            at = np.searchsorted(ranked, sums).clip(max=space.n - 1)
+            self.table = np.where(ranked[at] == sums, order[at], -1)
+            self.identity = int(np.flatnonzero(v == 0)[0])
         else:
             raise InstanceError("need a multiplication table or window values")
+        unit = self.table == self.identity
+        self.inverse = np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
 
     @property
     def is_window(self) -> bool:
@@ -45,15 +54,12 @@ class GroupWindow:
 
     def mul(self, a: int, b: int) -> int | None:
         """Product index, or None when it leaves the window."""
-        if self.table is not None:
-            return int(self.table[a, b])
-        return self._index.get(int(self.values[a] + self.values[b]))
+        p = int(self.table[a, b])
+        return None if p < 0 else p
 
     def inv(self, a: int) -> int | None:
-        if self.table is not None:
-            col = np.flatnonzero(self.table[a] == self.identity)
-            return int(col[0])
-        return self._index.get(-int(self.values[a]))
+        p = int(self.inverse[a])
+        return None if p < 0 else p
 
 
 def from_table_space(space: Space) -> GroupWindow:
@@ -68,20 +74,16 @@ def z_window(n_half: int, level_step: int | None = None) -> Space:
     if n_half < 1:
         raise InstanceError("window half-width must be positive")
     vals = list(range(-n_half, n_half + 1))
-    labels = [str(v) for v in vals]
-    d = gap_table(np.array(vals, dtype=float))
     filt = None
     if level_step is not None:
-        levels = []
-        k = level_step
-        while k < n_half:
-            levels.append(frozenset(i for i, v in enumerate(vals) if abs(v) <= k))
-            k += level_step
+        tops = range(level_step, n_half, level_step) if level_step > 0 else ()
+        levels = tuple(frozenset(i for i, v in enumerate(vals) if abs(v) <= k)
+                       for k in tops)
         if not levels:
             raise InstanceError("level step leaves no interior window")
-        filt = Filtration(tuple(levels))
-    return Space(labels, metric=d, metric_kind="line", coords=tuple(float(v) for v in vals),
-                 filtration=filt, triangle_ok=True)
+        filt = Filtration(levels)
+    return Space([str(v) for v in vals], metric_kind="line",
+                 coords=tuple(float(v) for v in vals), filtration=filt)
 
 
 def window_group(space: Space) -> GroupWindow:
@@ -93,16 +95,12 @@ def window_group(space: Space) -> GroupWindow:
     return GroupWindow(space, values=vals)
 
 
-def _translate_set(g: GroupWindow, a: int, fset) -> tuple[frozenset[int], int]:
-    out = set()
-    clipped = 0
-    for f in sorted(fset):
-        p = g.mul(a, f)
-        if p is None:
-            clipped += 1
-        else:
-            out.add(p)
-    return frozenset(out), clipped
+def _image(prods) -> tuple[frozenset[int], int]:
+    """The products of an index array that stay in the carrier, and how many
+    left it (entries -1)."""
+    prods = prods.ravel()
+    kept = prods[prods >= 0]
+    return frozenset(kept.tolist()), len(prods) - len(kept)
 
 
 def translation_scale(g: GroupWindow, f_subset) -> tuple[Cover, int]:
@@ -110,43 +108,16 @@ def translation_scale(g: GroupWindow, f_subset) -> tuple[Cover, int]:
 
     Returns the cover and the number of clipped products (0 on full groups).
     """
-    f = frozenset(int(x) for x in f_subset) | {g.identity}
+    f = sorted(frozenset(int(x) for x in f_subset) | {g.identity})
     for x in f:
         if not (0 <= x < g.space.n):
             raise InstanceError("subset index %d out of range" % x)
-    elements = []
-    clipped = 0
-    for a in range(g.space.n):
-        el, c = _translate_set(g, a, f)
-        clipped += c
-        elements.append(el)
-    name = "translates[%s]" % ",".join(g.space.points[i] for i in sorted(f))
-    return Cover(g.space, elements, name=name), clipped
-
-
-def _product_set(g: GroupWindow, a_set, b_set) -> tuple[frozenset[int], int]:
-    out = set()
-    clipped = 0
-    for a in sorted(a_set):
-        for b in sorted(b_set):
-            p = g.mul(a, b)
-            if p is None:
-                clipped += 1
-            else:
-                out.add(p)
-    return frozenset(out), clipped
-
-
-def _inverse_set(g: GroupWindow, a_set) -> tuple[frozenset[int], int]:
-    out = set()
-    clipped = 0
-    for a in sorted(a_set):
-        p = g.inv(a)
-        if p is None:
-            clipped += 1
-        else:
-            out.add(p)
-    return frozenset(out), clipped
+    prods = g.table[:, f]
+    kept = prods >= 0
+    matrix = np.zeros((g.space.n, g.space.n), dtype=bool)
+    matrix[np.nonzero(kept)[0], prods[kept]] = True
+    name = "translates[%s]" % ",".join(g.space.points[i] for i in f)
+    return Cover(g.space, matrix, name=name), int(kept.size - kept.sum())
 
 
 def _closure_candidates(g: GroupWindow, subsets):
@@ -165,7 +136,7 @@ def _closure_candidates(g: GroupWindow, subsets):
     for i, f in enumerate(subsets):
         fs = frozenset(f) | {e}
         push("F%d" % (i + 1), fs, 0, depth1)
-        inv, c = _inverse_set(g, fs)
+        inv, c = _image(g.inverse[sorted(fs)])
         push("inv(F%d)" % (i + 1), inv | {e}, c, depth1)
     level = list(depth1)
     out = list(depth1)
@@ -173,7 +144,7 @@ def _closure_candidates(g: GroupWindow, subsets):
         nxt = []
         for name_a, sa, ca in level:
             for name_b, sb, cb in depth1:
-                prod, c = _product_set(g, sa, sb)
+                prod, c = _image(g.table[np.ix_(sorted(sa), sorted(sb))])
                 push("%s*%s" % (name_a, name_b), prod | {e}, ca + cb + c, nxt)
         out.extend(nxt)
         level = nxt

@@ -85,14 +85,14 @@ def random_spaces():
                 d[a, b] = d[b, a] = 1.0
                 d = floyd_warshall(d)
             space = Space(["v%d" % k for k in range(n)], metric=d,
-                          metric_kind="graph", triangle_ok=True)
+                          metric_kind="graph")
         else:
             m = int(rng.integers(8, 41))
             pts = np.unique(rng.integers(0, 21, size=(m, 2)), axis=0)
             d = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
             space = Space(["p%d,%d" % (x, y) for x, y in pts],
                           metric=d.astype(float), metric_kind="chessboard",
-                          coords=[tuple(p) for p in pts], triangle_ok=True)
+                          coords=[tuple(p) for p in pts])
         out.append(space)
     _SPACES = out
     return out

@@ -120,6 +120,62 @@ def test_levels_override_rebuilds_windows(capsys):
     assert any(r["status"] for r in doc["reports"])
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ccs", "--cover", "fives", "--levels", "nan"], id="nan-top"),
+    pytest.param(["c0", "--cover", "fives", "--levels", "5,inf"], id="inf-top"),
+    pytest.param(["c0", "--cover", "fives", "--levels", ","], id="no-top"),
+    pytest.param(["bounded", "--levels", "5,nan,15"], id="nan-inside"),
+])
+def test_bad_levels_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv[:1], "--space", "line20", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["c0", "--cover", "u"], ["ccs", "--cover", "u"],
+                                     ["bounded"], ["report-all"]])
+def test_empty_filtration_exits_two(tmp_path, capsys, command):
+    doc = {"points": ["a", "b"], "metric": {"kind": "line", "coords": [0, 1]},
+           "filtration": [], "covers": {"u": [["a", "b"]]}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *command, "--space", str(path))
+    assert code == 2
+    assert "at least one level" in err and err.count("\n") == 1
+
+
+def test_levels_keep_operators(capsys):
+    base = ("op", "--space", "line20", "--operator", "shift", "--json")
+    code, plain, _ = run(capsys, *base)
+    assert code == 0
+    code, windowed, err = run(capsys, *base, "--levels", "5,10,15")
+    assert code == 0, err
+    assert json.loads(windowed)["values"] == json.loads(plain)["values"]
+
+
+def test_levels_bind_every_payload_to_the_windowed_carrier(tmp_path):
+    import argparse
+
+    import numpy as np
+
+    from scalekit.cli import _load
+    from scalekit.entourages import Entourage
+    from scalekit.instances import InstanceCatalogue, save_instance
+    from scalekit.model import builder_line
+    space = builder_line(4, 1.0)
+    cat = InstanceCatalogue()
+    cat.maps["fold"] = np.array([0, 0, 1, 1, 2], dtype=np.int64)
+    cat.entourages["near"] = Entourage(space, {(0, 1), (1, 0)})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(save_instance(space, cat)), encoding="utf-8")
+    windowed, got = _load(argparse.Namespace(space=str(path), levels="1,3"))
+    assert windowed.filtration.levels == (frozenset({0, 1}), frozenset({0, 1, 2, 3}))
+    assert list(got.maps["fold"]) == [0, 0, 1, 1, 2]
+    assert got.entourages["near"].space is windowed
+    assert got.entourages["near"].pairs == cat.entourages["near"].pairs
+
+
 def test_seed_pins_random_probes(capsys, monkeypatch):
     monkeypatch.setenv("SCALEKIT_SEED", "7")
     _, first, _ = run(capsys, "bounded", "--space", "truncnat", "--json")

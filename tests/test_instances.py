@@ -115,6 +115,11 @@ def test_load_rejects_malformed_documents():
                  id="grid-string"),
     pytest.param({"kind": "grid", "coords": [[0, 0], ["x", 1]]}, "number pairs",
                  id="grid-text"),
+    pytest.param({"kind": "grid", "coords": [[0.5, 0], [1, 0]]}, "integers",
+                 id="grid-fraction"),
+    pytest.param({"kind": "line", "coords": [0, 1, 2]}, "one coordinate per point",
+                 id="line-count"),
+    pytest.param({"kind": ["line"]}, "unknown metric kind", id="kind-list"),
     pytest.param({"kind": "table", "distances": [[0, "x"], [1, 0]]},
                  "numbers or", id="table-text"),
     pytest.param({"kind": "table", "distances": [1, 2]}, "rows must be lists",
@@ -172,6 +177,8 @@ TWO = {"points": ["a", "b"]}
     pytest.param({"points": 5}, "points must be a list", id="points-scalar"),
     pytest.param(dict(TWO, filtration=3), "filtration must be a list",
                  id="filtration-scalar"),
+    pytest.param(dict(TWO, filtration=[]), "at least one level",
+                 id="filtration-empty"),
     pytest.param(dict(TWO, filtration=[3]), "level 0 must be a list",
                  id="filtration-level-scalar"),
     pytest.param(dict(TWO, covers=3), "covers must be an object",
@@ -218,3 +225,23 @@ def test_malformed_block_is_an_instance_error(tmp_path, capsys, doc, message):
     assert main(["check-ss", "--space", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["line20", "grid5", "grid6", "truncnat", "halfline"])
+def test_coordinate_documents_skip_the_triangle_check(monkeypatch, name):
+    from scalekit.model import Space
+
+    def refuse(d):
+        raise AssertionError("the triangle check ran")
+    monkeypatch.setattr(Space, "_triangle_holds", staticmethod(refuse))
+    space, _ = load_path(SHIPPED / ("%s.json" % name))
+    assert space.triangle_ok is True
+
+
+def test_grid_coordinates_round_trip():
+    doc = {"points": ["a", "b", "c"],
+           "metric": {"kind": "grid", "coords": [[0, 0], [1, 3], [-2, 1]]}}
+    space, _ = load_space(doc)
+    assert space.d.tolist() == [[0, 3, 2], [3, 0, 3], [2, 3, 0]]
+    again, _ = load_space(json.loads(dumps(save_instance(space))))
+    assert again == space

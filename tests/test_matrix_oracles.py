@@ -29,6 +29,8 @@ from scalekit.oscillation import (SOQuery, element_diameters, equivalence_test,
 from scalekit.reports import CheckReport, truncation_label
 from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, pou_support, refines,
                              smaller_or_equal, star_family, star_set)
+from scalekit.translation import (GroupWindow, _closure_candidates, check_translation_ls,
+                                  translation_scale, window_group, z_window)
 
 SEEDED = settings(deadline=None, derandomize=True, max_examples=60)
 
@@ -880,3 +882,246 @@ def test_ball_ladders_match_oracle(space, radii):
                       lambda: ss_base_from_family(fam, up), lambda: ss_from_algebra(op, up)):
             with pytest.raises(InstanceError, match="radii must be"):
                 build()
+
+
+# -- translation: the dict-based oracle the partial product table replaced -------
+
+class OracleGroupWindow:
+    """A table for finite groups, a value -> index dict for integer windows."""
+
+    def __init__(self, table=None, values=None):
+        self.table = table
+        if table is not None:
+            n = len(table)
+            self.identity = next(e for e in range(n) if all(
+                table[e][x] == x and table[x][e] == x for x in range(n)))
+        else:
+            self.values = [int(v) for v in values]
+            self._index = {v: i for i, v in enumerate(self.values)}
+            self.identity = self._index[0]
+
+    def mul(self, a, b):
+        if self.table is not None:
+            return self.table[a][b]
+        return self._index.get(self.values[a] + self.values[b])
+
+    def inv(self, a):
+        if self.table is not None:
+            return list(self.table[a]).index(self.identity)
+        return self._index.get(-self.values[a])
+
+
+def oracle_translate_set(g, a, fset):
+    out, clipped = set(), 0
+    for f in sorted(fset):
+        p = g.mul(a, f)
+        if p is None:
+            clipped += 1
+        else:
+            out.add(p)
+    return frozenset(out), clipped
+
+
+def oracle_product_set(g, a_set, b_set):
+    out, clipped = set(), 0
+    for a in sorted(a_set):
+        for b in sorted(b_set):
+            p = g.mul(a, b)
+            if p is None:
+                clipped += 1
+            else:
+                out.add(p)
+    return frozenset(out), clipped
+
+
+def oracle_inverse_set(g, a_set):
+    out, clipped = set(), 0
+    for a in sorted(a_set):
+        p = g.inv(a)
+        if p is None:
+            clipped += 1
+        else:
+            out.add(p)
+    return frozenset(out), clipped
+
+
+def oracle_translation_scale(g, space, f_subset):
+    f = frozenset(int(x) for x in f_subset) | {g.identity}
+    elements, clipped = [], 0
+    for a in range(space.n):
+        el, c = oracle_translate_set(g, a, f)
+        clipped += c
+        elements.append(el)
+    name = "translates[%s]" % ",".join(space.points[i] for i in sorted(f))
+    return Cover(space, elements, name=name), clipped
+
+
+def oracle_closure_candidates(g, subsets):
+    e = g.identity
+    seen = set()
+
+    def push(name, s, clips, bucket):
+        if s and s not in seen:
+            seen.add(s)
+            bucket.append((name, s, clips))
+
+    depth1 = []
+    for i, f in enumerate(subsets):
+        fs = frozenset(f) | {e}
+        push("F%d" % (i + 1), fs, 0, depth1)
+        inv, c = oracle_inverse_set(g, fs)
+        push("inv(F%d)" % (i + 1), inv | {e}, c, depth1)
+    level, out = list(depth1), list(depth1)
+    for _ in range(2):
+        nxt = []
+        for name_a, sa, ca in level:
+            for name_b, sb, cb in depth1:
+                prod, c = oracle_product_set(g, sa, sb)
+                push("%s*%s" % (name_a, name_b), prod | {e}, ca + cb + c, nxt)
+        out.extend(nxt)
+        level = nxt
+    unions = []
+    for i, (na, sa, ca) in enumerate(out):
+        for nb, sb, cb in out[i + 1:]:
+            push("%s|%s" % (na, nb), sa | sb, ca + cb, unions)
+    return out + unions
+
+
+def oracle_check_translation_ls(g, space, f_list):
+    covers, clipped_total = [], 0
+    for f in f_list:
+        cov, c = oracle_translation_scale(g, space, f)
+        covers.append(cov)
+        clipped_total += c
+    cand_covers = []
+    for name, s, c in oracle_closure_candidates(g, f_list):
+        cov, c2 = oracle_translation_scale(g, space, s)
+        cand_covers.append((name, cov))
+        clipped_total += c + c2
+    notes = (("%d clipped products: claims relative to the window" % clipped_total,)
+             if clipped_total else ())
+    witnesses = []
+    for i, u in enumerate(covers):
+        for j, v in enumerate(covers):
+            st_ = star_family(u, v)
+            found = next((name for name, w in cand_covers if refines(st_, w)), None)
+            if found is None:
+                return CheckReport(
+                    "check_translation_ls", False,
+                    counterexample={"pair": [i, j],
+                                    "reason": "no absorbing translate cover in the closure"},
+                    notes=notes, truncation=truncation_label(space))
+            witnesses.append({"pair": [i, j], "absorber": found})
+    return CheckReport("check_translation_ls", True, witnesses=tuple(witnesses),
+                       notes=notes, truncation=truncation_label(space))
+
+
+S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 0, 4, 3, 1],
+            [3, 4, 5, 0, 1, 2], [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4]]
+
+
+@st.composite
+def group_windows(draw):
+    """(space, GroupWindow, oracle): a window of distinct, gappy integers
+    holding 0 in shuffled load order, or a cyclic or S3 table with its
+    elements relabelled so that the identity sits anywhere."""
+    if draw(st.booleans()):
+        vals = draw(st.permutations(sorted(draw(st.sets(st.integers(-6, 6),
+                                                        max_size=6)) | {0})))
+        space = Space([str(v) for v in vals])
+        return space, window_group(space), OracleGroupWindow(values=vals)
+    k = draw(st.integers(1, 7))
+    base = S3_TABLE if k == 7 else [[(a + b) % k for b in range(k)] for a in range(k)]
+    n = len(base)
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    space = Space(["g%d" % i for i in range(n)])
+    return space, GroupWindow(space, table=table), OracleGroupWindow(table=table)
+
+
+def subset_lists(n, max_size=3):
+    return st.lists(st.frozensets(st.integers(0, n - 1), max_size=max_size),
+                    min_size=1, max_size=2)
+
+
+def cover_state(cov):
+    return cov.name, cov.elements, cov.matrix.tobytes()
+
+
+@SEEDED
+@given(group_windows())
+def test_group_window_products_match_oracle(case):
+    space, g, og = case
+    assert g.identity == og.identity
+    for a in range(space.n):
+        assert g.inv(a) == og.inv(a)
+        for b in range(space.n):
+            assert g.mul(a, b) == og.mul(a, b)
+
+
+@SEEDED
+@given(group_windows().flatmap(lambda c: st.tuples(st.just(c), subset_lists(c[0].n))))
+def test_translation_scale_and_closure_match_oracle(case):
+    (space, g, og), subsets = case
+    for f in subsets:
+        cov, clipped = translation_scale(g, f)
+        old, old_clipped = oracle_translation_scale(og, space, f)
+        assert (cover_state(cov), clipped) == (cover_state(old), old_clipped)
+    assert _closure_candidates(g, subsets) == oracle_closure_candidates(og, subsets)
+
+
+@SEEDED
+@given(group_windows().flatmap(lambda c: st.tuples(st.just(c), subset_lists(c[0].n))))
+def test_check_translation_ls_matches_oracle(case):
+    (space, g, og), subsets = case
+    assert payload_bytes(check_translation_ls(g, subsets)) == \
+        payload_bytes(oracle_check_translation_ls(og, space, subsets))
+
+
+def test_z_window_translation_report_matches_oracle():
+    space = z_window(10)
+    g = window_group(space)
+    og = OracleGroupWindow(values=[int(p) for p in space.points])
+    fs = [space.subset(["-1", "0", "1"]), space.subset(["-2", "2"])]
+    assert payload_bytes(check_translation_ls(g, fs)) == \
+        payload_bytes(oracle_check_translation_ls(og, space, fs))
+
+
+# -- column pseudometric: the n x n x n difference array it replaced -------------
+
+def oracle_column_pseudometric(a):
+    m = a.dense()
+    diff = m[:, :, None] - m[:, None, :]
+    return np.sqrt((np.abs(diff) ** 2).sum(axis=0))
+
+
+def random_operator(n, seed, density=0.3):
+    rng = np.random.default_rng(seed)
+    space = builder_line(n - 1, 1.0)
+    mask = rng.random((n, n)) < density
+    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return OperatorMatrix(space, {(x, y): vals[x, y] for x, y in zip(*np.nonzero(mask))})
+
+
+@SEEDED
+@given(st.integers(1, 40), st.integers(0, 2 ** 16), st.sampled_from([0.1, 0.5, 1.0]))
+def test_column_pseudometric_is_bit_identical_to_oracle(n, seed, density):
+    op = random_operator(n, seed, density)
+    assert column_pseudometric(op).tobytes() == oracle_column_pseudometric(op).tobytes()
+
+
+def test_column_pseudometric_memory_stays_quadratic():
+    import tracemalloc
+    op = random_operator(100, 7, 1.0)
+    assert column_pseudometric(op).tobytes() == oracle_column_pseudometric(op).tobytes()
+    tracemalloc.start()
+    try:
+        column_pseudometric(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n x n complex difference array alone took 16 MB here
+    assert peak < 4 * 2 ** 20

@@ -63,6 +63,24 @@ def test_triangle_violation_recorded_not_fatal():
     assert Space(["a", "b", "c"], metric=good).triangle_ok is True
 
 
+def test_triangle_flag_is_the_triangle_check():
+    from scalekit.instances import load_space, save_instance
+    from scalekit.translation import z_window
+    built = [builder_line(6, 0.5), builder_grid(3), z_window(4)]
+    table = {"points": ["a", "b", "c"],
+             "metric": {"kind": "table", "distances": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}}
+    loaded = [load_space(save_instance(sp))[0] for sp in built] + [load_space(table)[0]]
+    for sp in built + loaded:
+        assert sp.triangle_ok == Space._triangle_holds(sp.d)
+    assert loaded[-1].triangle_ok is False
+    assert builder_group_window([[0]]).triangle_ok is None
+
+
+def test_coordinate_spaces_take_no_table():
+    with pytest.raises(InstanceError, match="derives its metric"):
+        Space(["a", "b"], metric=np.zeros((2, 2)), metric_kind="line", coords=(0.0, 1.0))
+
+
 def test_infinite_distances_allowed():
     d = np.array([[0, np.inf], [np.inf, 0]])
     sp = Space(["a", "b"], metric=d)

@@ -112,3 +112,16 @@ def test_window_group_requires_integer_labels():
     from scalekit.model import builder_line
     with pytest.raises(InstanceError):
         window_group(builder_line(4, 0.5))
+
+
+@pytest.mark.parametrize("labels", [["1", "01", "0"], ["0", "-0"]])
+def test_window_values_must_be_distinct(labels):
+    from scalekit.model import Space
+    with pytest.raises(InstanceError, match="distinct"):
+        window_group(Space(labels))
+
+
+@pytest.mark.parametrize("step", [0, -2, 10])
+def test_z_window_level_step_must_leave_a_window(step):
+    with pytest.raises(InstanceError, match="no interior window"):
+        z_window(10, level_step=step)
