@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import InstanceError, Space
+from .model import BoolRows, InstanceError, Space, bool_product
 from .reports import CheckReport, truncation_label
 from .scales import Cover
 
@@ -49,6 +50,11 @@ class Entourage:
         self.matrix = m
         self.name = name
         self._pairs = None
+
+    @cached_property
+    def rows(self) -> BoolRows:
+        """The relation matrix as the relation kernel reads it."""
+        return BoolRows(self.matrix)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -105,9 +111,7 @@ def compose(e: Entourage, f: Entourage) -> Entourage:
     """e o f = {(x, z): (x, y) in e and (y, z) in f for some y}."""
     if e.space is not f.space:
         raise InstanceError("entourages live on different spaces")
-    # float32 keeps the path counts exact and the product in BLAS
-    paths = e.matrix.astype(np.float32) @ f.matrix.astype(np.float32)
-    return Entourage(e.space, paths > 0)
+    return Entourage(e.space, bool_product(e.rows, f.rows))
 
 
 def slice_at(e: Entourage, x: int) -> frozenset[int]:
@@ -117,8 +121,7 @@ def slice_at(e: Entourage, x: int) -> frozenset[int]:
 
 def entourage_of_scale(u: Cover) -> Entourage:
     """Union of U x U over the cover elements."""
-    m = u.matrix.astype(np.float32)
-    return Entourage(u.space, (m.T @ m) > 0, name="of-scale")
+    return Entourage(u.space, u.neighbours.matrix, name="of-scale")
 
 
 def scale_of_entourage(e: Entourage) -> Cover:

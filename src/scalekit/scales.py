@@ -11,25 +11,45 @@ of two members is coarsened by a third).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .model import InstanceError, Space
+from .model import BoolRows, InstanceError, Space, bool_inclusion, bool_product
 from .reports import CheckReport, truncation_label
+
+
+def _indices(rows) -> np.ndarray:
+    """The points of all rows as one int64 array; raises on a point that is
+    not an integer.  A point past int64 becomes -1, out of range like any
+    negative index."""
+    flat = list(chain.from_iterable(rows))
+    bad = {t for t in set(map(type, flat))
+           if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        k = next(k for k, row in enumerate(rows) if not bad.isdisjoint(map(type, row)))
+        raise InstanceError("cover element %d has a point that is not an integer" % k)
+    try:
+        return np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:
+        return np.array([p if -2 ** 63 <= p < 2 ** 63 else -1 for p in flat],
+                        dtype=np.int64)
 
 
 def _incidence(n: int, elements) -> np.ndarray:
     """Bool elements x points matrix of point-index iterables, or a copy of
-    one given as such a matrix; raises on empty or out-of-range elements."""
+    one given as such a matrix; raises on empty or out-of-range elements and
+    on points that are not integers."""
     if isinstance(elements, np.ndarray) and elements.dtype == bool:
         if elements.ndim != 2 or elements.shape[1] != n:
             raise InstanceError("incidence matrix needs one column per point")
         m = elements.copy()
         stray = np.zeros(0, dtype=np.int64)
     else:
-        rows = [np.fromiter(e, dtype=np.int64) for e in elements]
-        owner = np.repeat(np.arange(len(rows)), [r.size for r in rows])
-        pts = np.concatenate(rows) if rows else owner
+        rows = [tuple(e) for e in elements]
+        owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        pts = _indices(rows)
         inside = (pts >= 0) & (pts < n)
         m = np.zeros((len(rows), n), dtype=bool)
         m[owner[inside], pts[inside]] = True
@@ -85,6 +105,25 @@ class Cover:
                                    for row in self.matrix)
         return self._elements
 
+    @cached_property
+    def rows(self) -> BoolRows:
+        """The incidence matrix as the relation kernel reads it."""
+        return BoolRows(self.matrix)
+
+    @cached_property
+    def holders(self) -> BoolRows:
+        """Points x elements: row p marks the elements that hold p."""
+        return BoolRows(self.matrix.T)
+
+    @cached_property
+    def neighbours(self) -> BoolRows:
+        """Points x points: row p is the union of the elements that hold p,
+        so that st(A, u) = A | neighbours[A]."""
+        # a fresh transpose, so that its point lists, read once, are not kept
+        m = bool_product(BoolRows(self.matrix.T), self.rows)
+        m.setflags(write=False)
+        return BoolRows(m)
+
     def element_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.elements)
 
@@ -121,6 +160,13 @@ def _covers(base) -> tuple:
     return tuple(base)
 
 
+def _members(base) -> tuple:
+    covers = _covers(base)
+    if not covers:
+        raise InstanceError("a scale base needs at least one cover")
+    return covers
+
+
 # -- stars ---------------------------------------------------------------------
 
 def star_set(subset, cover: Cover) -> frozenset[int]:
@@ -135,22 +181,14 @@ def star_family(u: Cover, v: Cover) -> Cover:
     """st(u, v): one element st(U, v) per element U of u, order preserved."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
-    mu = u.matrix
-    # float32 keeps the overlap counts exact and the products in BLAS
-    mv = v.matrix.astype(np.float32)
-    meets = (mu.astype(np.float32) @ mv.T) > 0
-    stars = mu | ((meets.astype(np.float32) @ mv) > 0)
-    return Cover(u.space, stars)
+    return Cover(u.space, u.matrix | bool_product(u.rows, v.neighbours))
 
 
 def refines(u: Cover, v: Cover) -> bool:
     """Every element of u is contained in some element of v."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
-    mu = u.matrix.astype(np.float32)
-    out = (1.0 - v.matrix.astype(np.float32)).T
-    misses = mu @ out  # (i,j) = points of u_i outside v_j
-    return bool((misses == 0).any(axis=1).all())
+    return bool(bool_inclusion(u.rows, v.holders).any(axis=1).all())
 
 
 def smaller_or_equal(u: Cover, v: Cover) -> bool:
@@ -178,7 +216,7 @@ def check_ss_base(base) -> CheckReport:
     For each pair of base covers there must be a base cover whose star family
     refines both.  Scales must cover the space.
     """
-    covers = _covers(base)
+    covers = _members(base)
     space = covers[0].space
     for k, u in enumerate(covers):
         if not u.is_scale():
@@ -207,7 +245,7 @@ def check_ls_base(base) -> CheckReport:
 
     For each ordered pair (u, v) some base cover must coarsen st(u, v).
     """
-    covers = _covers(base)
+    covers = _members(base)
     space = covers[0].space
     for k, u in enumerate(covers):
         if not u.is_scale():
@@ -232,13 +270,11 @@ def check_ls_base(base) -> CheckReport:
 
 def is_hausdorff(base) -> CheckReport:
     """Some base scale separates every pair: no element contains both points."""
-    covers = _covers(base)
+    covers = _members(base)
     space = covers[0].space
     together = np.ones((space.n, space.n), dtype=bool)
     for u in covers:
-        m = u.matrix.astype(np.float32)
-        both = (m.T @ m) > 0
-        together &= both
+        together &= u.neighbours.matrix
     np.fill_diagonal(together, False)
     if together.any():
         x, y = map(int, np.argwhere(together)[0])

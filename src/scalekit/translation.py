@@ -14,6 +14,10 @@ from .reports import CheckReport, truncation_label
 from .scales import Cover, refines, star_family
 
 
+# the sum of two window values must not wrap around in int64
+_WINDOW_BOUND = 2 ** 62
+
+
 class GroupWindow:
     """Multiplication oracle over a carrier: a whole finite group, or a
     symmetric integer window with clipped addition.  Both are one partial
@@ -29,7 +33,13 @@ class GroupWindow:
                 raise InstanceError("multiplication table shape mismatch")
             self.table = np.asarray(table, dtype=np.int64)
         elif values is not None:
-            v = np.asarray(values, dtype=np.int64)
+            try:
+                v = np.asarray(values, dtype=np.int64)
+            except OverflowError:
+                v = None
+            if v is None or ((v < -_WINDOW_BOUND) | (v > _WINDOW_BOUND)).any():
+                raise InstanceError("window values must lie within +-2**62, "
+                                    "where their sums stay exact")
             if v.shape != (space.n,):
                 raise InstanceError("window values shape mismatch")
             order = np.argsort(v, kind="stable")

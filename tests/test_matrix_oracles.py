@@ -3,7 +3,8 @@ structured arrays, and every spread (the widest value or metric gap inside
 an element) comes from one kernel; these properties pit every matrix, array
 or kernel operation against the set- or loop-based version it replaced, on
 seeded random carriers of 1 to 8 points, with duplicate cover elements
-allowed."""
+allowed.  The two paths of the relation kernel, packed words and BLAS
+counts, are pitted against each other on wider random bool matrices."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,9 @@ from scalekit.entourages import (Entourage, compose, entourage_of_scale,
                                  invert, scale_of_entourage, slice_at)
 from scalekit.metric import (ball_cover, distance_candidates, mesh, metric_ls_base,
                              metric_ss_base, sup_diameter)
-from scalekit.model import Filtration, InstanceError, Space, builder_line, fmt_value
+from scalekit import model
+from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_inclusion,
+                            bool_product, builder_line, fmt_value)
 from scalekit.oscillation import (SOQuery, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
 from scalekit.reports import CheckReport, truncation_label
@@ -209,6 +212,90 @@ def test_entourage_of_scale_matches_oracle(case):
     space, a, _ = case
     u = Cover(space, a)
     assert entourage_of_scale(u).pairs == oracle_entourage_of_scale(u.elements)
+
+
+# -- the relation kernel: the packed path against the BLAS path -----------------
+
+@st.composite
+def bool_operands(draw):
+    """a (m x k) and b (k x n), sparse or dense, with an empty row, an
+    all-true row and a repeated row planted in each; a is sometimes a
+    transposed view, as a cover's holders are."""
+    m, k = draw(st.integers(1, 12)), draw(st.sampled_from([1, 5, 64, 65, 130]))
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    density = draw(st.sampled_from([0.05, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    a, b = rng.random((m, k)) < density, rng.random((k, n)) < density
+    for x in (a, b):
+        empty, full, copy, source = rng.integers(0, len(x), size=4)
+        x[empty], x[full], x[copy] = False, True, x[source]
+    if draw(st.booleans()):
+        a = np.ascontiguousarray(a.T).T
+    return a, b
+
+
+def oracle_relation(a, b, every):
+    if every:
+        return (a.astype(np.int64) @ (~b).astype(np.int64)) == 0
+    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+
+
+@SEEDED
+@given(bool_operands(), st.sampled_from([model.CHUNK_BYTES, 1]))
+def test_packed_and_blas_paths_are_byte_equal(case, chunk):
+    # a one-byte chunk bound gathers one entry, or counts one row, at a time,
+    # so that a packed row is reduced across chunks
+    a, b = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", chunk)
+        for every, ufunc in ((False, np.bitwise_or), (True, np.bitwise_and)):
+            want = oracle_relation(a, b, every)
+            for path in (model._reduce_rows, model._counted):
+                got = path(BoolRows(a), BoolRows(b), ufunc)
+                assert got.dtype == bool and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    assert bool_product(BoolRows(a), BoolRows(b)).tobytes() == \
+        oracle_relation(a, b, False).tobytes()
+    assert bool_inclusion(BoolRows(a), BoolRows(b)).tobytes() == \
+        oracle_relation(a, b, True).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_packed_rows_pad_with_zero_bits(n):
+    words = BoolRows(np.ones((3, n), dtype=bool)).words
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    assert bits.shape[1] % 64 == 0 and bits[:, :n].all() and not bits[:, n:].any()
+
+
+def band(n, width):
+    m = np.zeros((n, n), dtype=bool)
+    i = np.arange(n)
+    for step in range(-width, width + 1):
+        keep = i[(i + step >= 0) & (i + step < n)]
+        m[keep, keep + step] = True
+    return m
+
+
+def test_path_choice_follows_size_and_density():
+    assert model._packed_cheaper(BoolRows(band(1001, 27)), BoolRows(band(1001, 27)))
+    assert not model._packed_cheaper(BoolRows(band(36, 2)), BoolRows(band(36, 2)))
+    dense = np.random.default_rng(0).random((881, 881)) < 0.75
+    assert not model._packed_cheaper(BoolRows(dense), BoolRows(dense))
+
+
+def test_compose_of_bands_memory_stays_flat():
+    import tracemalloc
+    space = Space([str(i) for i in range(3000)])
+    e = Entourage(space, band(3000, 3))
+    tracemalloc.start()
+    try:
+        got = compose(e, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.matrix, band(3000, 6))
+    # a float32 product holds three 36 MB matrices at this size
+    assert peak < 40 * 2 ** 20
 
 
 # -- slow oscillation: the tuple-based scans the arrays replaced ---------------

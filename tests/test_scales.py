@@ -105,6 +105,29 @@ def test_cover_rejects_empty_element():
         Cover(LINE10, (frozenset(),))
 
 
+@pytest.mark.parametrize("point", [0.5, 1.0, True, np.bool_(True), np.float64(1), "1"],
+                         ids=["half", "float", "bool", "numpy-bool", "numpy-float", "str"])
+def test_cover_rejects_points_that_are_not_integers(point):
+    with pytest.raises(InstanceError, match="element 1 has a point that is not an integer"):
+        Cover(LINE10, [[1, 2], [point], [3]])
+
+
+def test_cover_takes_integer_points_of_any_width():
+    cov = Cover(LINE10, [[np.int8(1), np.uint64(2)], np.array([3, 4]), range(5, 7)])
+    assert cov.elements == (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
+
+
+def test_cover_points_past_int64_are_out_of_range():
+    with pytest.raises(InstanceError, match="element 0 has out-of-range points"):
+        Cover(LINE10, [[2 ** 64], [1]])
+
+
+@pytest.mark.parametrize("check", [check_ss_base, check_ls_base, is_hausdorff])
+def test_empty_scale_base_is_an_instance_error(check):
+    with pytest.raises(InstanceError, match="a scale base needs at least one cover"):
+        check([])
+
+
 def test_ss_base_witnesses_verify():
     base = metric_ss_base(LINE20, (3.0, 1.0, 1.0 / 3))
     rep = check_ss_base(base)

@@ -121,6 +121,22 @@ def test_window_values_must_be_distinct(labels):
         window_group(Space(labels))
 
 
+@pytest.mark.parametrize("labels", [["0", "99999999999999999999"],
+                                    ["0", str(2 ** 62), str(-2 ** 63)]])
+def test_window_values_keep_sums_in_int64(labels):
+    # 2**62 + 2**62 wraps to -2**63 in int64, so the table would name that
+    # label as the sum
+    from scalekit.model import Space
+    with pytest.raises(InstanceError, match="within"):
+        window_group(Space(labels))
+
+
+def test_window_values_at_the_bound_add_exactly():
+    from scalekit.model import Space
+    g = window_group(Space(["0", str(2 ** 62), str(-2 ** 62)]))
+    assert g.mul(1, 2) == 0 and g.mul(1, 1) is None and g.mul(2, 2) is None
+
+
 @pytest.mark.parametrize("step", [0, -2, 10])
 def test_z_window_level_step_must_leave_a_window(step):
     with pytest.raises(InstanceError, match="no interior window"):
