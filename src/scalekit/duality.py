@@ -75,8 +75,10 @@ def ls_membership(q: LSQuery) -> CheckReport:
         bases = [("empty", frozenset())]
     witnesses = [{"condition": 1, "stars": hits}]
     for fname, fvals in zip(q.catalogue.names, q.catalogue.values):
+        # the heavy pairs at the finest eps hold those at every eps
+        pool = heavy_pairs(fvals, q.cover, q.eps_grid[-1])
         for eps in q.eps_grid:
-            pairs = heavy_pairs(fvals, q.cover, eps)
+            pairs = pool[pool["gap"] > eps]
             xs, ys = pairs["x"], pairs["y"]
             for bname, base in bases:
                 hit = next((wname for wname, s, mask in masks

@@ -87,11 +87,13 @@ def mesh(cover: Cover) -> float:
     the centers x: 0 when stars sit inside zero-balls, +inf when some star
     is infinitely far from every center.
     """
-    space = cover.space
-    if not distance_candidates(space):
+    d = cover.space.d
+    if d is None:
+        raise InstanceError("space carries no metric")
+    if not ((d > 0) & np.isfinite(d)).any():
         return 0.0
     stars = _distinct_rows(star_family(cover, cover).matrix)
-    return float(max(space.d[:, s].max(axis=1).min() for s in stars))
+    return float(max(d[:, s].max(axis=1).min() for s in stars))
 
 
 def sup_diameter(cover: Cover) -> float:

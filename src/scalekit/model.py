@@ -9,6 +9,7 @@ by load-order index so results are deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,11 +56,17 @@ def ordered_grid(values, what: str, order: str) -> tuple[float, ...]:
 
 # -- the spread kernel: how far values, or a metric, spread over a point set --
 
+def _gaps(diffs: np.ndarray, vectors: bool) -> np.ndarray:
+    """|diffs|, summed over the last axis when each point carries a vector;
+    in place for real values (the abs of a complex value changes dtype)."""
+    gaps = np.abs(diffs, out=diffs) if np.isrealobj(diffs) else np.abs(diffs)
+    return gaps.sum(axis=-1) if vectors else gaps
+
+
 def gap_table(values: np.ndarray) -> np.ndarray:
     """|v(x) - v(y)| for every pair of a point set's values; when each point
     carries a vector (one row per point) the gap is the sum norm."""
-    gaps = np.abs(values[:, None] - values[None, :])
-    return gaps.sum(axis=2) if gaps.ndim == 3 else gaps
+    return _gaps(values[:, None] - values[None, :], values.ndim > 1)
 
 
 def widest_pair(table: np.ndarray) -> tuple[float, int, int]:
@@ -82,11 +89,17 @@ def row_spreads(matrix: np.ndarray, table_of):
             for row, size in zip(matrix, matrix.sum(axis=1)))
 
 
+def _max_gap_table(coords: np.ndarray) -> np.ndarray:
+    """The largest coordinate gap for every pair of points, one axis at a
+    time, so that only two n x n tables are held."""
+    out = gap_table(coords[:, 0])
+    for axis in coords.T[1:]:
+        np.maximum(out, gap_table(axis), out=out)
+    return out
+
+
 # coordinate kind -> its metric on an array of coordinates (one row per point)
-COORD_METRICS = {
-    "line": gap_table,
-    "grid": lambda c: np.abs(c[:, None, :] - c[None, :, :]).max(axis=2),
-}
+COORD_METRICS = {"line": gap_table, "grid": _max_gap_table}
 
 
 # -- the relation kernel: products of bool matrices --------------------------
@@ -103,6 +116,9 @@ COORD_METRICS = {
 # row or entry at least), so that their working memory stays flat.
 
 CHUNK_BYTES = 1 << 19
+# pairs in one chunk of the pair stream below (more only when one entry has
+# more pairs than this)
+PAIR_CHUNK = 1 << 16
 # Seconds per call, per gathered word and per multiply-add, fitted to both
 # paths timed on fresh operands (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31
 # on one thread): m = k = n from 8 to 2001, as bands of half-width 1 to 1000
@@ -221,6 +237,40 @@ def bool_inclusion(a: BoolRows, b: BoolRows) -> np.ndarray:
     return _relate(a, b, np.bitwise_and)
 
 
+# -- the pair stream: value gaps of the pairs inside each element -----------
+#
+# Entry t of a bool matrix's point lists (``BoolRows.entries``) pairs with
+# the entries after it in its row, so the pairs come in (row, x, y) order
+# with x < y.  They are made in chunks of whole entries, which may split a
+# row: a chunk holds at most PAIR_CHUNK pairs, so that working memory stays
+# flat even inside one large element.
+
+def pair_stream(rows: BoolRows, values: np.ndarray):
+    """Chunks (t, u, gap) of the pairs x < y inside each row of ``rows``: t
+    and u are the entries of x and y in ``rows.entries`` and gap is
+    |values[x] - values[y]|, in the sum norm when each point carries a
+    vector, as ``gap_table`` has it."""
+    columns, starts = rows.entries
+    # each entry's pair count, and the running total through it
+    after = np.repeat(starts[1:], np.diff(starts)) - 1 - np.arange(columns.size)
+    ends = np.cumsum(after)
+    lo = 0
+    while lo < columns.size:
+        first = ends[lo] - after[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, first + PAIR_CHUNK, "right")))
+        count = after[lo:hi]
+        if ends[hi - 1] > first:
+            # entries counted from lo; the pairs reach the end of the last row
+            t = np.repeat(np.arange(hi - lo), count)
+            u = t + 1 + np.arange(t.size) - np.repeat(ends[lo:hi] - count - first, count)
+            v = values[columns[lo:hi + after[hi - 1]]]
+            gap = _gaps(v[t] - v[u], values.ndim > 1)
+            t += lo
+            u += lo
+            yield t, u, gap
+        lo = hi
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Strictly increasing chain K_1 c K_2 c ... of declared-bounded windows."""
@@ -270,13 +320,14 @@ class Space:
             if metric is not None:
                 raise InstanceError("a %s space derives its metric from coords"
                                     % metric_kind)
+            # a fresh table, so it needs no copy
             metric = COORD_METRICS[metric_kind](np.asarray(coords, dtype=float))
+        elif metric is not None:
+            metric = np.array(metric, dtype=float)
         if metric is not None:
-            metric = np.asarray(metric, dtype=float)
             if metric.shape != (len(points), len(points)):
                 raise InstanceError("metric table shape does not match point count")
             self._check_pseudometric(metric)
-            metric = metric.copy()
             metric.setflags(write=False)
         self.d = metric
         if filtration is not None and not isinstance(filtration, Filtration):
@@ -388,16 +439,26 @@ class Space:
 
 # -- builders ----------------------------------------------------------------
 
+def whole_size(n, what: str) -> int:
+    """A size given as an integer (of any width, but not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InstanceError("%s must be an integer" % what)
+    return int(n)
+
+
 def builder_line(n: int, h: float) -> Space:
     """Points 0, h, ..., n*h on a line with the absolute-difference metric."""
-    if n < 0 or h <= 0:
-        raise InstanceError("builder_line needs n >= 0 and h > 0")
+    n = whole_size(n, "builder_line size")
+    if (n < 0 or isinstance(h, bool) or not isinstance(h, numbers.Real)
+            or not (math.isfinite(h) and h > 0)):
+        raise InstanceError("builder_line needs n >= 0 and a finite h > 0")
     coords = tuple(i * h for i in range(n + 1))
     return Space([fmt_value(c) for c in coords], metric_kind="line", coords=coords)
 
 
 def builder_grid(n: int) -> Space:
     """n x n integer grid under the max-coordinate-difference metric."""
+    n = whole_size(n, "builder_grid size")
     if n < 1:
         raise InstanceError("builder_grid needs n >= 1")
     coords = tuple((i, j) for i in range(n) for j in range(n))

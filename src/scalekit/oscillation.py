@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
-from .model import (InstanceError, fmt_value, gap_table, ordered_grid, row_spreads,
+from .model import (InstanceError, fmt_value, gap_table, ordered_grid, pair_stream,
                     widest_pair)
 from .reports import CheckReport, truncation_label
 from .scales import Cover, star_set
@@ -56,8 +56,15 @@ def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
     """Greatest value gap inside each element; values that are vectors (one
     row per point) are compared in the sum norm."""
     f = np.asarray(f, dtype=complex)
-    return np.fromiter(row_spreads(cover.matrix, lambda row: gap_table(f[row])),
-                       dtype=float, count=len(cover))
+    starts = cover.rows.entries[1]
+    # per entry, its widest gap to a later point of its element; a chunk
+    # holds every pair of the entries it reaches
+    widest = np.zeros(starts[-1])
+    for t, _, gap in pair_stream(cover.rows, f):
+        first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        widest[t[first]] = np.maximum.reduceat(gap, first)
+    # cover elements are nonempty, so reduceat meets no empty segment
+    return np.maximum.reduceat(widest, starts[:-1])
 
 
 def _widest_in(f: np.ndarray, row: np.ndarray) -> tuple[float, int, int]:
@@ -73,26 +80,24 @@ PAIR = np.dtype([("k", np.int64), ("x", np.int64), ("y", np.int64),
                  ("gap", np.float64)])
 
 
-def _element_pairs(f: np.ndarray, k: int, idx: np.ndarray, eps: float) -> np.ndarray:
-    """Heavy pairs of element k, whose points are the sorted indices idx."""
-    gaps = gap_table(f[idx])
-    ii, jj = np.nonzero(np.triu(gaps > eps, k=1))
-    out = np.empty(ii.size, dtype=PAIR)
-    out["k"] = k
-    out["x"] = idx[ii]
-    out["y"] = idx[jj]
-    out["gap"] = gaps[ii, jj]
-    return out
-
-
 def heavy_pairs(f: np.ndarray, cover: Cover, eps: float) -> np.ndarray:
     """Within-element point pairs whose value gap exceeds eps, as a ``PAIR``
-    structured array ordered by (element, first point, second point)."""
+    structured array ordered by (element, first point, second point).  The
+    pairs at a coarser eps are ``pairs[pairs["gap"] > eps]``, in the same
+    order."""
     f = np.asarray(f, dtype=complex)
-    parts = [_element_pairs(f, k, idx, eps)
-             for k, idx in enumerate(map(np.flatnonzero, cover.matrix))
-             if idx.size >= 2]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=PAIR)
+    columns, starts = cover.rows.entries
+    parts = [np.empty(0, dtype=PAIR)]
+    for t, u, gap in pair_stream(cover.rows, f):
+        heavy = gap > eps
+        t = t[heavy]
+        part = np.empty(t.size, dtype=PAIR)
+        part["k"] = np.searchsorted(starts, t, "right") - 1
+        part["x"] = columns[t]
+        part["y"] = columns[u[heavy]]
+        part["gap"] = gap[heavy]
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 def _masks(space, witnesses):
@@ -140,7 +145,10 @@ def is_slowly_oscillating(q: SOQuery, form: str = "strict") -> CheckReport:
     cells = _masks(space, witness_space(q.structure))
     found = []
     for cov in q.base:
-        diams = element_diameters(q.f, cov) if form == "strict" else None
+        if form == "strict":
+            diams = element_diameters(q.f, cov)
+        else:  # the heavy pairs at the finest eps hold those at every eps
+            pool = heavy_pairs(q.f, cov, q.eps_grid[-1])
         for eps in q.eps_grid:
             if form == "strict":
                 bad = np.flatnonzero(diams > eps)
@@ -148,7 +156,7 @@ def is_slowly_oscillating(q: SOQuery, form: str = "strict") -> CheckReport:
                 test = lambda m: _strict_pass(m, bad_union)
                 refute = lambda: _strict_refutation(q, cov, eps, bad, cells)
             else:
-                pairs = heavy_pairs(q.f, cov, eps)
+                pairs = pool[pool["gap"] > eps]
                 xs, ys = pairs["x"], pairs["y"]
                 test = lambda m: _relaxed_pass(m, xs, ys)
                 refute = lambda: _relaxed_refutation(q, cov, eps, pairs, cells)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Filtration, InstanceError, Space, check_group_table
+from .model import Filtration, InstanceError, Space, check_group_table, whole_size
 from .reports import CheckReport, truncation_label
 from .scales import Cover, refines, star_family
 
@@ -81,11 +81,13 @@ def from_table_space(space: Space) -> GroupWindow:
 def z_window(n_half: int, level_step: int | None = None) -> Space:
     """Integers [-n_half, n_half] with the usual metric; optional symmetric
     filtration windows [-k*step, k*step]."""
+    n_half = whole_size(n_half, "window half-width")
     if n_half < 1:
         raise InstanceError("window half-width must be positive")
     vals = list(range(-n_half, n_half + 1))
     filt = None
     if level_step is not None:
+        level_step = whole_size(level_step, "level step")
         tops = range(level_step, n_half, level_step) if level_step > 0 else ()
         levels = tuple(frozenset(i for i, v in enumerate(vals) if abs(v) <= k)
                        for k in tops)

@@ -246,3 +246,18 @@ def test_reflectivity_unbounded_star_route():
     assert not rep.status
     assert rep.witnesses[0]["route"] == "unbounded star"
     assert rep.counterexample["membership_confirms"]
+
+
+def test_ls_membership_builds_heavy_pairs_once_per_function(monkeypatch):
+    from scalekit import duality
+    calls = []
+    real = duality.heavy_pairs
+
+    def counted(f, cover, eps):
+        calls.append(eps)
+        return real(f, cover, eps)
+
+    monkeypatch.setattr(duality, "heavy_pairs", counted)
+    rep = ls_membership(LSQuery(shrink_cover(), HL_B, HL_FAM, EPS_DEFAULT))
+    assert rep.status
+    assert calls == [min(EPS_DEFAULT)] * len(HL_FAM.names)

@@ -300,12 +300,19 @@ def test_compose_of_bands_memory_stays_flat():
 
 # -- slow oscillation: the tuple-based scans the arrays replaced ---------------
 
+def oracle_gaps(vals):
+    """The gap table of some points' values; vectors (one row per point) in
+    the sum norm."""
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    return gaps.sum(axis=2) if gaps.ndim == 3 else gaps
+
+
 def oracle_diameters(f, elements):
     out = np.zeros(len(elements))
     for k, el in enumerate(elements):
         if len(el) >= 2:
             vals = f[np.fromiter(el, dtype=np.int64)]
-            out[k] = float(np.abs(vals[:, None] - vals[None, :]).max())
+            out[k] = float(oracle_gaps(vals).max())
     return out
 
 
@@ -316,7 +323,7 @@ def oracle_heavy_pairs(f, elements, eps):
         if idx.size < 2:
             continue
         vals = f[idx]
-        gaps = np.abs(vals[:, None] - vals[None, :])
+        gaps = oracle_gaps(vals)
         ii, jj = np.nonzero(np.triu(gaps > eps, k=1))
         for a, b in zip(ii, jj):
             pairs.append((k, int(idx[a]), int(idx[b]), float(gaps[a, b])))
@@ -538,6 +545,66 @@ def test_slow_oscillation_matches_oracle(q):
 @given(ls_queries())
 def test_ls_membership_matches_oracle(q):
     assert payload_bytes(ls_membership(q)) == payload_bytes(oracle_ls_membership(q))
+
+
+# -- the pair stream: heavy pairs and value diameters from one generator ------
+
+@st.composite
+def pair_stream_cases(draw):
+    """A cover of singletons, of one element holding every point, or of
+    random elements of mixed sizes, with real, complex or vector values.  Up
+    to 12 points, so that a chunk of 7 pairs splits an element."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["singletons", "whole", "mixed"]))
+    if shape == "singletons":
+        elements = [[i] for i in draw(st.permutations(range(n)))]
+    elif shape == "whole":
+        elements = [range(n)]
+    else:
+        elements = draw(element_lists(n))
+    kind = draw(st.sampled_from(["real", "complex", "vector"]))
+    if kind == "vector":
+        f = np.array(draw(st.lists(st.sampled_from(WEIGHT_ROWS), min_size=n,
+                                   max_size=n)))
+    else:
+        f = values(draw, n)
+        f = f.real.copy() if kind == "real" else f
+    return Cover(builder_line(n - 1, 1.0), elements, name="u"), f
+
+
+STREAM_EPS = (2.5, 2.0, 1.0, 0.5, 0.25)
+
+
+@SEEDED
+@given(pair_stream_cases(), st.sampled_from([model.PAIR_CHUNK, 1, 7]))
+def test_pair_stream_matches_oracle(case, chunk):
+    cover, f = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "PAIR_CHUNK", chunk)
+        assert np.array_equal(element_diameters(f, cover),
+                              oracle_diameters(f, cover.elements))
+        pool = heavy_pairs(f, cover, STREAM_EPS[-1])
+        for eps in STREAM_EPS:
+            pairs = heavy_pairs(f, cover, eps)
+            assert pairs.tolist() == oracle_heavy_pairs(f, cover.elements, eps)
+            assert pool[pool["gap"] > eps].tobytes() == pairs.tobytes()
+
+
+def test_pair_stream_memory_stays_flat():
+    import tracemalloc
+    cover = Cover(builder_line(2000, 1.0), [range(2001)], name="whole")
+    f = np.zeros(2001)
+    cover.rows.entries  # the point lists are the cover's, built once
+    for run in (lambda: heavy_pairs(f, cover, 0.5),
+                lambda: element_diameters(f, cover)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2001 x 2001 complex gap table alone takes 61 MB
+        assert peak < 16 * 2 ** 20
 
 
 def so_case(n, gens, elements, f, levels=None):

@@ -3,7 +3,7 @@ import pytest
 
 from scalekit.metric import (ball_cover, distance_candidates, lebesgue_number,
                              mesh, sup_diameter)
-from scalekit.model import InstanceError, builder_grid, builder_line
+from scalekit.model import InstanceError, Space, builder_grid, builder_line
 from scalekit.scales import Cover, refines, star_family
 
 LINE20 = builder_line(20, 1.0)
@@ -147,3 +147,12 @@ def test_lebesgue_monotone_under_coarsening():
     coarse = Cover(space, (interval(space, 0, 7), interval(space, 3, 10)))
     assert refines(fine, coarse)
     assert lebesgue_number(fine) <= lebesgue_number(coarse)
+
+
+def test_mesh_without_positive_finite_distances_is_zero():
+    inf = float("inf")
+    for d in ([[0.0, 0.0], [0.0, 0.0]], [[0.0, inf], [inf, 0.0]]):
+        space = Space(["a", "b"], metric=d)
+        assert mesh(Cover(space, [[0], [1]])) == 0.0
+    with pytest.raises(InstanceError, match="no metric"):
+        mesh(Cover(Space(["a", "b"]), [[0, 1]]))

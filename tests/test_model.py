@@ -191,3 +191,44 @@ def test_ordered_grid(values, order, message):
     else:
         with pytest.raises(InstanceError, match=message):
             ordered_grid(values, "eps", order)
+
+
+@pytest.mark.parametrize("build, args", [
+    (builder_line, (5, float("nan"))),
+    (builder_line, (5, float("inf"))),
+    (builder_line, (5, 0.0)),
+    (builder_line, (5, "1")),
+    (builder_line, (2.5, 1.0)),
+    (builder_line, (True, 1.0)),
+    (builder_line, (-1, 1.0)),
+    (builder_grid, (2.5,)),
+    (builder_grid, (True,)),
+    (builder_grid, (0,)),
+    ("z_window", (float("nan"),)),
+    ("z_window", (True,)),
+    ("z_window", (4, 1.5)),
+])
+def test_builders_reject_bad_sizes_and_steps(build, args):
+    if build == "z_window":
+        from scalekit.translation import z_window as build
+    with pytest.raises(InstanceError):
+        build(*args)
+
+
+def test_builders_take_integers_of_any_width():
+    from scalekit.translation import z_window
+    assert builder_line(np.int64(3), np.float64(0.5)).points == ("0", "0.5", "1", "1.5")
+    assert builder_grid(np.int32(2)).n == 4
+    assert z_window(np.int16(2), np.int8(1)).filtration is not None
+
+
+def test_builder_line_holds_one_distance_table():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        space = builder_line(2000, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table, its absolute value and a copy of it once took three tables
+    assert peak < 1.3 * space.d.nbytes

@@ -193,3 +193,19 @@ def test_scaled_refuter_rejects_overlap():
     centers = [next(iter(space.subset([str(v)]))) for v in (10, 12)]
     with pytest.raises(InstanceError):
         build_scaled_refuter(space, centers, (2.0, 2.0))
+
+
+def test_relaxed_form_builds_heavy_pairs_once_per_cover(monkeypatch):
+    from scalekit import oscillation
+    calls = []
+    real = oscillation.heavy_pairs
+
+    def counted(f, cover, eps):
+        calls.append((cover.name, eps))
+        return real(f, cover, eps)
+
+    monkeypatch.setattr(oscillation, "heavy_pairs", counted)
+    # "one" passes every cell, so each cover is reached
+    rep = is_slowly_oscillating(query("one"), "relaxed")
+    assert rep.status and len(rep.witnesses) == len(BASE) * len(EPS)
+    assert calls == [(cov.name, EPS[-1]) for cov in BASE]
