@@ -8,106 +8,212 @@ unity constructions that feed operators back into scale language.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
 from .algebra_comm import fine_scales
 from .entourages import Entourage, compose
 from .metric import ball_ladder, sup_diameter
-from .model import InstanceError, Space, fmt_value
+from .model import WORD, InstanceError, Space, fmt_value, packed_union, unpack_rows
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, PartitionOfUnity, ScaleBase, pou_support, refines,
                      smaller_or_equal, star_family)
 
 
+def _integers(values: list, error: str) -> np.ndarray:
+    """Python or numpy integers (not bools) as int64; raises ``error``
+    otherwise."""
+    if any(t is bool or not issubclass(t, (int, np.integer))
+           for t in set(map(type, values))):
+        raise InstanceError(error)
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError as exc:
+        raise InstanceError("an entry position lies outside the carrier") from exc
+
+
+def _numbers(values: list, error: str, dtype=complex) -> np.ndarray:
+    """Numbers (real ones for a float dtype; not bools or strings) as an
+    array of ``dtype``; raises ``error`` otherwise."""
+    kind = numbers.Real if dtype is float else numbers.Number
+    if any(t is bool or not issubclass(t, kind) for t in set(map(type, values))):
+        raise InstanceError(error)
+    try:
+        return np.fromiter(values, dtype=dtype, count=len(values))
+    except OverflowError as exc:
+        raise InstanceError("an entry value is not finite") from exc
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entrywise with Python's complex arithmetic: numpy's vectorised
+    complex multiply may fuse a multiply-add and round differently."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sums(keys: np.ndarray, terms: np.ndarray):
+    """The distinct keys in order, the sum of each key's terms added in the
+    order given (as a dict that accumulates them would), and the index of
+    each key's first term."""
+    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    out = np.empty(uniq.size, dtype=complex)
+    out.real = np.bincount(inv, weights=terms.real, minlength=uniq.size)
+    out.imag = np.bincount(inv, weights=terms.imag, minlength=uniq.size)
+    return uniq, out, first
+
+
 class OperatorMatrix:
-    """Column-sparse operator: entries[(x, y)] = coefficient of delta_y in
-    the image of delta_x."""
+    """Sparse operator: entry (x, y) is the coefficient of delta_y in the
+    image of delta_x.  Stored as coordinate arrays ``x``, ``y`` (int64) and
+    ``val`` (complex128), sorted by (x, y), one per position, without zeros.
+
+    ``entries`` is a dict {(x, y): value} of integer positions and numeric
+    values; ``from_triplets`` takes [row, col, re, im] rows.
+    """
 
     def __init__(self, space: Space, entries: dict, name: str = "a"):
-        self.space = space
-        self.name = name
-        clean = {}
-        n = space.n
-        for (x, y), val in entries.items():
-            x, y = int(x), int(y)
-            if not (0 <= x < n and 0 <= y < n):
-                raise InstanceError("entry (%d, %d) outside the carrier" % (x, y))
-            val = complex(val)
-            if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-                raise InstanceError("non-finite entry at (%d, %d)" % (x, y))
-            if val != 0:
-                clean[(x, y)] = val
-        self.entries = clean
+        keys = list(entries)
+        if (not all(issubclass(t, tuple) for t in set(map(type, keys)))
+                or not set(map(len, keys)) <= {2}):
+            raise InstanceError("operator entries are keyed by (x, y) pairs")
+        flat = _integers(list(chain.from_iterable(keys)),
+                         "entry positions must be integers")
+        vals = _numbers(list(entries.values()), "entry values must be numbers")
+        self._checked(space, flat[0::2], flat[1::2], vals, name, obj=self)
 
     @classmethod
     def from_triplets(cls, space: Space, triplets, name: str = "a") -> "OperatorMatrix":
         """Rows of [row, col, re, im]; repeated positions accumulate."""
-        acc: dict = {}
+        error = "triplet rows are [row, col, re, im] numbers"
         try:
-            for row, col, re, im in triplets:
-                key = (int(col), int(row))
-                acc[key] = acc.get(key, 0j) + complex(float(re), float(im))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InstanceError("triplet rows are [row, col, re, im] numbers") from exc
-        return cls(space, acc, name=name)
+            rows = list(map(tuple, triplets))
+        except TypeError as exc:
+            raise InstanceError(error) from exc
+        if not set(map(len, rows)) <= {4}:
+            raise InstanceError(error)
+        ys, xs, res, ims = map(list, zip(*rows)) if rows else ([],) * 4
+        y, x = _integers(ys, error), _integers(xs, error)
+        val = np.empty(x.size, dtype=complex)
+        val.real = _numbers(res, error, float)
+        val.imag = _numbers(ims, error, float)
+        n = space.n
+        inside = (x >= 0) & (x < n) & (y >= 0) & (y < n)
+        # a position outside the carrier keeps a key of its own
+        keys = np.where(inside, x * n + y, -1 - np.arange(x.size))
+        _, sums, first = _sums(keys, val)
+        # checked in the order of their first rows, as a dict would hold them
+        order = np.argsort(first)
+        at = first[order]
+        return cls._checked(space, x[at], y[at], sums[order], name)
+
+    @classmethod
+    def _checked(cls, space, x, y, val, name, obj=None):
+        """Store distinct positions after checking them in the order given."""
+        n = space.n
+        outside = (x < 0) | (x >= n) | (y < 0) | (y >= n)
+        bad = outside | ~np.isfinite(val)
+        if bad.any():
+            k = int(np.argmax(bad))
+            text = ("entry (%d, %d) outside the carrier" if outside[k]
+                    else "non-finite entry at (%d, %d)")
+            raise InstanceError(text % (x[k], y[k]))
+        return cls._stored(space, x, y, val, name, obj)
+
+    @classmethod
+    def _stored(cls, space, x, y, val, name, obj=None):
+        """An operator of distinct, valid positions, sorted and without
+        zeros; fills ``obj`` when given."""
+        keep = val != 0
+        order = np.argsort(x[keep] * space.n + y[keep], kind="stable")
+        obj = object.__new__(cls) if obj is None else obj
+        obj.space, obj.name, obj._entries = space, name, None
+        obj.x, obj.y, obj.val = x[keep][order], y[keep][order], val[keep][order]
+        return obj
+
+    @property
+    def entries(self):
+        """Read-only {(x, y): value} view of the stored entries, built on
+        first use."""
+        if self._entries is None:
+            self._entries = MappingProxyType(dict(zip(
+                zip(self.x.tolist(), self.y.tolist()), self.val.tolist())))
+        return self._entries
+
+    @property
+    def nnz(self) -> int:
+        return int(self.val.size)
 
     def entry(self, x: int, y: int) -> complex:
-        return self.entries.get((x, y), 0j)
+        n = self.space.n
+        if not (0 <= x < n and 0 <= y < n):
+            return 0j
+        key = x * n + y
+        keys = self.x * n + self.y
+        k = int(np.searchsorted(keys, key))
+        return complex(self.val[k]) if k < keys.size and keys[k] == key else 0j
 
     def adjoint(self) -> "OperatorMatrix":
-        flipped = {(y, x): val.conjugate() for (x, y), val in self.entries.items()}
-        return OperatorMatrix(self.space, flipped, name="%s*" % self.name)
+        return self._stored(self.space, self.y, self.x, self.val.conj(),
+                            "%s*" % self.name)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self @ other applies other first."""
         if other.space is not self.space:
             raise InstanceError("operators live on different spaces")
-        by_col: dict = {}
-        for (z, y), val in self.entries.items():
-            by_col.setdefault(z, []).append((y, val))
-        prod: dict = {}
-        for (x, z), bval in other.entries.items():
-            for y, aval in by_col.get(z, ()):
-                key = (x, y)
-                prod[key] = prod.get(key, 0j) + bval * aval
-        return OperatorMatrix(self.space, prod,
-                              name="%s%s" % (self.name, other.name))
+        n = self.space.n
+        # self's entries (z, y) grouped by z, met by other's entries (x, z);
+        # the terms of each (x, y) come in ascending z, as other's do
+        starts = np.searchsorted(self.x, np.arange(n + 1))
+        count = starts[other.y + 1] - starts[other.y]
+        left = np.repeat(np.arange(other.nnz), count)
+        right = (np.repeat(starts[other.y] - np.cumsum(count) + count, count)
+                 + np.arange(left.size))
+        keys, sums, _ = _sums(other.x[left] * n + self.y[right],
+                           _product(other.val[left], self.val[right]))
+        return self._stored(self.space, keys // n, keys % n, sums,
+                            "%s%s" % (self.name, other.name))
 
     def dense(self) -> np.ndarray:
         m = np.zeros((self.space.n, self.space.n), dtype=complex)
-        for (x, y), val in self.entries.items():
-            m[y, x] = val
+        m[self.y, self.x] = self.val
         return m
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
-        out = np.zeros(self.space.n, dtype=complex)
-        for (x, y), val in self.entries.items():
-            out[y] += val * vec[x]
+        terms = _product(self.val, vec[self.x])
+        n = self.space.n
+        out = np.empty(n, dtype=complex)
+        out.real = np.bincount(self.y, weights=terms.real, minlength=n)
+        out.imag = np.bincount(self.y, weights=terms.imag, minlength=n)
         return out
 
     def same_entries(self, other: "OperatorMatrix") -> bool:
-        return self.entries == other.entries
+        return (np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y)
+                and np.array_equal(self.val, other.val))
 
     def __repr__(self):
-        return "OperatorMatrix(%s, %d entries)" % (self.name, len(self.entries))
+        return "OperatorMatrix(%s, %d entries)" % (self.name, self.nnz)
 
 
 def operator_norm(a: OperatorMatrix, tol: float = 1e-6, max_iter: int = 500) -> float:
-    """Largest singular value by power iteration with a fixed start.
+    """Largest singular value by power iteration on a* a with a fixed start,
+    applying a and then a* sparsely.
 
     Reported alongside structural verdicts; never used to decide one.
     """
-    m = a.dense()
+    adj = a.adjoint()
     rng = np.random.default_rng(20240117)
     v = rng.standard_normal(a.space.n) + 1j * rng.standard_normal(a.space.n)
     v /= np.linalg.norm(v)
-    gram = m.conj().T @ m
     last = 0.0
     for _ in range(max_iter):
-        w = gram @ v
+        w = adj.apply(a.apply(v))
         norm = float(np.linalg.norm(w))
         if norm == 0:
             return 0.0
@@ -123,9 +229,10 @@ def support_entourage(a: OperatorMatrix, tau: float = 0.0) -> Entourage:
     """Pairs where the modulus of the entry clears tau, plus the diagonal."""
     if tau < 0:
         raise InstanceError("threshold must be nonnegative")
-    pairs = {(x, y) for (x, y), val in a.entries.items() if abs(val) > tau}
-    pairs |= {(x, x) for x in range(a.space.n)}
-    return Entourage(a.space, pairs)
+    m = np.eye(a.space.n, dtype=bool)
+    keep = np.abs(a.val) > tau
+    m[a.x[keep], a.y[keep]] = True
+    return Entourage(a.space, m)
 
 
 def orientation_check(a: OperatorMatrix, b: OperatorMatrix) -> bool:
@@ -173,13 +280,13 @@ class StarFamily:
 
 
 def _step_relation(fam: StarFamily, level: float = 1.0):
-    """Directed one-step reachability: entries of modulus at least level."""
-    nbr: dict = {}
-    for op in fam.ops:
-        for (x, y), val in op.entries.items():
-            if abs(val) >= level:
-                nbr.setdefault(x, set()).add(y)
-    return nbr
+    """Directed one-step reachability, entries of modulus at least level in
+    some member: the distinct steps (x, y), sorted."""
+    n = fam.space.n
+    strong = [np.abs(op.val) >= level for op in fam.ops]
+    keys = np.unique(np.concatenate([op.x[s] * n + op.y[s]
+                                     for op, s in zip(fam.ops, strong)]))
+    return keys // n, keys % n
 
 
 def f_bounded(cover: Cover, fam: StarFamily, n_max: int) -> CheckReport:
@@ -188,6 +295,10 @@ def f_bounded(cover: Cover, fam: StarFamily, n_max: int) -> CheckReport:
     Any two points of an element must be joined, inside the element, by a
     chain of at most n_max points whose consecutive pairs carry an entry of
     modulus at least one in some family member.  Reports the least such n.
+
+    Every (element, source) pair gets one row of bits over the element's
+    points, in packed words; all rows take their breadth-first hops
+    together, each hop ORing the step rows of the frontier's points.
     """
     if n_max < 1:
         raise InstanceError("chain budget must be at least one point")
@@ -195,36 +306,65 @@ def f_bounded(cover: Cover, fam: StarFamily, n_max: int) -> CheckReport:
     notes = ()
     if not fam.adjoint_closed:
         notes = ("family is not adjoint closed: chains are one-way",)
-    nbr = _step_relation(fam)
-    worst = 1
-    for k, el in enumerate(cover.elements):
-        pts = sorted(el)
-        if len(pts) < 2:
-            continue
-        inside = el
-        for src in pts:
-            seen = {src: 1}
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in nbr.get(u, ()):
-                        if v in inside and v not in seen:
-                            seen[v] = seen[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            for dst in pts:
-                if dst == src:
-                    continue
-                if dst not in seen:
-                    return CheckReport(
-                        "f_bounded", False,
-                        counterexample={"element": cover.labels()[k],
-                                        "pair": [space.points[src],
-                                                 space.points[dst]],
-                                        "reason": "no chain inside the element"},
-                        notes=notes, truncation=truncation_label(space))
-                worst = max(worst, seen[dst])
+    n = space.n
+    # one row per entry of the cover: element e, its point p, its place in e
+    points, starts = cover.rows.entries
+    sizes = np.diff(starts)
+    element = np.repeat(np.arange(sizes.size), sizes)
+    place = np.arange(points.size) - starts[element]
+    width = -(-int(sizes.max()) // 64)
+    # the steps p -> q of each entry that stay inside its element, as bits
+    sx, sy = _step_relation(fam)
+    out_from = np.searchsorted(sx, np.arange(n + 1))
+    count = np.diff(out_from)[points]
+    row = np.repeat(np.arange(points.size), count)
+    q = sy[np.repeat(out_from[points] - np.cumsum(count) + count, count)
+           + np.arange(row.size)]
+    key = element.astype(np.int64) * n + points
+    want = element[row] * n + q
+    at = np.minimum(np.searchsorted(key, want), key.size - 1)
+    inside = key[at] == want
+    bit = np.left_shift(np.uint64(1), (place & 63).astype(np.uint64))
+    steps = np.zeros((points.size, width), dtype=WORD)
+    np.bitwise_or.at(steps, (row[inside], place[at[inside]] >> 6), bit[at[inside]])
+    # breadth-first search from every entry at once; ``live`` holds the rows
+    # whose frontier grew on the last hop
+    seen = np.zeros_like(steps)
+    seen[np.arange(points.size), place >> 6] = bit
+    live, frontier = np.arange(points.size), seen.copy()
+    base = starts[element]
+    hops = 0
+    while True:
+        # the frontier's points: its nonzero words, then their set bits (flat
+        # indices, which numpy finds far faster than 2-d ones)
+        words = np.flatnonzero(frontier)
+        bits = np.flatnonzero(np.unpackbits(frontier.ravel()[words].view(np.uint8),
+                                            bitorder="little").view(bool))
+        at, w = np.divmod(words[bits >> 6], width)
+        frontier = packed_union(base[live[at]] + 64 * w + (bits & 63),
+                                np.searchsorted(at, np.arange(live.size + 1)), steps)
+        frontier &= ~seen[live]
+        grew = frontier.any(axis=1)
+        if not grew.any():
+            break
+        hops += 1
+        live, frontier = live[grew], frontier[grew]
+        seen[live] |= frontier
+    # the first (element, source, destination) in row-major order that the
+    # search did not reach
+    short = np.flatnonzero(np.bitwise_count(seen).sum(axis=1) < sizes[element])
+    if short.size:
+        t = int(short[0])
+        e = int(element[t])
+        missing = int(np.argmin(unpack_rows(seen[t:t + 1], int(sizes[e]))[0]))
+        return CheckReport(
+            "f_bounded", False,
+            counterexample={"element": cover.labels()[e],
+                            "pair": [space.points[points[t]],
+                                     space.points[points[starts[e] + missing]]],
+                            "reason": "no chain inside the element"},
+            notes=notes, truncation=truncation_label(space))
+    worst = hops + 1
     status = worst <= n_max
     cx = None if status else {"n": worst, "budget": n_max,
                               "reason": "chains need more points than allowed"}
@@ -246,7 +386,7 @@ def _monomials(fam: StarFamily, degree: int):
         for nm_a, a in level:
             for nm_b, b in zip(base.names, base.ops):
                 p = a @ b
-                if not p.entries:
+                if not p.nnz:
                     continue
                 if any(p.same_entries(q) for q in out):
                     continue
@@ -327,13 +467,11 @@ def pou_to_operator(phi: PartitionOfUnity) -> OperatorMatrix:
         if not isinstance(v, (int, np.integer)) or not (0 <= int(v) < n):
             raise InstanceError("column label %r is not a point index" % (v,))
         cols.append(int(v))
-    entries = {}
-    for x in range(n):
-        row = phi.weights[x]
-        for j, w in enumerate(row):
-            if w > 0:
-                entries[(x, cols[j])] = entries.get((x, cols[j]), 0j) + w
-    return OperatorMatrix(phi.space, entries, name="M_phi")
+    # weights in row-major order, so each position adds its columns in order
+    xs, js = np.nonzero(phi.weights > 0)
+    keys, sums, _ = _sums(xs * n + np.asarray(cols, dtype=np.int64)[js],
+                          phi.weights[xs, js].astype(complex))
+    return OperatorMatrix._stored(phi.space, keys // n, keys % n, sums, "M_phi")
 
 
 def pou_improve(phi: PartitionOfUnity, selection) -> tuple:
@@ -377,20 +515,23 @@ def pou_improve(phi: PartitionOfUnity, selection) -> tuple:
 def chain_cover_operator(cover: Cover, centers=None) -> OperatorMatrix:
     """The tally operator of a cover: delta_y goes to one spike per element
     through y, placed at that element's center (least point by default)."""
+    points, starts = cover.rows.entries
     if centers is None:
-        centers = [min(el) for el in cover.elements]
-    centers = [int(c) for c in centers]
-    if len(centers) != len(cover.elements):
+        centers = points[starts[:-1]]
+    centers = _integers(list(centers), "centers must be point indices")
+    if len(centers) != len(cover):
         raise InstanceError("one center per element")
-    for c, el in zip(centers, cover.elements):
-        if c not in el:
-            raise InstanceError("center %s outside its element"
-                                % cover.space.points[c])
-    entries: dict = {}
-    for el, c in zip(cover.elements, centers):
-        for y in el:
-            entries[(y, c)] = entries.get((y, c), 0j) + 1
-    return OperatorMatrix(cover.space, entries, name="T")
+    n = cover.space.n
+    held = (centers >= 0) & (centers < n)
+    held[held] = cover.matrix[np.flatnonzero(held), centers[held]]
+    if not held.all():
+        c = int(centers[np.argmin(held)])
+        raise InstanceError("center %s outside its element"
+                            % (cover.space.points[c] if 0 <= c < n else c))
+    element = np.repeat(np.arange(len(cover)), np.diff(starts))
+    keys, sums, _ = _sums(points.astype(np.int64) * n + centers[element],
+                          np.ones(points.size, dtype=complex))
+    return OperatorMatrix._stored(cover.space, keys // n, keys % n, sums, "T")
 
 
 def roe_comparison_tests(cover: Cover, r: float, n_max: int = 3,

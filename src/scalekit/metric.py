@@ -2,8 +2,8 @@
 
 Ball covers on a finite space are piecewise constant in the radius, jumping
 exactly at realized distances.  Both scan quantities below therefore change
-pass/fail only at distance values, which the candidate scan exploits: no
-tolerance knobs, the answers are exact values of the input metric.
+pass/fail only at distance values, which the scans exploit: no tolerance
+knobs, the answers are exact values of the input metric.
 """
 from __future__ import annotations
 
@@ -55,27 +55,34 @@ def lebesgue_number(cover: Cover) -> float:
     """sup of radii λ with st(B_λ, B_λ) refining the cover (non-strict).
 
     Exact: the sup is attained at a realized distance; +inf when the cover
-    holds the whole space as an element, 0 when nothing passes.
+    holds the whole space as an element, 0 when nothing passes.  The scan
+    climbs the distinct finite distances one masked minimum at a time, so
+    that it never holds their list; the open balls at a midpoint between
+    two neighbouring distances are those at the upper one, so the
+    midpoints that ``distance_candidates`` lists decide nothing here.
     """
     space = cover.space
     if not cover.is_scale():
         raise InstanceError("lebesgue number needs a cover of the whole space")
-    cands = distance_candidates(space)
+    d = space.d
+    if d is None:
+        raise InstanceError("space carries no metric")
 
     def passes(lam: float) -> bool:
         b = ball_cover(space, lam)
         return refines(star_family(b, b), cover)
 
-    if not cands:
+    def above(lam: float) -> float:
+        return float(d.min(where=(d > lam) & (d < np.inf), initial=np.inf))
+
+    lam = above(0.0)
+    if lam == np.inf:
         return np.inf
-    if passes(cands[-1] * 2.0 + 1.0):
+    if passes(float(d.max(where=d < np.inf, initial=0.0)) * 2.0 + 1.0):
         return np.inf
     best = 0.0
-    for lam in cands:
-        if passes(lam):
-            best = lam
-        else:
-            break
+    while lam < np.inf and passes(lam):
+        best, lam = lam, above(lam)
     return best
 
 

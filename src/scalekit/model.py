@@ -113,7 +113,11 @@ COORD_METRICS = {"line": gap_table, "grid": _max_gap_table}
 # The BLAS path counts in a float32 product, exact up to 2**24 points: time
 # ~ m * k * n, which wins on dense or small operands.  Both work through a
 # in chunks of at most CHUNK_BYTES of gathered words or float32 rows (one
-# row or entry at least), so that their working memory stays flat.
+# row or entry at least), so that their working memory stays flat.  Each
+# path is a generator that yields its result so far after every chunk,
+# with the number of leading rows that are final, so that a caller that
+# only asks whether every row holds a true entry can stop at the first
+# chunk that completes a row that does not.
 
 CHUNK_BYTES = 1 << 19
 # pairs in one chunk of the pair stream below (more only when one entry has
@@ -128,18 +132,26 @@ PAIR_CHUNK = 1 << 16
 # of its operands and result about once, at a similar cost per entry, so
 # that term is left out.
 PACKED_CALL_S = 6.0e-5
-PACKED_WORD_S = 3.6e-9
+PACKEDWORD_S = 3.6e-9
 BLAS_MAC_S = 2.55e-11
-_WORD = np.dtype("<u8")
+WORD = np.dtype("<u8")
 
 
 def _pack(m: np.ndarray) -> np.ndarray:
     """The rows of a bool matrix as little-endian uint64 words; the bits
     past the last column are zero."""
-    bits = np.packbits(m, axis=1, bitorder="little")
+    # a strided operand (a cover's holders are a transpose) packs about
+    # twice as fast from a contiguous copy; the copy is not kept
+    bits = np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")
     words = np.zeros((len(m), -(-m.shape[1] // 64) * 8), dtype=np.uint8)
     words[:, :bits.shape[1]] = bits
-    return words.view(_WORD)
+    return words.view(WORD)
+
+
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each row of packed words, as a bool matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n,
+                         bitorder="little").view(bool)
 
 
 class BoolRows:
@@ -175,21 +187,22 @@ def _packed_cheaper(a: BoolRows, b: BoolRows) -> bool:
     blas = BLAS_MAC_S * m * k * n
     # below the packed path's fixed cost there is nothing to count
     return (blas > PACKED_CALL_S
-            and PACKED_CALL_S + PACKED_WORD_S * a.nnz * -(-n // 64) < blas)
+            and PACKED_CALL_S + PACKEDWORD_S * a.nnz * -(-n // 64) < blas)
 
 
-def _reduce_rows(a: BoolRows, b: BoolRows, ufunc) -> np.ndarray:
-    """The packed path: reduce with ``ufunc`` (bitwise OR or AND) the
-    packed rows of b that each row of a selects."""
-    n = b.matrix.shape[1]
-    words = b.words
-    columns, starts = a.entries
-    out = np.zeros((len(starts) - 1, words.shape[1]), dtype=_WORD)
+def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,
+                 ufunc, n: int):
+    """The packed path: reduce with ``ufunc`` (bitwise OR or AND) the rows
+    of ``words`` (packed rows of n bits) that each point list selects; the
+    list of row i is columns[starts[i]:starts[i + 1]].  Yields the packed
+    result after each chunk, with the number of leading rows that are
+    final."""
+    out = np.zeros((len(starts) - 1, words.shape[1]), dtype=WORD)
     if ufunc is np.bitwise_and:  # an empty row holds for every column
         out[:] = _pack(np.ones((1, n), dtype=bool))
     step = max(1, CHUNK_BYTES // (8 * words.shape[1]))
-    for lo in range(0, a.nnz, step):
-        hi = min(a.nnz, lo + step)
+    for lo in range(0, columns.size, step):
+        hi = min(columns.size, lo + step)
         r0 = int(np.searchsorted(starts, lo, side="right")) - 1
         r1 = int(np.searchsorted(starts, hi, side="left"))
         # each row's entries in this chunk, at [begin, end) of the gather;
@@ -199,13 +212,15 @@ def _reduce_rows(a: BoolRows, b: BoolRows, ufunc) -> np.ndarray:
         rows = np.arange(r0, r1)[held]
         got = ufunc.reduceat(np.take(words, columns[lo:hi], axis=0), begin[held], axis=0)
         out[rows] = ufunc(out[rows], got)
-    return np.unpackbits(out.view(np.uint8), axis=1, count=n,
-                         bitorder="little").view(bool)
+        # the rows whose entries all lie before hi are final
+        yield out, int(np.searchsorted(starts[1:], hi, side="right"))
+    yield out, len(out)
 
 
-def _counted(a: BoolRows, b: BoolRows, ufunc) -> np.ndarray:
+def _counted(a: BoolRows, b: BoolRows, ufunc):
     """The BLAS path: count each row's related points in a float32 product;
-    OR asks for one, AND for all of them."""
+    OR asks for one, AND for all of them.  Yields the result after each
+    chunk of rows, with the number of rows done."""
     (m, k), n = a.matrix.shape, b.matrix.shape[1]
     b32 = b.matrix.astype(np.float32)
     out = np.empty((m, n), dtype=bool)
@@ -217,24 +232,54 @@ def _counted(a: BoolRows, b: BoolRows, ufunc) -> np.ndarray:
             np.equal(counts, a32.sum(axis=1)[:, None], out=out[lo:lo + step])
         else:
             np.greater(counts, 0, out=out[lo:lo + step])
+        yield out, min(m, lo + step)
+    yield out, m
+
+
+def _chunks(a: BoolRows, b: BoolRows, ufunc):
+    """The chunks of the reduction along the cheaper path."""
+    if _packed_cheaper(a, b):
+        columns, starts = a.entries
+        return _reduce_rows(columns, starts, b.words, ufunc, b.matrix.shape[1])
+    return _counted(a, b, ufunc)
+
+
+def _final(chunks) -> np.ndarray:
+    """The whole result of a path, in the path's own form."""
+    for out, _ in chunks:
+        pass
     return out
 
 
-def _relate(a: BoolRows, b: BoolRows, ufunc) -> np.ndarray:
-    """Reduce with ``ufunc`` along the cheaper path."""
-    return (_reduce_rows if _packed_cheaper(a, b) else _counted)(a, b, ufunc)
+def _collect(chunks, n: int) -> np.ndarray:
+    """The whole result of a path, as a bool matrix of n columns."""
+    out = _final(chunks)
+    return unpack_rows(out, n) if out.dtype == WORD else out
+
+
+def packed_union(columns: np.ndarray, starts: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Row i ORs the packed rows words[columns[starts[i]:starts[i + 1]]]: the
+    packed path fed from point lists, its result left packed."""
+    return _final(_reduce_rows(columns, starts, words, np.bitwise_or, 0))
 
 
 def bool_product(a: BoolRows, b: BoolRows) -> np.ndarray:
     """(a @ b) > 0: entry (i, j) says that some point p of row i of ``a``
     has b[p, j]."""
-    return _relate(a, b, np.bitwise_or)
+    return _collect(_chunks(a, b, np.bitwise_or), b.matrix.shape[1])
 
 
-def bool_inclusion(a: BoolRows, b: BoolRows) -> np.ndarray:
-    """Entry (i, j) says that every point p of row i of ``a`` has b[p, j]:
-    row i lies inside column j."""
-    return _relate(a, b, np.bitwise_and)
+def bool_covered(a: BoolRows, b: BoolRows) -> bool:
+    """Whether every row of ``a`` lies inside some column of ``b``: some j
+    has b[p, j] for every point p of the row.  Stops at the first chunk that
+    completes a row inside no column."""
+    done = 0
+    for out, final in _chunks(a, b, np.bitwise_and):
+        # packed rows have zero bits past the last column
+        if not out[done:final].any(axis=1).all():
+            return False
+        done = final
+    return True
 
 
 # -- the pair stream: value gaps of the pairs inside each element -----------
@@ -282,6 +327,8 @@ class Filtration:
             raise InstanceError("a filtration needs at least one level")
         prev = None
         for i, lv in enumerate(self.levels):
+            if not lv:
+                raise InstanceError("filtration level %d is empty" % (i + 1))
             if prev is not None and not (prev < lv):
                 raise InstanceError(
                     "filtration levels must strictly increase: level %d does not "

@@ -139,19 +139,33 @@ def is_slowly_oscillating(q: SOQuery, form: str = "strict") -> CheckReport:
     when no common one exists.  The strict form needs only the elements
     wider than eps, never their pairs, until it fails.
     """
+    return _search(q, form, {})
+
+
+def _diameters(q: SOQuery, k: int, diams: dict) -> np.ndarray:
+    """The element diameters of base cover k, kept in ``diams`` so that
+    they are computed once."""
+    if k not in diams:
+        diams[k] = element_diameters(q.f, q.base[k])
+    return diams[k]
+
+
+def _search(q: SOQuery, form: str, diams: dict) -> CheckReport:
+    """``is_slowly_oscillating``, taking the strict form's diameters from
+    ``diams`` (by base position) and leaving them there."""
     if form not in FORMS:
         raise InstanceError("unknown form %r" % form)
     space = q.structure.space
     cells = _masks(space, witness_space(q.structure))
     found = []
-    for cov in q.base:
+    for k, cov in enumerate(q.base):
         if form == "strict":
-            diams = element_diameters(q.f, cov)
+            diams_k = _diameters(q, k, diams)
         else:  # the heavy pairs at the finest eps hold those at every eps
             pool = heavy_pairs(q.f, cov, q.eps_grid[-1])
         for eps in q.eps_grid:
             if form == "strict":
-                bad = np.flatnonzero(diams > eps)
+                bad = np.flatnonzero(diams_k > eps)
                 bad_union = np.flatnonzero(cov.matrix[bad].any(axis=0))
                 test = lambda m: _strict_pass(m, bad_union)
                 refute = lambda: _strict_refutation(q, cov, eps, bad, cells)
@@ -222,7 +236,8 @@ def equivalence_test(q: SOQuery) -> CheckReport:
     The starred set can leave the certified witness family; that is reported
     but only verdict disagreement or a failed containment flips the status.
     """
-    rs = is_slowly_oscillating(q, "strict")
+    diams: dict = {}
+    rs = _search(q, "strict", diams)
     rr = is_slowly_oscillating(q, "relaxed")
     agree = rs.status == rr.status
     by_name = dict(witness_space(q.structure))
@@ -230,11 +245,11 @@ def equivalence_test(q: SOQuery) -> CheckReport:
     checks = []
     ok = True
     for cell in rr.witnesses:
-        cov = next(c for c in q.base if c.name == cell["cover"])
+        k = next(k for k, c in enumerate(q.base) if c.name == cell["cover"])
+        cov = q.base[k]
         b = by_name[cell["witness"]]
         starred = star_set(b, cov)
-        diams = element_diameters(q.f, cov)
-        bad_union = cov.matrix[diams > cell["eps"]].any(axis=0)
+        bad_union = cov.matrix[_diameters(q, k, diams) > cell["eps"]].any(axis=0)
         contained = frozenset(np.flatnonzero(bad_union).tolist()) <= starred
         ok = ok and contained
         wb, _ = desk_weakly_bounded(starred, q.structure)

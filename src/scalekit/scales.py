@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import BoolRows, InstanceError, Space, bool_inclusion, bool_product
+from .model import BoolRows, InstanceError, Space, bool_covered, bool_product
 from .reports import CheckReport, truncation_label
 
 
@@ -188,7 +188,7 @@ def refines(u: Cover, v: Cover) -> bool:
     """Every element of u is contained in some element of v."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
-    return bool(bool_inclusion(u.rows, v.holders).any(axis=1).all())
+    return bool_covered(u.rows, v.holders)
 
 
 def smaller_or_equal(u: Cover, v: Cover) -> bool:

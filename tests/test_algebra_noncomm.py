@@ -37,6 +37,31 @@ def test_entries_drop_zeros_and_validate():
         OperatorMatrix(LINE, {(0, 1): float("nan")})
 
 
+@pytest.mark.parametrize("entries", [
+    pytest.param({(0.5, 1): 1}, id="fractional-position"),
+    pytest.param({(1.0, 1): 1}, id="float-position"),
+    pytest.param({(True, 1): 1}, id="bool-position"),
+    pytest.param({(0, 1, 2): 1}, id="triple-key"),
+    pytest.param({(0, 2 ** 70): 1}, id="huge-position"),
+    pytest.param({(0, 1): "x"}, id="text-value"),
+    pytest.param({(0, 1): "1"}, id="numeric-text-value"),
+    pytest.param({(0, 1): True}, id="bool-value"),
+    pytest.param({(0, 1): 10 ** 400}, id="huge-value"),
+])
+def test_entries_must_be_integer_positions_and_numbers(entries):
+    with pytest.raises(InstanceError):
+        OperatorMatrix(LINE, entries)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.7, 0, 1, 0]], [[1, 0.5, 1, 0]], [[True, 0, 1, 0]], [[1, 0, "1", 0]],
+    [[1, 0, 1, False]], [[1, 0, 1j, 0]], [[1, 0, 1]], [5],
+])
+def test_triplet_rows_must_be_integers_and_real_numbers(rows):
+    with pytest.raises(InstanceError, match="triplet rows"):
+        OperatorMatrix.from_triplets(LINE, rows)
+
+
 def test_from_triplets_accumulates():
     a = OperatorMatrix.from_triplets(LINE, [[1, 0, 1.0, 0.0], [1, 0, 0.5, 0.5]])
     assert a.entry(0, 1) == 1.5 + 0.5j

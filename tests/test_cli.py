@@ -198,6 +198,17 @@ def test_entourage_and_op_smoke(capsys):
     assert doc["values"]["support_pairs"] == 41.0
 
 
+def test_op_rejects_a_fractional_triplet_row(tmp_path, capsys):
+    doc = {"points": ["a", "b", "c"], "metric": {"kind": "line", "coords": [0, 1, 2]},
+           "operators": {"t": {"triplets": [[1.7, 0, 1, 0]]}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "op", "--space", str(path), "--operator", "t", "--json")
+    assert code == 2
+    assert out == ""
+    assert "triplet rows" in err and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_sw_test_routes(capsys):
     code, out, _ = run(capsys, "sw-test", "--space", "line20",
                        "--functions", "parity,one", "--probe", "step")

@@ -13,19 +13,20 @@ from hypothesis import strategies as st
 from scalekit.algebra_comm import (FunctionFamily, family_ball_cover,
                                    is_ss_continuous, separation_blocks,
                                    ss_base_from_family, stone_weierstrass_desk_test)
-from scalekit.algebra_noncomm import (OperatorMatrix, column_pseudometric,
+from scalekit.algebra_noncomm import (OperatorMatrix, StarFamily, _monomials,
+                                      column_pseudometric, f_bounded, operator_norm,
                                       roe_comparison_tests, ss_from_algebra,
-                                      ssp_witness_check)
+                                      ssp_witness_check, support_entourage)
 from scalekit.bounded import (BoundedStructure, desk_weakly_bounded,
                               witness_space)
 from scalekit.duality import (LSQuery, _extreme_pairs, _star_condition,
                               ls_membership, s0_classify, wright_c0_check)
 from scalekit.entourages import (Entourage, compose, entourage_of_scale,
                                  invert, scale_of_entourage, slice_at)
-from scalekit.metric import (ball_cover, distance_candidates, mesh, metric_ls_base,
-                             metric_ss_base, sup_diameter)
+from scalekit.metric import (ball_cover, distance_candidates, lebesgue_number, mesh,
+                             metric_ls_base, metric_ss_base, sup_diameter)
 from scalekit import model
-from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_inclusion,
+from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_covered,
                             bool_product, builder_line, fmt_value)
 from scalekit.oscillation import (SOQuery, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
@@ -246,18 +247,63 @@ def test_packed_and_blas_paths_are_byte_equal(case, chunk):
     # a one-byte chunk bound gathers one entry, or counts one row, at a time,
     # so that a packed row is reduced across chunks
     a, b = case
+    ra, rb = BoolRows(a), BoolRows(b)
+    n = b.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "CHUNK_BYTES", chunk)
         for every, ufunc in ((False, np.bitwise_or), (True, np.bitwise_and)):
             want = oracle_relation(a, b, every)
-            for path in (model._reduce_rows, model._counted):
-                got = path(BoolRows(a), BoolRows(b), ufunc)
+            columns, starts = ra.entries
+            for chunks in (model._reduce_rows(columns, starts, rb.words, ufunc, n),
+                           model._counted(ra, rb, ufunc)):
+                got = model._collect(chunks, n)
                 assert got.dtype == bool and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-    assert bool_product(BoolRows(a), BoolRows(b)).tobytes() == \
-        oracle_relation(a, b, False).tobytes()
-    assert bool_inclusion(BoolRows(a), BoolRows(b)).tobytes() == \
-        oracle_relation(a, b, True).tobytes()
+    assert bool_product(ra, rb).tobytes() == oracle_relation(a, b, False).tobytes()
+    assert bool_covered(ra, rb) == bool(oracle_relation(a, b, True).any(axis=1).all())
+
+
+def staircase(n, width, miss):
+    """Covers u (width-point windows) and v (windows one point wider) on n
+    points, with u's window at ``miss`` widened past every element of v."""
+    space = builder_line(n - 1, 1.0)
+    u = [frozenset(range(k, k + width)) for k in range(n - width + 1)]
+    u[miss] = frozenset(range(max(0, miss - 2), min(n, miss + width + 2)))
+    v = [frozenset(range(k, k + width + 1)) for k in range(n - width)]
+    return Cover(space, u), Cover(space, v)
+
+
+@pytest.mark.parametrize("path", [True, False], ids=["packed", "blas"])
+@pytest.mark.parametrize("chunk", [1, 24, model.CHUNK_BYTES])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
+def test_refines_stops_at_first_uncontained_row(path, chunk, where):
+    # a one-byte bound takes one entry (or row) per chunk and three words take
+    # three, so u's rows of 70 points are reduced across many chunks
+    n, width = 90, 70
+    rows = n - width + 1
+    miss = {"first": 0, "middle": rows // 2, "last": rows - 1, "none": None}[where]
+    u, v = staircase(n, width, 0 if miss is None else miss)
+    if miss is None:
+        u = Cover(u.space, [frozenset(range(k, k + width)) for k in range(rows)])
+    yields = []
+
+    def counted(a, b, ufunc):
+        for step in chunks(a, b, ufunc):
+            yields.append(step[1])
+            yield step
+
+    chunks = model._chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", chunk)
+        mp.setattr(model, "_packed_cheaper", lambda a, b: path)
+        mp.setattr(model, "_chunks", counted)
+        got = refines(u, v)
+    assert got == oracle_refines(u.elements, v.elements) == (miss is None)
+    # the scan reaches the uncontained row, and with small chunks it ends
+    # before the rows after it are reduced
+    assert yields[-1] >= (rows if miss is None else miss + 1)
+    if miss is not None and miss < rows - 1 and chunk < model.CHUNK_BYTES:
+        assert yields[-1] < rows
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
@@ -909,6 +955,39 @@ def test_mesh_matches_candidate_scan(cover):
     assert mesh(cover) == oracle_mesh(cover)
 
 
+def oracle_lebesgue(cover):
+    """The candidate scan, on sets: distances and their midpoints upward
+    until the first radius whose balls' stars miss the cover."""
+    space = cover.space
+    cands = distance_candidates(space)
+    elements = oracle_cover(space.n, cover.elements)
+
+    def passes(lam):
+        balls = oracle_balls(space.d, lam)
+        return oracle_refines(tuple(oracle_star(b, balls) for b in balls), elements)
+
+    if not cands or passes(cands[-1] * 2.0 + 1.0):
+        return np.inf
+    best = 0.0
+    for lam in cands:
+        if not passes(lam):
+            break
+        best = lam
+    return best
+
+
+@SEEDED
+@given(metric_covers())
+def test_lebesgue_matches_candidate_scan(cover):
+    space = cover.space
+    loose = np.flatnonzero(~cover.matrix.any(axis=0))
+    if loose.size:  # a scale is needed: the uncovered points join as one element
+        cover = Cover(space, cover.elements + (frozenset(loose.tolist()),))
+    got = lebesgue_number(cover)
+    assert got == oracle_lebesgue(cover)
+    assert isinstance(got, float)
+
+
 @SEEDED
 @given(metric_covers(windows=True))
 def test_wright_c0_matches_oracle(cover):
@@ -1279,3 +1358,327 @@ def test_column_pseudometric_memory_stays_quadratic():
         tracemalloc.stop()
     # the n x n x n complex difference array alone took 16 MB here
     assert peak < 4 * 2 ** 20
+
+
+# -- the operator layer: the dict implementation the coordinate arrays replaced --
+
+class OracleOperator:
+    """An operator as a dict {(x, y): value}, zeros dropped, in sorted order,
+    with the loops that the coordinate arrays replaced."""
+
+    def __init__(self, n, entries, name="a"):
+        self.n, self.name = n, name
+        self.entries = {(int(x), int(y)): complex(v)
+                        for (x, y), v in sorted(entries.items()) if complex(v) != 0}
+
+    @classmethod
+    def from_triplets(cls, n, triplets, name="a"):
+        acc = {}
+        for row, col, re, im in triplets:
+            key = (int(col), int(row))
+            acc[key] = acc.get(key, 0j) + complex(float(re), float(im))
+        return cls(n, acc, name)
+
+    def adjoint(self):
+        return OracleOperator(self.n, {(y, x): v.conjugate()
+                                       for (x, y), v in self.entries.items()},
+                              "%s*" % self.name)
+
+    def __matmul__(self, other):
+        by_col = {}
+        for (z, y), val in self.entries.items():
+            by_col.setdefault(z, []).append((y, val))
+        prod = {}
+        for (x, z), bval in other.entries.items():
+            for y, aval in by_col.get(z, ()):
+                prod[(x, y)] = prod.get((x, y), 0j) + bval * aval
+        return OracleOperator(self.n, prod, "%s%s" % (self.name, other.name))
+
+    def dense(self):
+        m = np.zeros((self.n, self.n), dtype=complex)
+        for (x, y), val in self.entries.items():
+            m[y, x] = val
+        return m
+
+    def apply(self, vec):
+        vec = np.asarray(vec, dtype=complex)
+        out = np.zeros(self.n, dtype=complex)
+        for (x, y), val in self.entries.items():
+            out[y] += val * vec[x]
+        return out
+
+    def support(self, tau):
+        return ({(x, y) for (x, y), val in self.entries.items() if abs(val) > tau}
+                | {(x, x) for x in range(self.n)})
+
+
+def entry_bits(entries):
+    """Positions and the bytes of the values of an entry mapping, in order."""
+    return list(entries), np.array(list(entries.values()), dtype=complex).tobytes()
+
+
+def oracle_operator_norm(a, tol=1e-6, max_iter=500):
+    """The power iteration on the dense Gram matrix."""
+    m = a.dense()
+    rng = np.random.default_rng(20240117)
+    v = rng.standard_normal(a.space.n) + 1j * rng.standard_normal(a.space.n)
+    v /= np.linalg.norm(v)
+    gram = m.conj().T @ m
+    last = 0.0
+    for _ in range(max_iter):
+        w = gram @ v
+        norm = float(np.linalg.norm(w))
+        if norm == 0:
+            return 0.0
+        v = w / norm
+        if abs(norm - last) <= tol * max(1.0, norm):
+            last = norm
+            break
+        last = norm
+    return float(np.sqrt(last))
+
+
+def oracle_with_adjoints(names, ops):
+    names, ops = list(names), list(ops)
+    for nm, op in zip(list(names), list(ops)):
+        adj = op.adjoint()
+        if not any(adj.entries == q.entries for q in ops):
+            names.append("%s*" % nm)
+            ops.append(adj)
+    return names, ops
+
+
+def oracle_monomials(names, ops, degree):
+    base_names, base_ops = oracle_with_adjoints(names, ops)
+    out, out_names = list(base_ops), list(base_names)
+    level = list(zip(base_names, base_ops))
+    for _ in range(degree - 1):
+        nxt = []
+        for nm_a, a in level:
+            for nm_b, b in zip(base_names, base_ops):
+                p = a @ b
+                if not p.entries or any(p.entries == q.entries for q in out):
+                    continue
+                out.append(p)
+                out_names.append(nm_a + nm_b)
+                nxt.append((nm_a + nm_b, p))
+        level = nxt
+    return out_names, out
+
+
+def oracle_f_bounded(cover, ops, n_max, closed):
+    """The breadth-first search from every point of every element, on dicts."""
+    space = cover.space
+    notes = () if closed else ("family is not adjoint closed: chains are one-way",)
+    nbr = {}
+    for op in ops:
+        for (x, y), val in op.entries.items():
+            if abs(val) >= 1.0:
+                nbr.setdefault(x, set()).add(y)
+    worst = 1
+    for k, el in enumerate(cover.elements):
+        pts = sorted(el)
+        if len(pts) < 2:
+            continue
+        for src in pts:
+            seen = {src: 1}
+            frontier = [src]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in nbr.get(u, ()):
+                        if v in el and v not in seen:
+                            seen[v] = seen[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            for dst in pts:
+                if dst == src:
+                    continue
+                if dst not in seen:
+                    return CheckReport(
+                        "f_bounded", False,
+                        counterexample={"element": cover.labels()[k],
+                                        "pair": [space.points[src], space.points[dst]],
+                                        "reason": "no chain inside the element"},
+                        notes=notes, truncation=truncation_label(space))
+                worst = max(worst, seen[dst])
+    status = worst <= n_max
+    cx = None if status else {"n": worst, "budget": n_max,
+                              "reason": "chains need more points than allowed"}
+    return CheckReport("f_bounded", status, witnesses=({"n": worst, "budget": n_max},),
+                       counterexample=cx, notes=notes, truncation=truncation_label(space))
+
+
+OPERATOR_KINDS = ("complex", "integer", "empty", "diagonal")
+
+
+def operator_entries(n, kind, seed, count=None):
+    """Entries of one kind in a seeded random insertion order; integer
+    values include zeros, which are dropped."""
+    rng = np.random.default_rng(seed)
+    if kind == "empty":
+        return {}
+    if kind == "diagonal":
+        keys = [(x, x) for x in range(n)]
+    else:
+        count = rng.integers(1, 3 * n + 1) if count is None else count
+        keys = sorted(set(map(tuple, rng.integers(0, n, size=(count, 2)).tolist())))
+    if kind == "integer":
+        vals = rng.integers(-2, 3, size=len(keys)).tolist()
+    else:
+        vals = (rng.standard_normal(len(keys))
+                + 1j * rng.standard_normal(len(keys))).tolist()
+    order = rng.permutation(len(keys))
+    return {keys[k]: vals[k] for k in order}
+
+
+operator_cases = st.tuples(st.integers(1, 9), st.sampled_from(OPERATOR_KINDS),
+                           st.integers(0, 2 ** 16))
+
+
+@SEEDED
+@given(operator_cases, operator_cases)
+def test_operator_arithmetic_is_bit_identical_to_oracle(case_a, case_b):
+    n = case_a[0]
+    space = builder_line(n - 1, 1.0)
+    ea, eb = operator_entries(*case_a), operator_entries(n, *case_b[1:])
+    a, b = OperatorMatrix(space, ea, "a"), OperatorMatrix(space, eb, "b")
+    oa, ob = OracleOperator(n, ea, "a"), OracleOperator(n, eb, "b")
+    re, im = np.random.default_rng(case_b[2]).standard_normal((2, n))
+    vec = re + 1j * im
+    for got, want in ((a, oa), (a.adjoint(), oa.adjoint()), (a @ b, oa @ ob),
+                      (b @ a, ob @ oa), (a @ a.adjoint(), oa @ oa.adjoint())):
+        assert entry_bits(got.entries) == entry_bits(want.entries)
+        assert got.name == want.name
+        assert got.dense().tobytes() == want.dense().tobytes()
+        assert got.apply(vec).tobytes() == want.apply(vec).tobytes()
+        for x, y in [(0, 0), (n - 1, 0), (0, n - 1), (n, 0)]:
+            assert got.entry(x, y) == want.entries.get((x, y), 0j)
+    assert a.same_entries(a.adjoint().adjoint())
+    assert a.same_entries(b) == (oa.entries == ob.entries)
+    for tau in (0.0, 0.5, 1.0):
+        assert support_entourage(a, tau).pairs == oa.support(tau)
+
+
+@SEEDED
+@given(st.integers(1, 6), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                             st.sampled_from([1.0, -0.5, 0.25, 1e300]),
+                                             st.sampled_from([0.0, 1.0, -1e300])),
+                                   max_size=12))
+def test_triplets_accumulate_as_the_oracle(n, rows):
+    space = builder_line(n - 1, 1.0)
+    want = None
+    try:
+        want = OracleOperator.from_triplets(n, rows)
+        if any(not (0 <= x < n and 0 <= y < n) for x, y in want.entries):
+            want = "outside"
+        elif not all(np.isfinite(v.real) and np.isfinite(v.imag)
+                     for v in want.entries.values()):
+            want = "non-finite"
+    except (TypeError, ValueError):
+        want = "malformed"
+    try:
+        got = OperatorMatrix.from_triplets(space, [list(r) for r in rows])
+    except InstanceError as exc:
+        assert isinstance(want, str) and want.split("-")[-1] in str(exc)
+        return
+    assert entry_bits(got.entries) == entry_bits(want.entries)
+
+
+@SEEDED
+@given(st.integers(1, 5), st.lists(st.tuples(st.sampled_from(OPERATOR_KINDS),
+                                             st.integers(0, 2 ** 16)),
+                                   min_size=1, max_size=2), st.integers(1, 3))
+def test_monomials_match_oracle(n, members, degree):
+    space = builder_line(n - 1, 1.0)
+    entries = [operator_entries(n, kind, seed, count=n) for kind, seed in members]
+    names = ["g%d" % i for i in range(len(entries))]
+    fam = StarFamily(space, names, [OperatorMatrix(space, e, nm)
+                                    for nm, e in zip(names, entries)])
+    got = _monomials(fam, degree)
+    want_names, want = oracle_monomials(names, [OracleOperator(n, e, nm) for nm, e in
+                                                zip(names, entries)], degree)
+    assert list(got.names) == want_names
+    for g, w in zip(got.ops, want):
+        assert entry_bits(g.entries) == entry_bits(w.entries)
+
+
+def step_family(space, seed, density, one_way):
+    """Random operators whose entries are strong (modulus one or more) or
+    weak (below one), so that some elements fall apart into pieces; with
+    their adjoints unless ``one_way``."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for k in range(int(rng.integers(1, 3))):
+        xs, ys = np.nonzero(rng.random((space.n, space.n)) < density)
+        vals = rng.choice([1.0, -1.0, 1j, 2.0, 0.5, 0.9j], size=xs.size)
+        ops.append(OperatorMatrix(space, dict(zip(zip(xs.tolist(), ys.tolist()),
+                                                  vals.tolist())), "g%d" % k))
+    fam = StarFamily(space, tuple(op.name for op in ops), tuple(ops))
+    return fam if one_way else fam.with_adjoints()
+
+
+@SEEDED
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), element_lists(n), st.integers(0, 2 ** 16),
+    st.sampled_from([0.1, 0.3, 0.6]), st.booleans(), st.integers(1, 6))))
+def test_f_bounded_matches_oracle(case):
+    n, elements, seed, density, one_way, n_max = case
+    space = builder_line(n - 1, 1.0)
+    cover = Cover(space, elements, name="u")
+    fam = step_family(space, seed, density, one_way)
+    want = oracle_f_bounded(cover, [OracleOperator(n, dict(op.entries)) for op in fam.ops],
+                            n_max, fam.adjoint_closed)
+    assert payload_bytes(f_bounded(cover, fam, n_max)) == payload_bytes(want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_f_bounded_on_elements_wider_than_a_word(seed):
+    # elements of 65 to 150 points take two or three words a row; a few
+    # missing unit steps split some of them, which must fail at the first
+    # unreachable (element, source, destination)
+    rng = np.random.default_rng(seed)
+    n = 150
+    space = builder_line(n - 1, 1.0)
+    cuts = set(rng.choice(n - 1, size=seed % 3, replace=False).tolist())
+    steps = {(x, x + 1): 1.0 for x in range(n - 1) if x not in cuts}
+    steps.update({(int(x), int(y)): 1.0 for x, y in rng.integers(0, n, size=(10, 2))})
+    fam = StarFamily(space, ("s",), (OperatorMatrix(space, steps, "s"),))
+    if seed % 2:
+        fam = fam.with_adjoints()
+    lo = rng.integers(0, 60, size=4)
+    elements = [frozenset(range(int(a), int(a) + 65 + int(b)))
+                for a, b in zip(lo, rng.integers(0, 25, size=4))]
+    elements += [frozenset({int(p)}) for p in rng.integers(0, n, size=3)]
+    elements.append(frozenset(range(n)))
+    cover = Cover(space, elements, name="wide")
+    want = oracle_f_bounded(cover, [OracleOperator(n, dict(op.entries)) for op in fam.ops],
+                            200, fam.adjoint_closed)
+    assert payload_bytes(f_bounded(cover, fam, 200)) == payload_bytes(want)
+
+
+@SEEDED
+@given(st.integers(1, 12), st.sampled_from(["complex", "integer", "diagonal"]),
+       st.integers(0, 2 ** 16))
+def test_operator_norm_matches_svd(n, kind, seed):
+    a = OperatorMatrix(builder_line(n - 1, 1.0), operator_entries(n, kind, seed))
+    want = np.linalg.svd(a.dense(), compute_uv=False)[0]
+    assert abs(operator_norm(a) - want) <= 1e-3 * max(1.0, want)
+
+
+def test_operator_norm_on_the_bundled_shift_is_the_dense_iteration():
+    from scalekit.instances import bundled
+    shift = bundled("line20")[1].operators["shift"]
+    assert operator_norm(shift) == oracle_operator_norm(shift)
+    line = builder_line(2000, 1.0)
+    wide = OperatorMatrix(line, {(x, x + 1): 1.0 for x in range(line.n - 1)})
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        got = operator_norm(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - 1.0) < 1e-3
+    # the dense Gram matrix alone is 64 MB here
+    assert peak < 2 ** 20

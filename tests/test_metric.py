@@ -156,3 +156,19 @@ def test_mesh_without_positive_finite_distances_is_zero():
         assert mesh(Cover(space, [[0], [1]])) == 0.0
     with pytest.raises(InstanceError, match="no metric"):
         mesh(Cover(Space(["a", "b"]), [[0, 1]]))
+
+
+def test_lebesgue_scan_memory_stays_below_the_distance_table():
+    import tracemalloc
+    space = builder_line(2000, 1.0)
+    blocks = Cover(space, [range(k, min(k + 5, space.n)) for k in range(0, space.n, 5)])
+    tracemalloc.start()
+    try:
+        got = lebesgue_number(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 1.0
+    # the candidate list, an np.unique over the 30.5 MB table, peaked at
+    # 38 MB here; the scan holds a few n x n masks
+    assert peak < 24 * 2 ** 20

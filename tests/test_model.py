@@ -117,6 +117,10 @@ def test_filtration_must_increase():
         Filtration((frozenset({0, 1}), frozenset({0, 1})))
     with pytest.raises(InstanceError):
         Filtration((frozenset({0, 1}), frozenset({2})))
+    with pytest.raises(InstanceError, match="level 1 is empty"):
+        Filtration((frozenset(),))
+    with pytest.raises(InstanceError, match="level 1 is empty"):
+        Filtration((frozenset(), frozenset({0})))
 
 
 def test_filtration_declared_bounded():

@@ -90,6 +90,22 @@ def test_equivalence_certificates(name):
     assert rep.status
 
 
+def test_equivalence_computes_diameters_once_per_cover(monkeypatch):
+    from scalekit import oscillation
+    covers = []
+
+    def counted(f, cover):
+        covers.append(cover)
+        return element_diameters(f, cover)
+
+    monkeypatch.setattr(oscillation, "element_diameters", counted)
+    rep = equivalence_test(query("one"))
+    # two covers, three eps: six relaxed witness cells share the strict form's
+    # two diameter passes
+    assert rep.status and len(rep.witnesses) == 6
+    assert covers == list(BASE)
+
+
 def test_witness_certificate_is_constructive():
     # replay the emitted witness: outside it no element stays heavy
     q = query("step50")
