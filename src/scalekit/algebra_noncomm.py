@@ -464,7 +464,8 @@ def pou_to_operator(phi: PartitionOfUnity) -> OperatorMatrix:
     n = phi.space.n
     cols = []
     for v in phi.index:
-        if not isinstance(v, (int, np.integer)) or not (0 <= int(v) < n):
+        if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                or not (0 <= int(v) < n)):
             raise InstanceError("column label %r is not a point index" % (v,))
         cols.append(int(v))
     # weights in row-major order, so each position adds its columns in order

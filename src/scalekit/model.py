@@ -132,7 +132,7 @@ PAIR_CHUNK = 1 << 16
 # of its operands and result about once, at a similar cost per entry, so
 # that term is left out.
 PACKED_CALL_S = 6.0e-5
-PACKEDWORD_S = 3.6e-9
+PACKED_WORD_S = 3.6e-9
 BLAS_MAC_S = 2.55e-11
 WORD = np.dtype("<u8")
 
@@ -187,7 +187,7 @@ def _packed_cheaper(a: BoolRows, b: BoolRows) -> bool:
     blas = BLAS_MAC_S * m * k * n
     # below the packed path's fixed cost there is nothing to count
     return (blas > PACKED_CALL_S
-            and PACKED_CALL_S + PACKEDWORD_S * a.nnz * -(-n // 64) < blas)
+            and PACKED_CALL_S + PACKED_WORD_S * a.nnz * -(-n // 64) < blas)
 
 
 def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,

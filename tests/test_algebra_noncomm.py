@@ -241,6 +241,14 @@ def test_pou_to_operator_rejects_foreign_labels():
         pou_to_operator(phi)
 
 
+@pytest.mark.parametrize("label", [True, 1.0, 2])
+def test_pou_to_operator_rejects_labels_that_are_not_point_indices(label):
+    w = np.array([[1.0], [1.0]])
+    phi = PartitionOfUnity(builder_line(1, 1.0), w, index=(label,))
+    with pytest.raises(InstanceError):
+        pou_to_operator(phi)
+
+
 def test_pou_improve_merges_columns():
     space = builder_line(5, 1.0)
     w = np.array([
