@@ -1,8 +1,9 @@
 """Covers and entourages are stored as bool matrices, heavy pairs as
-structured arrays, and every spread (the widest value or metric gap inside
-an element) comes from one kernel; these properties pit every matrix, array
-or kernel operation against the set- or loop-based version it replaced, on
-seeded random carriers of 1 to 8 points, with duplicate cover elements
+structured arrays, operators as coordinate arrays, and every spread (the
+widest value or metric gap inside an element) comes from one kernel; these
+properties pit every matrix, array or kernel operation against the set-,
+dict- or loop-based version it replaced, on seeded random carriers of 1 to
+8 points (a few to 150 for operators), with duplicate cover elements
 allowed.  The two paths of the relation kernel, packed words and BLAS
 counts, are pitted against each other on wider random bool matrices."""
 import numpy as np
