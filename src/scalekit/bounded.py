@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import InstanceError, Space
 from .reports import CheckReport, truncation_label
-from .scales import Cover, _distinct_rows, star_set
+from .scales import Cover, _distinct_rows, base_members, refines, star_set
 
 
 def _as_subset(space: Space, subset) -> frozenset[int]:
@@ -287,9 +287,8 @@ def witness_space(b: BoundedStructure) -> list[tuple[str, frozenset[int]]]:
 
 def uniformly_bounded(cover: Cover, ls_base) -> bool:
     """Every element sits inside some element of some base cover."""
-    from .scales import _covers, refines
-    pool = [v.matrix for v in _covers(ls_base)]
-    return refines(cover, Cover(cover.space, np.vstack(pool) if pool else pool,
+    pool = base_members(ls_base, "a scale base needs at least one cover")
+    return refines(cover, Cover(pool[0].space, np.vstack([v.matrix for v in pool]),
                                 name="pooled-base"))
 
 
@@ -431,10 +430,11 @@ def proper_hss_test(b: BoundedStructure, ss_base) -> CheckReport:
     Filtered carriers quantify over headroom levels (downward closure covers
     the rest); finite carriers quantify over components.
     """
-    from .scales import _covers
     space = b.space
+    covers = base_members(ss_base, "a scale base needs at least one cover")
+    if covers[0].space is not space:
+        raise InstanceError("the base does not live on the structure's carrier")
     probes = star_probes(b)
-    covers = _covers(ss_base)
     last_fail = None
     for ci, u in enumerate(covers):
         ok = True
@@ -449,7 +449,7 @@ def proper_hss_test(b: BoundedStructure, ss_base) -> CheckReport:
                                witnesses=({"cover": ci, "probes": len(probes)},),
                                truncation=truncation_label(space))
     return CheckReport("proper_hss_test", False,
-                       counterexample=last_fail or {"reason": "empty base"},
+                       counterexample=last_fail,
                        truncation=truncation_label(space))
 
 

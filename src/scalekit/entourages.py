@@ -11,14 +11,14 @@ its squares and an entourage to its slice cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
 from .model import BoolRows, InstanceError, Space, bool_product
-from .reports import CheckReport, truncation_label
-from .scales import Cover
+from .reports import CheckReport
+from .scales import Cover, base_members, base_report, first
 
 
 class Entourage:
@@ -86,9 +86,13 @@ class Entourage:
         return np.array_equal(self.matrix, self.matrix.T)
 
     def issubset(self, other: "Entourage") -> bool:
+        if self.space is not other.space:
+            raise InstanceError("entourages live on different spaces")
         return not (self.matrix & ~other.matrix).any()
 
     def intersection(self, other: "Entourage") -> "Entourage":
+        if self.space is not other.space:
+            raise InstanceError("entourages live on different spaces")
         return Entourage(self.space, self.matrix & other.matrix)
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
@@ -143,74 +147,41 @@ def metric_entourage(space: Space, r: float, closed: bool = True) -> Entourage:
 
 # -- base checks -------------------------------------------------------------
 
-def _members(base) -> list:
-    members = list(base)
-    if not members:
-        raise InstanceError("an entourage base needs at least one member")
-    return members
-
-
 def check_uniform_axioms(base) -> CheckReport:
     """Small-scale entourage base: symmetric members, diagonal inside each,
     and for every pair a member whose square sits inside the intersection."""
-    members = _members(base)
-    space = members[0].space
-    for k, e in enumerate(members):
-        if not e.contains_diagonal():
-            return CheckReport("check_uniform_axioms", False,
-                               counterexample={"member": k, "reason": "missing diagonal"},
-                               truncation=truncation_label(space))
-        if not e.is_symmetric():
-            return CheckReport("check_uniform_axioms", False,
-                               counterexample={"member": k, "reason": "not symmetric"},
-                               truncation=truncation_label(space))
-    witnesses = []
-    for i, e in enumerate(members):
-        for j in range(i, len(members)):
-            f = members[j]
-            target = e.intersection(f)
-            found = next((k for k, g in enumerate(members)
-                          if compose(g, g).issubset(target)), None)
-            if found is None:
-                return CheckReport(
-                    "check_uniform_axioms", False,
-                    counterexample={"pair": [i, j],
-                                    "reason": "no member with G o G inside the intersection"},
-                    truncation=truncation_label(space))
-            witnesses.append({"pair": [i, j], "half_step": found})
-    return CheckReport("check_uniform_axioms", True, witnesses=tuple(witnesses),
-                       truncation=truncation_label(space))
+    members = base_members(base, "an entourage base needs at least one member")
+    flaws = ({"member": k, "reason": reason} for k, e in enumerate(members)
+             for reason, holds in (("missing diagonal", e.contains_diagonal),
+                                   ("not symmetric", e.is_symmetric))
+             if not holds())
+
+    def cells():
+        # G o G lies inside E and F iff inside their intersection
+        squares = [compose(g, g) for g in members]
+        table = [[sq.issubset(e) for e in members] for sq in squares]
+        for i, j in combinations_with_replacement(range(len(members)), 2):
+            yield ({"pair": [i, j]}, "half_step",
+                   first(enumerate(table), lambda row: row[i] and row[j]),
+                   {"pair": [i, j],
+                    "reason": "no member with G o G inside the intersection"})
+
+    return base_report("check_uniform_axioms", members[0].space, flaws, cells())
 
 
 def check_coarse_axioms(base) -> CheckReport:
     """Large-scale entourage base: diagonal inside each member, inverses and
     compositions absorbed by some member."""
-    members = _members(base)
-    space = members[0].space
-    for k, e in enumerate(members):
-        if not e.contains_diagonal():
-            return CheckReport("check_coarse_axioms", False,
-                               counterexample={"member": k, "reason": "missing diagonal"},
-                               truncation=truncation_label(space))
-    witnesses = []
-    for i, e in enumerate(members):
-        inv = invert(e)
-        found = next((k for k, g in enumerate(members) if inv.issubset(g)), None)
-        if found is None:
-            return CheckReport("check_coarse_axioms", False,
-                               counterexample={"member": i, "reason": "inverse not absorbed"},
-                               truncation=truncation_label(space))
-        witnesses.append({"inverse_of": i, "inside": found})
-    for i, e in enumerate(members):
-        for j, f in enumerate(members):
-            comp = compose(e, f)
-            found = next((k for k, g in enumerate(members) if comp.issubset(g)), None)
-            if found is None:
-                return CheckReport(
-                    "check_coarse_axioms", False,
-                    counterexample={"pair": [i, j],
-                                    "reason": "composition not absorbed"},
-                    truncation=truncation_label(space))
-            witnesses.append({"pair": [i, j], "absorbed_by": found})
-    return CheckReport("check_coarse_axioms", True, witnesses=tuple(witnesses),
-                       truncation=truncation_label(space))
+    members = base_members(base, "an entourage base needs at least one member")
+    flaws = ({"member": k, "reason": "missing diagonal"}
+             for k, e in enumerate(members) if not e.contains_diagonal())
+    inverses = (({"inverse_of": i}, "inside",
+                 first(enumerate(members), invert(e).issubset),
+                 {"member": i, "reason": "inverse not absorbed"})
+                for i, e in enumerate(members))
+    compositions = (({"pair": [i, j]}, "absorbed_by",
+                     first(enumerate(members), compose(e, f).issubset),
+                     {"pair": [i, j], "reason": "composition not absorbed"})
+                    for (i, e), (j, f) in product(enumerate(members), repeat=2))
+    return base_report("check_coarse_axioms", members[0].space, flaws,
+                       chain(inverses, compositions))

@@ -367,14 +367,19 @@ class Space:
             if metric is not None:
                 raise InstanceError("a %s space derives its metric from coords"
                                     % metric_kind)
-            # a fresh table, so it needs no copy
-            metric = COORD_METRICS[metric_kind](np.asarray(coords, dtype=float))
+            coords_array = np.asarray(coords, dtype=float)
+            if not np.isfinite(coords_array).all():
+                raise InstanceError("%s coordinates must be finite" % metric_kind)
+            # a fresh table, so it needs no copy; from finite coordinates it is
+            # symmetric, nonnegative and zero on the diagonal by construction
+            metric = COORD_METRICS[metric_kind](coords_array)
         elif metric is not None:
             metric = np.array(metric, dtype=float)
         if metric is not None:
             if metric.shape != (len(points), len(points)):
                 raise InstanceError("metric table shape does not match point count")
-            self._check_pseudometric(metric)
+            if metric_kind not in COORD_METRICS:
+                self._check_pseudometric(metric)
             metric.setflags(write=False)
         self.d = metric
         if filtration is not None and not isinstance(filtration, Filtration):

@@ -11,8 +11,8 @@ of two members is coarsened by a third).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
+from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
@@ -154,19 +154,6 @@ class ScaleBase:
         return len(self.covers)
 
 
-def _covers(base) -> tuple:
-    if isinstance(base, ScaleBase):
-        return tuple(base.covers)
-    return tuple(base)
-
-
-def _members(base) -> tuple:
-    covers = _covers(base)
-    if not covers:
-        raise InstanceError("a scale base needs at least one cover")
-    return covers
-
-
 # -- stars ---------------------------------------------------------------------
 
 def star_set(subset, cover: Cover) -> frozenset[int]:
@@ -209,6 +196,48 @@ def trivial_extension(family: Cover, space: Space | None = None) -> Cover:
 
 
 # -- base checks -----------------------------------------------------------------
+#
+# Every base check, on covers, on entourages or on translate covers, is one
+# scan: the first flawed member fails the base; otherwise each cell (a pair of
+# members, or one member) names its first passing candidate, and the first cell
+# without one fails the base.
+
+def base_members(base, empty_message: str) -> tuple:
+    """The members of a base (a ``ScaleBase`` or any iterable of covers or
+    entourages), checked to be nonempty and to share one space."""
+    members = tuple(base)
+    if not members:
+        raise InstanceError(empty_message)
+    if any(m.space is not members[0].space for m in members):
+        raise InstanceError("base members live on different spaces")
+    return members
+
+
+def first(items, test):
+    """The label of the first (label, candidate) pair whose candidate passes
+    ``test``, or None; no candidate after it is tested."""
+    return next((label for label, item in items if test(item)), None)
+
+
+def base_report(name: str, space: Space, flaws, cells, notes=()) -> CheckReport:
+    """The report of a base check.  ``flaws`` yields a counterexample per
+    flawed member, ``cells`` yields (label, key, found, counterexample) with
+    ``found`` the first passing candidate or None; both are read lazily and
+    the first flaw, else the first cell found None, fails the check with no
+    witnesses.  A passing check has one witness per cell: its label with
+    ``key`` set to the candidate."""
+    failure = next(iter(flaws), None)
+    witnesses = []
+    if failure is None:
+        for label, key, found, counterexample in cells:
+            if found is None:
+                failure, witnesses = counterexample, []
+                break
+            witnesses.append({**label, key: found})
+    return CheckReport(name, failure is None, witnesses=tuple(witnesses),
+                       counterexample=failure, notes=tuple(notes),
+                       truncation=truncation_label(space))
+
 
 def check_ss_base(base) -> CheckReport:
     """Downward directedness for a small-scale base.
@@ -216,28 +245,18 @@ def check_ss_base(base) -> CheckReport:
     For each pair of base covers there must be a base cover whose star family
     refines both.  Scales must cover the space.
     """
-    covers = _members(base)
-    space = covers[0].space
-    for k, u in enumerate(covers):
-        if not u.is_scale():
-            return CheckReport("check_ss_base", False,
-                               counterexample={"non_scale": k},
-                               truncation=truncation_label(space))
-    stars = [star_family(w, w) for w in covers]
-    star_refines = [[refines(st, u) for u in covers] for st in stars]
-    witnesses = []
-    for i in range(len(covers)):
-        for j in range(i, len(covers)):
-            found = next((k for k, row in enumerate(star_refines)
-                          if row[i] and row[j]), None)
-            if found is None:
-                return CheckReport(
-                    "check_ss_base", False,
-                    counterexample={"pair": [i, j], "reason": "no common star refiner"},
-                    truncation=truncation_label(space))
-            witnesses.append({"pair": [i, j], "star_refiner": found})
-    return CheckReport("check_ss_base", True, witnesses=tuple(witnesses),
-                       truncation=truncation_label(space))
+    covers = base_members(base, "a scale base needs at least one cover")
+    non_scale = ({"non_scale": k} for k, u in enumerate(covers) if not u.is_scale())
+
+    def cells():
+        stars = [star_family(w, w) for w in covers]
+        table = [[refines(st, u) for u in covers] for st in stars]
+        for i, j in combinations_with_replacement(range(len(covers)), 2):
+            yield ({"pair": [i, j]}, "star_refiner",
+                   first(enumerate(table), lambda row: row[i] and row[j]),
+                   {"pair": [i, j], "reason": "no common star refiner"})
+
+    return base_report("check_ss_base", covers[0].space, non_scale, cells())
 
 
 def check_ls_base(base) -> CheckReport:
@@ -245,32 +264,18 @@ def check_ls_base(base) -> CheckReport:
 
     For each ordered pair (u, v) some base cover must coarsen st(u, v).
     """
-    covers = _members(base)
-    space = covers[0].space
-    for k, u in enumerate(covers):
-        if not u.is_scale():
-            return CheckReport("check_ls_base", False,
-                               counterexample={"non_scale": k},
-                               truncation=truncation_label(space))
-    witnesses = []
-    for i, u in enumerate(covers):
-        for j, v in enumerate(covers):
-            st = star_family(u, v)
-            found = next((k for k, w in enumerate(covers) if refines(st, w)), None)
-            if found is None:
-                return CheckReport(
-                    "check_ls_base", False,
-                    counterexample={"pair": [i, j],
-                                    "reason": "no base cover coarsens st(u, v)"},
-                    truncation=truncation_label(space))
-            witnesses.append({"pair": [i, j], "coarsening": found})
-    return CheckReport("check_ls_base", True, witnesses=tuple(witnesses),
-                       truncation=truncation_label(space))
+    covers = base_members(base, "a scale base needs at least one cover")
+    non_scale = ({"non_scale": k} for k, u in enumerate(covers) if not u.is_scale())
+    cells = (({"pair": [i, j]}, "coarsening",
+              first(enumerate(covers), partial(refines, star_family(u, v))),
+              {"pair": [i, j], "reason": "no base cover coarsens st(u, v)"})
+             for (i, u), (j, v) in product(enumerate(covers), repeat=2))
+    return base_report("check_ls_base", covers[0].space, non_scale, cells)
 
 
 def is_hausdorff(base) -> CheckReport:
     """Some base scale separates every pair: no element contains both points."""
-    covers = _members(base)
+    covers = base_members(base, "a scale base needs at least one cover")
     space = covers[0].space
     together = np.ones((space.n, space.n), dtype=bool)
     for u in covers:

@@ -7,11 +7,14 @@ can tell a theorem from a boundary effect.
 """
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
+
 import numpy as np
 
 from .model import Filtration, InstanceError, Space, check_group_table, whole_size
-from .reports import CheckReport, truncation_label
-from .scales import Cover, refines, star_family
+from .reports import CheckReport
+from .scales import Cover, base_report, first, refines, star_family
 
 
 # the sum of two window values must not wrap around in int64
@@ -187,17 +190,8 @@ def check_translation_ls(g: GroupWindow, f_list) -> CheckReport:
     if clipped_total:
         notes.append("%d clipped products: claims relative to the window"
                      % clipped_total)
-    witnesses = []
-    for i, u in enumerate(covers):
-        for j, v in enumerate(covers):
-            st = star_family(u, v)
-            found = next((name for name, w in cand_covers if refines(st, w)), None)
-            if found is None:
-                return CheckReport(
-                    "check_translation_ls", False,
-                    counterexample={"pair": [i, j],
-                                    "reason": "no absorbing translate cover in the closure"},
-                    notes=tuple(notes), truncation=truncation_label(space))
-            witnesses.append({"pair": [i, j], "absorber": found})
-    return CheckReport("check_translation_ls", True, witnesses=tuple(witnesses),
-                       notes=tuple(notes), truncation=truncation_label(space))
+    cells = (({"pair": [i, j]}, "absorber",
+              first(cand_covers, partial(refines, star_family(u, v))),
+              {"pair": [i, j], "reason": "no absorbing translate cover in the closure"})
+             for (i, u), (j, v) in product(enumerate(covers), repeat=2))
+    return base_report("check_translation_ls", space, (), cells, notes)

@@ -106,10 +106,30 @@ def test_uniform_axioms_pass_and_witnesses():
     base = [metric_entourage(LINE, r) for r in (2.0, 1.0, 0.5)]
     rep = check_uniform_axioms(base)
     assert rep.status
+    assert [w["pair"] for w in rep.witnesses] == [[0, 0], [0, 1], [0, 2],
+                                                   [1, 1], [1, 2], [2, 2]]
     for w in rep.witnesses:
-        if "half" in w:
-            h = base[w["half"]]
-            assert compose(h, h).issubset(base[w["member"]])
+        h = base[w["half_step"]]
+        i, j = w["pair"]
+        assert compose(h, h).issubset(base[i]) and compose(h, h).issubset(base[j])
+
+
+def test_uniform_axioms_square_each_member_once(monkeypatch):
+    import scalekit.entourages as ent
+    calls = []
+    monkeypatch.setattr(ent, "compose", lambda e, f: calls.append(1) or compose(e, f))
+    base = [metric_entourage(LINE, r) for r in (4.0, 2.0, 1.0, 0.5)]
+    assert check_uniform_axioms(base).status
+    assert len(calls) <= len(base)
+
+
+@pytest.mark.parametrize("other", [builder_line(12, 2.0), builder_line(5, 1.0)],
+                         ids=["same-size", "other-size"])
+def test_relations_on_different_spaces_are_an_instance_error(other):
+    e, f = metric_entourage(LINE, 1.0), metric_entourage(other, 1.0)
+    for op in (Entourage.issubset, Entourage.intersection, compose):
+        with pytest.raises(InstanceError, match="entourages live on different spaces"):
+            op(e, f)
 
 
 def test_uniform_axioms_fail_no_half():

@@ -1,18 +1,25 @@
 """The exit-code contract under hostile input: whatever the argv or the
 instance document, the command line exits 0 (all checks passed), 1 (a real
 counterexample, shown as a failing report) or 2 (a bad request or instance,
-one line on stderr), and loading raises nothing but InstanceError."""
+one line on stderr), and loading raises nothing but InstanceError; whatever
+the base, a base check gives a verdict or raises InstanceError."""
 import copy
 import json
 import pathlib
 import tempfile
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from scalekit.bounded import from_metric, proper_hss_test, uniformly_bounded
 from scalekit.cli import main
+from scalekit.entourages import Entourage, check_coarse_axioms, check_uniform_axioms
 from scalekit.instances import load_space
-from scalekit.model import InstanceError
+from scalekit.metric import ball_cover
+from scalekit.model import InstanceError, builder_line
+from scalekit.reports import CheckReport
+from scalekit.scales import Cover, ScaleBase, check_ls_base, check_ss_base, is_hausdorff
 
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "instances"
 # capsys is read out after every example, so sharing it is safe
@@ -140,3 +147,45 @@ def test_fuzzed_documents_keep_the_exit_contract(capsys, data):
         path = pathlib.Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         run_contract(command + ["--json", "--space", str(path)], capsys)
+
+
+# -- the base layer: every consumer of a scale or an entourage base -----------
+
+SAME_A, SAME_B, OTHER = builder_line(4, 1.0), builder_line(4, 2.0), builder_line(6, 1.0)
+COVER_CONSUMERS = (check_ss_base, check_ls_base, is_hausdorff,
+                   lambda base: proper_hss_test(from_metric(SAME_A), base),
+                   lambda base: uniformly_bounded(ball_cover(SAME_A, 1.0), base))
+RELATION_CONSUMERS = (check_uniform_axioms, check_coarse_axioms)
+
+
+@st.composite
+def hostile_bases(draw, relations):
+    """0-3 members, mostly on one space but now and then on another of the
+    same or of another size: covers that may miss points, or relations that
+    may miss the diagonal; in a tuple, a list or (covers) a ScaleBase."""
+    members = []
+    for _ in range(draw(st.integers(0, 3))):
+        space = draw(st.sampled_from((SAME_A, SAME_A, SAME_A, SAME_B, OTHER)))
+        n = space.n
+        if relations:
+            m = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+            m = m.reshape(n, n) | (np.eye(n, dtype=bool) if draw(st.booleans()) else False)
+            members.append(Entourage(space, m))
+        else:
+            members.append(Cover(space, draw(st.lists(
+                st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4))))
+    wrap = draw(st.sampled_from((tuple, list) if relations else
+                                (tuple, list, lambda covers: ScaleBase(SAME_A, tuple(covers)))))
+    return wrap(members)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(hostile_bases(relations=False), hostile_bases(relations=True))
+def test_hostile_bases_give_a_verdict_or_an_instance_error(covers, relations):
+    for consumers, base in ((COVER_CONSUMERS, covers), (RELATION_CONSUMERS, relations)):
+        for consumer in consumers:
+            try:
+                verdict = consumer(base)
+            except InstanceError:
+                continue
+            assert isinstance(verdict, (CheckReport, bool))

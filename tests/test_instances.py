@@ -157,7 +157,10 @@ def test_operators_keep_complex_entries(tmp_path):
 
 def test_filtered_document_checks_its_metric_once(monkeypatch):
     from scalekit.model import Space
-    doc = save_instance(builder_line(4, 1.0))
+    # a table document: coordinate documents never run the check
+    line = builder_line(4, 1.0)
+    doc = save_instance(Space(line.points, metric=line.d))
+    assert doc["metric"]["kind"] == "table"
     doc["filtration"] = [["0", "1"], ["0", "1", "2"]]
     calls = []
     check = Space._check_pseudometric

@@ -22,8 +22,9 @@ from scalekit.bounded import (BoundedStructure, desk_weakly_bounded,
                               witness_space)
 from scalekit.duality import (LSQuery, _extreme_pairs, _star_condition,
                               ls_membership, s0_classify, wright_c0_check)
-from scalekit.entourages import (Entourage, compose, entourage_of_scale,
-                                 invert, scale_of_entourage, slice_at)
+from scalekit.entourages import (Entourage, check_coarse_axioms, check_uniform_axioms,
+                                 compose, diagonal, entourage_of_scale, invert,
+                                 scale_of_entourage, slice_at)
 from scalekit.metric import (ball_cover, distance_candidates, lebesgue_number, mesh,
                              metric_ls_base, metric_ss_base, sup_diameter)
 from scalekit import model
@@ -32,8 +33,9 @@ from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_cov
 from scalekit.oscillation import (SOQuery, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
 from scalekit.reports import CheckReport, truncation_label
-from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, pou_support, refines,
-                             smaller_or_equal, star_family, star_set)
+from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, check_ls_base,
+                             check_ss_base, pou_support, refines, smaller_or_equal,
+                             star_family, star_set)
 from scalekit.translation import (GroupWindow, _closure_candidates, check_translation_ls,
                                   translation_scale, window_group, z_window)
 
@@ -1322,6 +1324,228 @@ def test_z_window_translation_report_matches_oracle():
     fs = [space.subset(["-1", "0", "1"]), space.subset(["-2", "2"])]
     assert payload_bytes(check_translation_ls(g, fs)) == \
         payload_bytes(oracle_check_translation_ls(og, space, fs))
+
+
+def test_empty_translate_list_passes_with_no_witnesses():
+    space = z_window(3)
+    rep = check_translation_ls(window_group(space), [])
+    assert rep.status and rep.witnesses == () and rep.notes == ()
+    og = OracleGroupWindow(values=[int(p) for p in space.points])
+    assert payload_bytes(rep) == payload_bytes(oracle_check_translation_ls(og, space, []))
+
+
+# -- base checks: the hand-written scans the one base scan replaced --------------
+
+def oracle_check_ss_base(covers):
+    covers = tuple(covers)
+    space = covers[0].space
+    for k, u in enumerate(covers):
+        if not u.is_scale():
+            return CheckReport("check_ss_base", False,
+                               counterexample={"non_scale": k},
+                               truncation=truncation_label(space))
+    stars = [star_family(w, w) for w in covers]
+    star_refines = [[refines(st_, u) for u in covers] for st_ in stars]
+    witnesses = []
+    for i in range(len(covers)):
+        for j in range(i, len(covers)):
+            found = next((k for k, row in enumerate(star_refines)
+                          if row[i] and row[j]), None)
+            if found is None:
+                return CheckReport(
+                    "check_ss_base", False,
+                    counterexample={"pair": [i, j], "reason": "no common star refiner"},
+                    truncation=truncation_label(space))
+            witnesses.append({"pair": [i, j], "star_refiner": found})
+    return CheckReport("check_ss_base", True, witnesses=tuple(witnesses),
+                       truncation=truncation_label(space))
+
+
+def oracle_check_ls_base(covers):
+    covers = tuple(covers)
+    space = covers[0].space
+    for k, u in enumerate(covers):
+        if not u.is_scale():
+            return CheckReport("check_ls_base", False,
+                               counterexample={"non_scale": k},
+                               truncation=truncation_label(space))
+    witnesses = []
+    for i, u in enumerate(covers):
+        for j, v in enumerate(covers):
+            st_ = star_family(u, v)
+            found = next((k for k, w in enumerate(covers) if refines(st_, w)), None)
+            if found is None:
+                return CheckReport(
+                    "check_ls_base", False,
+                    counterexample={"pair": [i, j],
+                                    "reason": "no base cover coarsens st(u, v)"},
+                    truncation=truncation_label(space))
+            witnesses.append({"pair": [i, j], "coarsening": found})
+    return CheckReport("check_ls_base", True, witnesses=tuple(witnesses),
+                       truncation=truncation_label(space))
+
+
+def oracle_check_uniform_axioms(members):
+    members = list(members)
+    space = members[0].space
+    for k, e in enumerate(members):
+        if not e.contains_diagonal():
+            return CheckReport("check_uniform_axioms", False,
+                               counterexample={"member": k, "reason": "missing diagonal"},
+                               truncation=truncation_label(space))
+        if not e.is_symmetric():
+            return CheckReport("check_uniform_axioms", False,
+                               counterexample={"member": k, "reason": "not symmetric"},
+                               truncation=truncation_label(space))
+    witnesses = []
+    for i, e in enumerate(members):
+        for j in range(i, len(members)):
+            f = members[j]
+            target = e.intersection(f)
+            found = next((k for k, g in enumerate(members)
+                          if compose(g, g).issubset(target)), None)
+            if found is None:
+                return CheckReport(
+                    "check_uniform_axioms", False,
+                    counterexample={"pair": [i, j],
+                                    "reason": "no member with G o G inside the intersection"},
+                    truncation=truncation_label(space))
+            witnesses.append({"pair": [i, j], "half_step": found})
+    return CheckReport("check_uniform_axioms", True, witnesses=tuple(witnesses),
+                       truncation=truncation_label(space))
+
+
+def oracle_check_coarse_axioms(members):
+    members = list(members)
+    space = members[0].space
+    for k, e in enumerate(members):
+        if not e.contains_diagonal():
+            return CheckReport("check_coarse_axioms", False,
+                               counterexample={"member": k, "reason": "missing diagonal"},
+                               truncation=truncation_label(space))
+    witnesses = []
+    for i, e in enumerate(members):
+        inv = invert(e)
+        found = next((k for k, g in enumerate(members) if inv.issubset(g)), None)
+        if found is None:
+            return CheckReport("check_coarse_axioms", False,
+                               counterexample={"member": i, "reason": "inverse not absorbed"},
+                               truncation=truncation_label(space))
+        witnesses.append({"inverse_of": i, "inside": found})
+    for i, e in enumerate(members):
+        for j, f in enumerate(members):
+            comp = compose(e, f)
+            found = next((k for k, g in enumerate(members) if comp.issubset(g)), None)
+            if found is None:
+                return CheckReport(
+                    "check_coarse_axioms", False,
+                    counterexample={"pair": [i, j],
+                                    "reason": "composition not absorbed"},
+                    truncation=truncation_label(space))
+            witnesses.append({"pair": [i, j], "absorbed_by": found})
+    return CheckReport("check_coarse_axioms", True, witnesses=tuple(witnesses),
+                       truncation=truncation_label(space))
+
+
+@st.composite
+def cover_bases(draw):
+    """1-4 covers of a line of 1-6 points, in a tuple or a ScaleBase: random
+    families (a scale or not), random families completed to a scale by the
+    singletons they miss, the singletons, and the whole space."""
+    n = draw(st.integers(1, 6))
+    space = builder_line(n - 1, 1.0)
+    covers = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "scale", "scale", "singletons", "whole"]))
+        els = ([frozenset({x}) for x in range(n)] if kind == "singletons"
+               else [frozenset(range(n))] if kind == "whole"
+               else draw(element_lists(n)))
+        if kind == "scale":
+            els += [frozenset({x}) for x in sorted(set(range(n)).difference(*els))]
+        covers.append(Cover(space, els))
+    return draw(st.sampled_from([tuple(covers), ScaleBase(space, tuple(covers))]))
+
+
+@st.composite
+def relation_bases(draw):
+    """1-4 relations on a line of 1-5 points: random, random with the
+    diagonal, random with the diagonal and symmetric, and equivalence
+    relations (the diagonal and the full relation among them)."""
+    n = draw(st.integers(1, 5))
+    space = builder_line(n - 1, 1.0)
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "reflexive", "symmetric", "partition"]))
+        if kind == "partition":
+            labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+            m = labels[:, None] == labels[None, :]
+        else:
+            m = np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                       max_size=n * n))).reshape(n, n)
+            if kind != "random":
+                m |= np.eye(n, dtype=bool)
+            if kind == "symmetric":
+                m |= m.T
+        members.append(Entourage(space, m))
+    return tuple(members)
+
+
+BASE_SCANS = settings(SEEDED, max_examples=300)
+
+
+@BASE_SCANS
+@given(cover_bases())
+def test_scale_base_checks_match_oracle(base):
+    assert payload_bytes(check_ss_base(base)) == payload_bytes(oracle_check_ss_base(base))
+    assert payload_bytes(check_ls_base(base)) == payload_bytes(oracle_check_ls_base(base))
+
+
+@BASE_SCANS
+@given(relation_bases())
+def test_entourage_base_checks_match_oracle(base):
+    assert payload_bytes(check_uniform_axioms(base)) == \
+        payload_bytes(oracle_check_uniform_axioms(base))
+    assert payload_bytes(check_coarse_axioms(base)) == \
+        payload_bytes(oracle_check_coarse_axioms(base))
+
+
+THREE = builder_line(2, 1.0)
+STEP = np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool)  # reflexive, not symmetric
+CHAIN = [frozenset({0, 1}), frozenset({1, 2})]
+GAPPY = Space(["0", "3", "2", "-3", "1", "-4"])
+BASE_REASONS = {
+    "non_scale": (check_ss_base, oracle_check_ss_base,
+                  [Cover(THREE, CHAIN), Cover(THREE, [{0}])]),
+    "no common star refiner": (check_ss_base, oracle_check_ss_base, [Cover(THREE, CHAIN)]),
+    "no base cover coarsens st(u, v)": (check_ls_base, oracle_check_ls_base,
+                                        [Cover(THREE, CHAIN)]),
+    "missing diagonal": (check_uniform_axioms, oracle_check_uniform_axioms,
+                         [Entourage(THREE, np.eye(3, k=1, dtype=bool))]),
+    "not symmetric": (check_uniform_axioms, oracle_check_uniform_axioms,
+                      [diagonal(THREE), Entourage(THREE, STEP)]),
+    "no member with G o G inside the intersection": (
+        check_uniform_axioms, oracle_check_uniform_axioms,
+        [entourage_of_scale(Cover(THREE, CHAIN))]),
+    "inverse not absorbed": (check_coarse_axioms, oracle_check_coarse_axioms,
+                             [Entourage(THREE, STEP)]),
+    "composition not absorbed": (check_coarse_axioms, oracle_check_coarse_axioms,
+                                 [entourage_of_scale(Cover(THREE, CHAIN))]),
+    # clipped products leave the star of the translates of {-3, 1, -4} unabsorbed
+    "no absorbing translate cover in the closure": (
+        lambda f_list: check_translation_ls(window_group(GAPPY), f_list),
+        lambda f_list: oracle_check_translation_ls(
+            OracleGroupWindow(values=[int(p) for p in GAPPY.points]), GAPPY, f_list),
+        [frozenset({1, 3, 4})]),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(BASE_REASONS))
+def test_each_base_reason_matches_oracle(reason):
+    check, oracle, base = BASE_REASONS[reason]
+    rep = check(base)
+    assert not rep.status and rep.witnesses == ()
+    assert reason in (rep.counterexample.get("reason"), *rep.counterexample)
+    assert payload_bytes(rep) == payload_bytes(oracle(base))
 
 
 # -- column pseudometric: the n x n x n difference array it replaced -------------

@@ -81,6 +81,30 @@ def test_coordinate_spaces_take_no_table():
         Space(["a", "b"], metric=np.zeros((2, 2)), metric_kind="line", coords=(0.0, 1.0))
 
 
+def test_coordinate_spaces_skip_the_pseudometric_check(monkeypatch):
+    from scalekit.instances import load_space
+
+    def refuse(d):
+        raise AssertionError("the pseudometric check ran")
+    monkeypatch.setattr(Space, "_check_pseudometric", staticmethod(refuse))
+    assert builder_line(40, 0.5).d[0, 40] == 20.0
+    assert builder_grid(5).d[0, 24] == 4.0
+    doc = {"points": ["a", "b"], "metric": {"kind": "line", "coords": [0, 3]}}
+    assert load_space(doc)[0].d.tolist() == [[0, 3], [3, 0]]
+    with pytest.raises(AssertionError, match="the pseudometric check ran"):
+        Space(["a", "b"], metric=[[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builder_line(2, 1e308),
+    lambda: Space(["a", "b"], metric_kind="line", coords=(0.0, float("nan"))),
+    lambda: Space(["a", "b"], metric_kind="grid", coords=((0, 0), (float("inf"), 1))),
+], ids=["overflow", "nan", "inf"])
+def test_coordinate_spaces_need_finite_coordinates(build):
+    with pytest.raises(InstanceError, match="coordinates must be finite"):
+        build()
+
+
 def test_infinite_distances_allowed():
     d = np.array([[0, np.inf], [np.inf, 0]])
     sp = Space(["a", "b"], metric=d)

@@ -3,6 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalekit.bounded import (from_filtration, from_metric, proper_hls_test,
+                              proper_hss_test, st_weakly_bounded_test,
+                              uniformly_bounded)
+from scalekit.catalogues import trunc_nat
+from scalekit.entourages import check_coarse_axioms, check_uniform_axioms, metric_entourage
 from scalekit.model import InstanceError, builder_line
 from scalekit.scales import (Cover, PartitionOfUnity, check_ls_base,
                              check_ss_base, is_hausdorff, is_smaller,
@@ -13,6 +18,7 @@ from scalekit.metric import ball_cover, metric_ls_base, metric_ss_base
 
 LINE20 = builder_line(20, 1.0)
 LINE10 = builder_line(10, 1.0)
+TRUNC = trunc_nat()
 
 
 def interval(space, lo, hi):
@@ -122,10 +128,41 @@ def test_cover_points_past_int64_are_out_of_range():
         Cover(LINE10, [[2 ** 64], [1]])
 
 
-@pytest.mark.parametrize("check", [check_ss_base, check_ls_base, is_hausdorff])
+@pytest.mark.parametrize("check", [
+    check_ss_base, check_ls_base, is_hausdorff,
+    lambda base: proper_hss_test(from_metric(LINE10), base),
+    lambda base: uniformly_bounded(ball_cover(LINE10, 1.0), base),
+    lambda base: proper_hls_test(from_filtration(TRUNC), base,
+                                 [ball_cover(TRUNC, 3.0)]),
+    lambda base: st_weakly_bounded_test({0}, ball_cover(TRUNC, 1.0),
+                                        from_filtration(TRUNC), base),
+], ids=["check_ss_base", "check_ls_base", "is_hausdorff", "proper_hss_test",
+        "uniformly_bounded", "proper_hls_test", "st_weakly_bounded_test"])
 def test_empty_scale_base_is_an_instance_error(check):
     with pytest.raises(InstanceError, match="a scale base needs at least one cover"):
         check([])
+
+
+# two spaces of the same size, and one of another size
+SAME_A, SAME_B, OTHER = builder_line(5, 1.0), builder_line(5, 2.0), builder_line(7, 1.0)
+
+
+@pytest.mark.parametrize("other", [SAME_B, OTHER], ids=["same-size", "other-size"])
+@pytest.mark.parametrize("check, member", [
+    (check_ss_base, ball_cover), (check_ls_base, ball_cover), (is_hausdorff, ball_cover),
+    (check_uniform_axioms, metric_entourage), (check_coarse_axioms, metric_entourage),
+], ids=["ss", "ls", "hausdorff", "uniform", "coarse"])
+def test_base_members_on_different_spaces_are_an_instance_error(check, member, other):
+    with pytest.raises(InstanceError, match="^base members live on different spaces$"):
+        check([member(SAME_A, 1.0), member(other, 1.0)])
+
+
+@pytest.mark.parametrize("other", [SAME_B, OTHER], ids=["same-size", "other-size"])
+def test_a_base_off_the_carrier_is_an_instance_error(other):
+    with pytest.raises(InstanceError, match="does not live on the structure's carrier"):
+        proper_hss_test(from_metric(SAME_A), metric_ss_base(other, [1.0]))
+    with pytest.raises(InstanceError, match="covers live on different spaces"):
+        uniformly_bounded(ball_cover(SAME_A, 1.0), metric_ls_base(other, [9.0]))
 
 
 def test_ss_base_witnesses_verify():
