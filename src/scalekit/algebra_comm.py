@@ -19,7 +19,7 @@ from .model import (InstanceError, Space, fmt_value, gap_table, positive_grid,
                     widest_pair)
 from .oscillation import element_diameters
 from .reports import CheckReport, truncation_label
-from .scales import Cover, ScaleBase
+from .scales import Cover, ScaleBase, base_members, first
 
 
 def _row_key(row: np.ndarray) -> bytes:
@@ -111,11 +111,12 @@ def fine_scales(values, base: ScaleBase, eps_grid) -> tuple[list, float | None]:
     eps (``element_diameters``), as {"eps", "cover"} records.  Stops at the
     first eps that no scale meets and returns it too; None when all are met.
     """
+    covers = base_members(base, "a scale base needs at least one cover")
     grid = positive_grid(eps_grid, "eps grid")
-    widest = [element_diameters(values, cov).max() for cov in base.covers]
+    widest = [(cov.name, element_diameters(values, cov).max()) for cov in covers]
     found = []
     for e in grid:
-        hit = next((cov.name for cov, w in zip(base.covers, widest) if w <= e), None)
+        hit = first(widest, lambda w: w <= e)
         if hit is None:
             return found, e
         found.append({"eps": e, "cover": hit})
@@ -126,13 +127,14 @@ def is_ss_continuous(f, base: ScaleBase, eps_grid) -> CheckReport:
     """For each eps some base scale must keep the value spread of f inside
     eps on every element; first such scale wins."""
     f = np.asarray(f, dtype=complex)
-    if f.shape != (base.space.n,):
+    space = base_members(base, "a scale base needs at least one cover")[0].space
+    if f.shape != (space.n,):
         raise InstanceError("function shape mismatch")
     witnesses, miss = fine_scales(f, base, eps_grid)
     cx = None if miss is None else {
         "eps": miss, "reason": "no base scale keeps the spread inside eps"}
     return CheckReport("ss_continuous", miss is None, witnesses=tuple(witnesses),
-                       counterexample=cx, truncation=truncation_label(base.space))
+                       counterexample=cx, truncation=truncation_label(space))
 
 
 def separation_blocks(fam: FunctionFamily) -> list[frozenset[int]]:

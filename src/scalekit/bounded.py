@@ -7,16 +7,21 @@ iff it is a singleton or sits inside a single component, where components
 are the union-find classes of the generator overlap graph.
 
 Truncated instances need a second notion.  Literal weak boundedness (every
-component trace a member) is automatic for generated families on finite
-carriers, while the spaces the truncation stands for have sets that escape.
-Two repairs, both labeled in reports:
+component trace a member) holds for every generated family on a finite
+carrier, since each trace lies in one component, so it decides nothing;
+the spaces the truncation stands for have sets that escape.  The declared
+windows K_1 c ... c K_L are read from one int vector, ``Space.depth``:
+depth[p] is the index of the first window holding p, or L past the top.  A
+set fits the window of index j iff its greatest depth is at most j, so that
+greatest depth names the set's home window, and L means it fits none.  Two
+repairs, both labeled in reports:
 
 * traces are grouped by the finite-distance classes of the metric when one
   is present, since the generator components shatter into singleton
   artifacts past the top window;
-* a trace certifies as bounded only when it is a singleton or fits inside
-  some declared window, so a set reaching past every window stands for an
-  escaping set and is refused.
+* a trace certifies as bounded only when it is a singleton or has no point
+  of depth L, so a set reaching past every window stands for an escaping
+  set and is refused.
 
 Star probes get the stricter headroom rule: starring the top window spills
 into the region the model cannot represent, so only windows strictly below
@@ -25,52 +30,60 @@ the top are starred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import InstanceError, Space
 from .reports import CheckReport, truncation_label
-from .scales import Cover, _distinct_rows, base_members, refines, star_set
+from .scales import (Cover, _distinct_rows, base_members, base_report, first, refines,
+                     star_set)
 
 
 def _as_subset(space: Space, subset) -> frozenset[int]:
     s = frozenset(int(x) for x in subset)
+    n = space.n
     for x in s:
-        if not (0 <= x < space.n):
+        if not (0 <= x < n):
             raise InstanceError("point index %d out of range" % x)
     return s
 
 
-@dataclass(frozen=True)
+def _as_index(space: Space, subset) -> np.ndarray:
+    """``_as_subset`` as a sorted index array."""
+    return np.array(sorted(_as_subset(space, subset)), dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class ComponentPartition:
-    """Point -> component id; components listed by minimal point."""
-    components: tuple[frozenset[int], ...]
-    ids: tuple[int, ...]
+    """Point -> component id, as one read-only int vector; components are
+    numbered by their minimal point."""
+    ids: np.ndarray
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The components as point sets, in id order."""
+        order = np.argsort(self.ids, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.ids[order])) + 1
+        return tuple(frozenset(part.tolist()) for part in np.split(order, cuts))
 
     @property
     def one_component(self) -> bool:
-        return len(self.components) == 1
+        return not self.ids.any()
 
     def traces(self, subset) -> list[tuple[int, frozenset[int]]]:
         """Nonempty component traces of a set of point indices, by id."""
-        out: dict[int, set[int]] = {}
-        for x in subset:
-            out.setdefault(self.ids[x], set()).add(x)
-        return [(cid, frozenset(t)) for cid, t in sorted(out.items())]
+        idx = np.unique(np.fromiter(subset, dtype=np.int64))
+        cid = self.ids[idx]
+        order = np.argsort(cid, kind="stable")
+        keys, starts = np.unique(cid[order], return_index=True)
+        return [(int(c), frozenset(t.tolist()))
+                for c, t in zip(keys, np.split(idx[order], starts[1:]))]
 
 
-def _partition_from_sets(space: Space, sets) -> ComponentPartition:
-    comps = sorted(sets, key=min)
-    ids = [0] * space.n
-    for cid, comp in enumerate(comps):
-        for x in comp:
-            ids[x] = cid
-    return ComponentPartition(tuple(comps), tuple(ids))
-
-
-def _components(n: int, groups) -> list[frozenset[int]]:
+def _partition(n: int, groups) -> ComponentPartition:
     """Union-find classes of the points once the points of each (nonempty)
-    group are joined; listed by minimal point."""
+    group are joined."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -81,20 +94,22 @@ def _components(n: int, groups) -> list[frozenset[int]]:
 
     for g in groups:
         it = iter(g)
-        first = find(next(it))
+        root = find(next(it))
         for x in it:
-            parent[find(x)] = first
-    buckets: dict[int, set[int]] = {}
-    for x in range(n):
-        buckets.setdefault(find(x), set()).add(x)
-    return [frozenset(b) for b in buckets.values()]
+            parent[find(x)] = root
+    roots = np.fromiter((find(x) for x in range(n)), dtype=np.int64, count=n)
+    # the first point of each class in load order is its minimal point
+    _, lowest, ids = np.unique(roots, return_index=True, return_inverse=True)
+    ids = np.argsort(np.argsort(lowest))[ids]
+    ids.setflags(write=False)
+    return ComponentPartition(ids)
 
 
-def _finite_distance_classes(space: Space) -> list[frozenset[int]]:
+def _finite_distance_classes(space: Space) -> ComponentPartition:
     # transitive closure of finite distance, which holds even without the
     # triangle inequality; identical rows would add no unions
     rows = _distinct_rows(np.isfinite(space.d))
-    return _components(space.n, (np.flatnonzero(r).tolist() for r in rows))
+    return _partition(space.n, (np.flatnonzero(r).tolist() for r in rows))
 
 
 class BoundedStructure:
@@ -110,8 +125,7 @@ class BoundedStructure:
                 raise InstanceError("empty generator")
             gens.append(gs)
         self.generators: tuple[frozenset[int], ...] = tuple(gens)
-        self._partition = _partition_from_sets(
-            space, _components(space.n, self.generators))
+        self._partition = _partition(space.n, self.generators)
         self._ideal = None
 
     def components(self) -> ComponentPartition:
@@ -129,17 +143,13 @@ class BoundedStructure:
             if self.space.d is None:
                 self._ideal = self._partition
             else:
-                self._ideal = _partition_from_sets(
-                    self.space, _finite_distance_classes(self.space))
+                self._ideal = _finite_distance_classes(self.space)
         return self._ideal
 
     def is_member(self, subset) -> bool:
         """Singleton, or inside one component."""
-        s = _as_subset(self.space, subset)
-        if len(s) <= 1:
-            return True
-        ids = {self._partition.ids[x] for x in s}
-        return len(ids) == 1
+        ids = self._partition.ids[_as_index(self.space, subset)]
+        return ids.size <= 1 or ids.min() == ids.max()
 
     def traces(self, subset) -> list[tuple[int, frozenset[int]]]:
         """Nonempty component traces of the subset, by component id."""
@@ -162,7 +172,7 @@ def from_metric(space: Space) -> BoundedStructure:
     class, so infinite distances split components."""
     if space.d is None:
         raise InstanceError("space carries no metric")
-    return BoundedStructure(space, _finite_distance_classes(space),
+    return BoundedStructure(space, _finite_distance_classes(space).components,
                             name="metric")
 
 
@@ -207,38 +217,23 @@ def check_axioms(b: BoundedStructure) -> CheckReport:
         truncation=truncation_label(space))
 
 
-def is_weakly_bounded(subset, b: BoundedStructure) -> bool:
-    """Every component trace is a member.
-
-    On finite carriers with generated families this is automatic (traces sit
-    inside their components); kept literal for the record, the informative
-    desk notion is desk_weakly_bounded.
-    """
-    return all(b.is_member(t) for _, t in b.traces(subset))
-
-
 def desk_weakly_bounded(subset, b: BoundedStructure) -> tuple[bool, dict]:
     """Truncation-aware weak boundedness.
 
     Traces along the ideal components must be singletons or fit inside some
-    declared window; a trace past every window stands for an escaping set.
-    Without a filtration the model is taken as genuinely finite and the
-    literal notion is used.
+    declared window; a trace with a point past the top window stands for an
+    escaping set.  Without a filtration the model is taken as genuinely
+    finite, where the literal notion holds: every trace lies in one
+    component.
     """
     space = b.space
+    idx = _as_index(space, subset)
     if space.filtration is None:
-        ok = is_weakly_bounded(subset, b)
-        return ok, {"mode": "literal", "verdict": ok}
-    levels = space.filtration.levels
-    bad = []
-    for cid, t in b.ideal_components().traces(_as_subset(space, subset)):
-        if len(t) <= 1:
-            continue
-        if any(t <= k for k in levels):
-            continue
-        bad.append(cid)
-    detail = {"mode": "truncation", "bad_ideal_components": bad}
-    return not bad, detail
+        return True, {"mode": "literal", "verdict": True}
+    ids = b.ideal_components().ids[idx]
+    far = np.unique(ids[space.depth[idx] == len(space.filtration)])
+    bad = far[np.bincount(ids)[far] > 1]
+    return not bad.size, {"mode": "truncation", "bad_ideal_components": bad.tolist()}
 
 
 def star_probes(b: BoundedStructure) -> list[tuple[str, frozenset[int]]]:
@@ -256,8 +251,9 @@ def star_probes(b: BoundedStructure) -> list[tuple[str, frozenset[int]]]:
             for i, k in enumerate(space.filtration.levels[:-1])]
 
 
-def witness_space(b: BoundedStructure) -> list[tuple[str, frozenset[int]]]:
-    """Deterministic catalogue of weakly bounded witness candidates.
+def witness_space(b: BoundedStructure) -> tuple[tuple[str, ...], np.ndarray]:
+    """Deterministic catalogue of weakly bounded witness candidates: their
+    names, and one read-only bool matrix with a row of points per witness.
 
     Filtered carriers: the empty set, the levels ascending, then each level
     joined with one window-compatible ideal component (levels outer,
@@ -265,24 +261,30 @@ def witness_space(b: BoundedStructure) -> list[tuple[str, frozenset[int]]]:
     components.
     """
     space = b.space
-    out: list[tuple[str, frozenset[int]]] = [("empty", frozenset())]
-    if space.filtration is None:
-        for comp in b.components().components:
-            out.append(("comp@%s" % space.points[min(comp)], comp))
-        return out
-    levels = space.filtration.levels
-    for i, k in enumerate(levels):
-        out.append(("K%d" % (i + 1), k))
-    comps = b.ideal_components().components
-    compatible = [c for c in comps
-                  if len(c) <= 1 or any(c <= k for k in levels)]
-    for i, k in enumerate(levels):
-        for comp in compatible:
-            if comp <= k:
-                continue
-            out.append(("K%d+comp@%s" % (i + 1, space.points[min(comp)]),
-                        k | comp))
-    return out
+    filtered = space.filtration is not None
+    ids = (b.ideal_components() if filtered else b.components()).ids
+    # each component's minimal point is its first in load order
+    lowest = np.unique(ids, return_index=True)[1]
+    members = ids == np.arange(lowest.size)[:, None]
+    empty = np.zeros((1, space.n), dtype=bool)
+    if not filtered:
+        names = ("empty",) + tuple("comp@%s" % space.points[p] for p in lowest)
+        w = np.vstack([empty, members])
+    else:
+        top, depth = len(space.filtration), space.depth
+        deepest = np.zeros(lowest.size, dtype=np.int64)
+        np.maximum.at(deepest, ids, depth)
+        compatible = (np.bincount(ids) <= 1) | (deepest < top)
+        windows = depth <= np.arange(top)[:, None]
+        # (window, component) patches, windows outer, skipping a component
+        # that the window already holds
+        wi, ci = np.nonzero(compatible & (deepest > np.arange(top)[:, None]))
+        names = (("empty",) + tuple("K%d" % (i + 1) for i in range(top))
+                 + tuple("K%d+comp@%s" % (i + 1, space.points[lowest[c]])
+                         for i, c in zip(wi, ci)))
+        w = np.vstack([empty, windows, windows[wi] | members[ci]])
+    w.setflags(write=False)
+    return names, w
 
 
 def uniformly_bounded(cover: Cover, ls_base) -> bool:
@@ -339,34 +341,25 @@ def lemma_wb_test(f_map, b_x: BoundedStructure, b_y: BoundedStructure) -> CheckR
     notes = ["literal weak boundedness is automatic on finite generated "
              "families; the desk certificate carries the content"]
     if proper.status and img_ok:
-        checked = 0
-        for wname, w in witness_space(b_y):
-            ok_y, _ = desk_weakly_bounded(w, b_y)
-            if not ok_y:
-                continue
-            pre = frozenset(np.flatnonzero(np.isin(f, sorted(w))).tolist())
-            if not is_weakly_bounded(pre, b_x):
-                return CheckReport("lemma_wb_test", False,
-                                   counterexample={"witness": wname,
-                                                   "reason": "literal conclusion fails"},
-                                   truncation=truncation_label(b_x.space))
-            ok_x, detail = desk_weakly_bounded(pre, b_x)
-            if not ok_x:
-                return CheckReport("lemma_wb_test", False,
-                                   counterexample={"witness": wname,
-                                                   "desk_detail": detail},
-                                   truncation=truncation_label(b_x.space))
-            checked += 1
+        names, w = witness_space(b_y)
+        held = [k for k, row in enumerate(w)
+                if desk_weakly_bounded(np.flatnonzero(row), b_y)[0]]
+        # row k of w[:, f] is the preimage of witness k
+        pulled = ((names[k], desk_weakly_bounded(np.flatnonzero(pre), b_x))
+                  for k, pre in zip(held, w[held][:, f]))
+        bad = next(((name, detail) for name, (ok, detail) in pulled if not ok), None)
+        if bad is not None:
+            return CheckReport("lemma_wb_test", False,
+                               counterexample={"witness": bad[0], "desk_detail": bad[1]},
+                               truncation=truncation_label(b_x.space))
         return CheckReport("lemma_wb_test", True,
                            witnesses=({"hypotheses": "proper+bounded-image",
-                                       "witnesses_checked": checked},),
+                                       "witnesses_checked": len(held)},),
                            notes=tuple(notes),
                            truncation=truncation_label(b_x.space))
     # hypothesis failure: document the counterexample pattern
-    carrier_y = frozenset(range(b_y.space.n))
-    carrier_x = frozenset(range(b_x.space.n))
-    wb_y, _ = desk_weakly_bounded(carrier_y, b_y)
-    wb_x, detail_x = desk_weakly_bounded(carrier_x, b_x)
+    wb_y, _ = desk_weakly_bounded(np.arange(b_y.space.n), b_y)
+    wb_x, detail_x = desk_weakly_bounded(np.arange(b_x.space.n), b_x)
     notes.append("hypothesis failed: %s" % (
         "image of a bounded set escapes" if proper.status else "map not proper"))
     return CheckReport(
@@ -394,11 +387,11 @@ def st_weakly_bounded_test(subset, cover: Cover, b: BoundedStructure,
         raise InstanceError("cover is not uniformly bounded in the given base")
     s = _as_subset(space, subset)
     st = star_set(s, cover)
-    literal = is_weakly_bounded(st, b)
-    desk, detail = desk_weakly_bounded(st, b)
-    ids = b.components().ids
-    straddler = next((k for k, el in enumerate(cover.elements)
-                      if len({ids[x] for x in el}) > 1), None)
+    idx = np.fromiter(st, dtype=np.int64, count=len(st))
+    desk, detail = desk_weakly_bounded(idx, b)
+    lo, hi = cover.value_range(b.components().ids)
+    straddlers = np.flatnonzero(lo != hi)
+    straddler = int(straddlers[0]) if straddlers.size else None
     identity = None
     if straddler is None:
         identity = True
@@ -411,9 +404,11 @@ def st_weakly_bounded_test(subset, cover: Cover, b: BoundedStructure,
     notes = []
     if straddler is not None:
         notes.append("component identity skipped: element %d straddles" % straddler)
-    levels = space.filtration.levels if space.filtration is not None else ()
-    level_home = next(("K%d" % (i + 1) for i, k in enumerate(levels) if st <= k), None)
-    status = literal and desk and (identity is not False)
+    # an empty star fits the first window; unfiltered spaces have none
+    home = int(space.depth[idx].max(initial=0))
+    top = 0 if space.filtration is None else len(space.filtration)
+    level_home = "K%d" % (home + 1) if home < top else None
+    status = desk and (identity is not False)
     return CheckReport(
         "st_weakly_bounded_test", status,
         witnesses=({"star_size": len(st), "star_inside": level_home,
@@ -435,22 +430,19 @@ def proper_hss_test(b: BoundedStructure, ss_base) -> CheckReport:
     if covers[0].space is not space:
         raise InstanceError("the base does not live on the structure's carrier")
     probes = star_probes(b)
-    last_fail = None
-    for ci, u in enumerate(covers):
-        ok = True
-        for pname, p in probes:
-            st = star_set(p, u)
-            if not b.is_member(st):
-                ok = False
-                last_fail = {"cover": ci, "probe": pname, "star_size": len(st)}
-                break
-        if ok:
-            return CheckReport("proper_hss_test", True,
-                               witnesses=({"cover": ci, "probes": len(probes)},),
-                               truncation=truncation_label(space))
-    return CheckReport("proper_hss_test", False,
-                       counterexample=last_fail,
-                       truncation=truncation_label(space))
+
+    def spill(u):
+        """The first probe whose star along u is no member, with the star's
+        size; None when every star is a member."""
+        stars = ((name, star_set(p, u)) for name, p in probes)
+        return next(((name, len(st)) for name, st in stars if not b.is_member(st)), None)
+
+    hit = first(enumerate(covers), lambda u: spill(u) is None)
+    # no cover passing, the scan ended on the last one
+    cx = None if hit is not None else dict(
+        zip(("cover", "probe", "star_size"), (len(covers) - 1, *spill(covers[-1]))))
+    return base_report("proper_hss_test", space, (),
+                       [({"probes": len(probes)}, "cover", hit, cx)])
 
 
 def proper_hls_test(b: BoundedStructure, ls_base, covers) -> CheckReport:

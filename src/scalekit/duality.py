@@ -17,13 +17,13 @@ import numpy as np
 from .algebra_comm import FunctionFamily, is_ss_continuous
 from .bounded import (BoundedStructure, desk_weakly_bounded, star_probes,
                       uniformly_bounded, witness_space)
-from .model import (InstanceError, fmt_value, gap_table, ordered_grid, row_spreads,
+from .model import (InstanceError, entry_pairs, fmt_value, gap_table, ordered_grid,
                     widest_pair)
-from .oscillation import (SOQuery, _every, _first, _masks, _pair_entry,
-                          _relaxed_pass, _widest_in, build_scaled_refuter,
-                          element_diameters, heavy_pairs, is_slowly_oscillating)
+from .oscillation import (SOQuery, _first, _pair_entry, _widest_in,
+                          build_scaled_refuter, element_diameters, heavy_pairs,
+                          is_slowly_oscillating)
 from .reports import CheckReport, truncation_label
-from .scales import Cover, ScaleBase, star_family, star_set
+from .scales import Cover, ScaleBase, base_report, first, star_family, star_set
 
 
 @dataclass(eq=False)
@@ -44,15 +44,14 @@ class LSQuery:
 
 
 def _star_condition(cover: Cover, b: BoundedStructure):
-    """Stars of the certified probes must stay weakly bounded."""
-    hits = []
-    for name, probe in star_probes(b):
-        st = star_set(probe, cover)
-        ok, detail = desk_weakly_bounded(st, b)
-        if not ok:
-            return None, {"condition": 1, "probe": name, "detail": detail}
-        hits.append({"probe": name, "star_size": len(st)})
-    return hits, None
+    """Stars of the certified probes must stay weakly bounded: the record of
+    every star, or else the counterexample of the first that does not."""
+    stars = [(name, star_set(probe, cover)) for name, probe in star_probes(b)]
+    bad = first(stars, lambda st: not desk_weakly_bounded(st, b)[0])
+    if bad is not None:
+        detail = desk_weakly_bounded(dict(stars)[bad], b)[1]
+        return None, {"condition": 1, "probe": bad, "detail": detail}
+    return [{"probe": name, "star_size": len(st)} for name, st in stars], None
 
 
 def ls_membership(q: LSQuery) -> CheckReport:
@@ -64,40 +63,36 @@ def ls_membership(q: LSQuery) -> CheckReport:
     """
     space = q.structure.space
     hits, fail = _star_condition(q.cover, q.structure)
-    if fail is not None:
-        return CheckReport("ls_membership", False, counterexample=fail,
-                           truncation=truncation_label(space))
-    masks = _masks(space, witness_space(q.structure))
-    if space.filtration is not None:
-        bases = [("K%d" % (i + 1), k)
-                 for i, k in enumerate(space.filtration.levels)]
-    else:
-        bases = [("empty", frozenset())]
-    witnesses = [{"condition": 1, "stars": hits}]
-    for fname, fvals in zip(q.catalogue.names, q.catalogue.values):
-        # the heavy pairs at the finest eps hold those at every eps
-        pool = heavy_pairs(fvals, q.cover, q.eps_grid[-1])
-        for eps in q.eps_grid:
-            pairs = pool[pool["gap"] > eps]
-            xs, ys = pairs["x"], pairs["y"]
-            for bname, base in bases:
-                hit = next((wname for wname, s, mask in masks
-                            if base <= s and _relaxed_pass(mask, xs, ys)), None)
-                if hit is None:
-                    alive = _every((~(m[xs] | m[ys]) for _, s, m in masks
-                                    if base <= s), len(pairs))
-                    k = _first(alive)
-                    surv = None if k is None else _pair_entry(space, q.cover, pairs[k])
-                    return CheckReport(
-                        "ls_membership", False, witnesses=tuple(witnesses),
-                        counterexample={"condition": 2, "function": fname,
-                                        "eps": eps, "window": bname,
-                                        "surviving": surv},
-                        truncation=truncation_label(space))
-                witnesses.append({"condition": 2, "function": fname,
-                                  "eps": eps, "window": bname, "witness": hit})
-    return CheckReport("ls_membership", True, witnesses=tuple(witnesses),
-                       truncation=truncation_label(space))
+
+    def cells():
+        yield {"condition": 1}, "stars", hits, None
+        names, w = witness_space(q.structure)
+        # per window, the names and rows of the witnesses that hold it
+        if space.filtration is not None:
+            holds = [("K%d" % (i + 1), w[:, space.depth <= i].all(axis=1))
+                     for i in range(len(space.filtration))]
+        else:
+            holds = [("empty", np.ones(len(names), dtype=bool))]
+        bases = [(bname, [nm for nm, h in zip(names, held) if h], w[held])
+                 for bname, held in holds]
+        for fname, fvals in zip(q.catalogue.names, q.catalogue.values):
+            # the heavy pairs at the finest eps hold those at every eps
+            pool = heavy_pairs(fvals, q.cover, q.eps_grid[-1])
+            for eps in q.eps_grid:
+                pairs = pool[pool["gap"] > eps]
+                xs, ys = pairs["x"], pairs["y"]
+                for bname, held_names, held in bases:
+                    cell = {"condition": 2, "function": fname, "eps": eps,
+                            "window": bname}
+                    hit = first(zip(held_names, held), lambda m: (m[xs] | m[ys]).all())
+                    surv = None
+                    if hit is None:
+                        k = _first(~(held[:, xs] | held[:, ys]).any(axis=0))
+                        surv = None if k is None else _pair_entry(space, q.cover, pairs[k])
+                    yield cell, "witness", hit, {**cell, "surviving": surv}
+
+    return base_report("ls_membership", space, () if fail is None else (fail,),
+                       cells(), partial=True)
 
 
 def ls_structure_axiom_test(u: Cover, v: Cover, q_template: LSQuery) -> CheckReport:
@@ -132,34 +127,39 @@ def wright_c0_check(cover: Cover, space) -> CheckReport:
         raise InstanceError("the vanishing family needs declared windows")
     if space.d is None:
         raise InstanceError("the vanishing family needs a metric")
-    levels = space.filtration.levels
-    top = levels[-1]
+    top, depth = len(space.filtration), space.depth
     notes = []
-    over = [k for k, el in enumerate(cover.elements) if not el <= top]
+    over = int((cover.value_range(depth)[1] == top).sum())
     if over:
         notes.append("%d elements reach past the top window; smallness out "
-                     "there is taken on trust" % len(over))
+                     "there is taken on trust" % over)
 
-    def past(lv):
-        """The diameters of the elements once the window lv is removed."""
-        return row_spreads(cover.matrix & ~np.isin(np.arange(space.n), list(lv)),
-                           lambda row: space.d[np.ix_(row, row)])
+    columns, starts = cover.rows.entries
+    # per depth m, the widest pair inside an element whose nearer point has
+    # depth m; per element, its widest pair past the top window
+    widest, far = np.zeros(top + 1), np.zeros(len(cover))
+    for t, u in entry_pairs(cover.rows):
+        x, y = columns[t], columns[u]
+        near, dist = np.minimum(depth[x], depth[y]), space.d[x, y]
+        np.maximum.at(widest, near, dist)
+        out = near == top
+        np.maximum.at(far, np.searchsorted(starts, t[out], "right") - 1, dist[out])
+    # past[j]: the widest element once the window of index j is removed
+    past = np.maximum.accumulate(widest[::-1])[::-1][1:]
 
-    witnesses = []
-    for eps in (1.0, 0.5, 0.25):
-        hit = next((j for j, lv in enumerate(levels)
-                    if all(w < eps for w in past(lv))), None)
-        if hit is None:
-            viol, wide = next((k, w) for k, w in enumerate(past(levels[-1])) if w >= eps)
-            return CheckReport(
-                "wright_c0", False, witnesses=tuple(witnesses),
-                counterexample={"eps": eps, "element": cover.labels()[viol],
-                                "diam_past_top": fmt_value(wide),
-                                "reason": "no window thins the family below eps"},
-                notes=tuple(notes), truncation=truncation_label(space))
-        witnesses.append({"eps": eps, "window": "K%d" % (hit + 1)})
-    return CheckReport("wright_c0", True, witnesses=tuple(witnesses),
-                       notes=tuple(notes), truncation=truncation_label(space))
+    def cells():
+        for eps in (1.0, 0.5, 0.25):
+            hit = first((("K%d" % (j + 1), w) for j, w in enumerate(past)),
+                        lambda w: w < eps)
+            cx = None
+            if hit is None:
+                viol = int(np.argmax(far >= eps))
+                cx = {"eps": eps, "element": cover.labels()[viol],
+                      "diam_past_top": fmt_value(far[viol]),
+                      "reason": "no window thins the family below eps"}
+            yield {"eps": eps}, "window", hit, cx
+
+    return base_report("wright_c0", space, (), cells(), notes, partial=True)
 
 
 def maximal_structure_check(cover: Cover, b: BoundedStructure) -> CheckReport:
@@ -167,27 +167,25 @@ def maximal_structure_check(cover: Cover, b: BoundedStructure) -> CheckReport:
     space = b.space
     if space.filtration is None:
         raise InstanceError("the maximal compatible structure needs windows")
-    levels = space.filtration.levels
-    top = levels[-1]
+    top, depth = len(space.filtration), space.depth
     notes = []
-    over = sum(1 for el in cover.elements if not el <= top)
+    over = int((cover.value_range(depth)[1] == top).sum())
     if over:
         notes.append("%d elements reach past the top window" % over)
-    witnesses = []
-    for name, probe in star_probes(b):
-        st = star_set(probe, cover)
-        home = next((j for j, k in enumerate(levels) if st <= k), None)
-        if home is None:
-            spill = sorted(st - top)
-            return CheckReport(
-                "maximal_structure", False, witnesses=tuple(witnesses),
-                counterexample={"probe": name,
-                                "spill": [space.points[i] for i in spill[:4]],
-                                "reason": "star fits no window"},
-                notes=tuple(notes), truncation=truncation_label(space))
-        witnesses.append({"probe": name, "home": "K%d" % (home + 1)})
-    return CheckReport("maximal_structure", True, witnesses=tuple(witnesses),
-                       notes=tuple(notes), truncation=truncation_label(space))
+
+    def cells():
+        for name, probe in star_probes(b):
+            st = star_set(probe, cover)
+            idx = np.sort(np.fromiter(st, dtype=np.int64, count=len(st)))
+            home = int(depth[idx].max())
+            cx = None
+            if home == top:
+                cx = {"probe": name,
+                      "spill": [space.points[i] for i in idx[depth[idx] == top][:4]],
+                      "reason": "star fits no window"}
+            yield {"probe": name}, "home", None if cx else "K%d" % (home + 1), cx
+
+    return base_report("maximal_structure", space, (), cells(), notes, partial=True)
 
 
 def continuously_controlled_check(cover: Cover, b: BoundedStructure) -> CheckReport:
@@ -197,32 +195,26 @@ def continuously_controlled_check(cover: Cover, b: BoundedStructure) -> CheckRep
     if space.filtration is None:
         raise InstanceError("the continuously controlled structure needs windows")
     hits, fail = _star_condition(cover, b)
-    if fail is not None:
-        return CheckReport("continuously_controlled", False, counterexample=fail,
-                           truncation=truncation_label(space))
-    levels = space.filtration.levels
-    all_pts = frozenset(range(space.n))
-    outside = [all_pts - k for k in levels]
-    witnesses = [{"condition": 1, "stars": hits}]
-    for i in range(len(levels) - 1):
-        inner = levels[i]
-        hit = next((j for j in range(i, len(levels))
-                    if all(not (el & outside[j] and el & inner)
-                           for el in cover.elements)), None)
-        if hit is None:
-            viol = next(k for k, el in enumerate(cover.elements)
-                        if el & outside[-1] and el & inner)
-            return CheckReport(
-                "continuously_controlled", False, witnesses=tuple(witnesses),
-                counterexample={"condition": 2, "window": "K%d" % (i + 1),
-                                "element": cover.labels()[viol],
-                                "reason": "element bridges the window and the "
-                                          "far region at every depth"},
-                truncation=truncation_label(space))
-        witnesses.append({"condition": 2, "window": "K%d" % (i + 1),
-                          "depth": "K%d" % (hit + 1)})
-    return CheckReport("continuously_controlled", True, witnesses=tuple(witnesses),
-                       truncation=truncation_label(space))
+    top = len(space.filtration)
+    # an element meets window i iff lo <= i and leaves window j iff hi > j
+    lo, hi = cover.value_range(space.depth)
+
+    def cells():
+        yield {"condition": 1}, "stars", hits, None
+        for i in range(top - 1):
+            # the first window that holds every element meeting window i
+            reach = int(hi[lo <= i].max(initial=i))
+            cell = {"condition": 2, "window": "K%d" % (i + 1)}
+            cx = None
+            if reach == top:
+                viol = int(np.argmax((lo <= i) & (hi == top)))
+                cx = {**cell, "element": cover.labels()[viol],
+                      "reason": "element bridges the window and the "
+                                "far region at every depth"}
+            yield cell, "depth", None if cx else "K%d" % (reach + 1), cx
+
+    return base_report("continuously_controlled", space,
+                       () if fail is None else (fail,), cells(), partial=True)
 
 
 def theorem75_agreement(named_covers, b: BoundedStructure, fam: FunctionFamily,
@@ -238,12 +230,11 @@ def theorem75_agreement(named_covers, b: BoundedStructure, fam: FunctionFamily,
         raise InstanceError("agreement needs declared windows")
     if not fam.constant_at_infinity:
         raise InstanceError("catalogue is not declared constant at infinity")
-    levels = space.filtration.levels
-    far = sorted(frozenset(range(space.n)) - levels[-2]) if len(levels) > 1 \
-        else list(range(space.n))
+    top = len(space.filtration)
+    # past the window below the top; the whole carrier when there is one window
+    far = np.flatnonzero(space.depth >= top - 1)
     tail = max(widest_pair(gap_table(row[far]))[0] for row in fam.values)
-    notes = ("catalogue tail variation %s past K%d" % (fmt_value(tail),
-                                                       len(levels) - 1),)
+    notes = ("catalogue tail variation %s past K%d" % (fmt_value(tail), top - 1),)
     rows = []
     agree = True
     for name, cov in named_covers:
@@ -351,12 +342,10 @@ def reflectivity_oracle(cover: Cover, b: BoundedStructure, ls_base: ScaleBase,
                            truncation=truncation_label(space))
     refuter = build_scaled_refuter(space, [p[0] for p in picks],
                                    [p[2] for p in picks])
-    ws = witness_space(b)
-    refuted = True
-    for _, s in ws:
-        if not any(x not in s and y not in s for x, y, _ in picks):
-            refuted = False
-            break
+    _, w = witness_space(b)
+    xs, ys = [p[0] for p in picks], [p[1] for p in picks]
+    # every witness misses both ends of some pick
+    refuted = bool((~w[:, xs] & ~w[:, ys]).any(axis=1).all())
     pick_view = [{"pair": [space.points[x], space.points[y]], "radius": r}
                  for x, y, r in picks]
     if not refuted:

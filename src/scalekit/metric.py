@@ -9,26 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InstanceError, Space, fmt_value, ordered_grid, row_spreads
+from .model import InstanceError, Space, entry_pairs, fmt_value, ordered_grid
 from .scales import Cover, ScaleBase, _distinct_rows, refines, star_family
-
-
-def distance_candidates(space: Space) -> list[float]:
-    """Sorted distinct positive finite distances, plus consecutive midpoints.
-
-    Midpoints certify boundary behavior; outcomes are constant between
-    neighbouring distances, so they never shift a scan value.
-    """
-    if space.d is None:
-        raise InstanceError("space carries no metric")
-    vals = np.unique(space.d)
-    vals = vals[np.isfinite(vals) & (vals > 0)]
-    out: list[float] = []
-    for i, v in enumerate(vals):
-        if i > 0:
-            out.append(float(vals[i - 1] + v) / 2.0)
-        out.append(float(v))
-    return out
 
 
 def _ball_cover(space: Space, d: np.ndarray, r: float, kind: str) -> Cover:
@@ -58,8 +40,8 @@ def lebesgue_number(cover: Cover) -> float:
     holds the whole space as an element, 0 when nothing passes.  The scan
     climbs the distinct finite distances one masked minimum at a time, so
     that it never holds their list; the open balls at a midpoint between
-    two neighbouring distances are those at the upper one, so the
-    midpoints that ``distance_candidates`` lists decide nothing here.
+    two neighbouring distances are those at the upper one, so midpoints
+    decide nothing here.
     """
     space = cover.space
     if not cover.is_scale():
@@ -104,8 +86,10 @@ def mesh(cover: Cover) -> float:
 
 
 def sup_diameter(cover: Cover) -> float:
-    d = cover.space.d
-    return max(row_spreads(cover.matrix, lambda row: d[np.ix_(row, row)]))
+    """The widest distance between two points of one element."""
+    d, columns = cover.space.d, cover.rows.entries[0]
+    return max((float(d[columns[t], columns[u]].max()) for t, u in entry_pairs(cover.rows)),
+               default=0.0)
 
 
 # per kind of base: the order of its radii, and which steps are flagged

@@ -81,14 +81,6 @@ def widest_pair(table: np.ndarray) -> tuple[float, int, int]:
     return (gap, i, j) if i < j else (gap, 0, 1)
 
 
-def row_spreads(matrix: np.ndarray, table_of):
-    """The widest gap inside each row of a bool elements x points matrix, as
-    a lazy sequence, so that scans can stop early; ``table_of(row)`` gives
-    the gap (or distance) table of a row's points."""
-    return (widest_pair(table_of(row))[0] if size > 1 else 0.0
-            for row, size in zip(matrix, matrix.sum(axis=1)))
-
-
 def _max_gap_table(coords: np.ndarray) -> np.ndarray:
     """The largest coordinate gap for every pair of points, one axis at a
     time, so that only two n x n tables are held."""
@@ -290,11 +282,9 @@ def bool_covered(a: BoolRows, b: BoolRows) -> bool:
 # row: a chunk holds at most PAIR_CHUNK pairs, so that working memory stays
 # flat even inside one large element.
 
-def pair_stream(rows: BoolRows, values: np.ndarray):
-    """Chunks (t, u, gap) of the pairs x < y inside each row of ``rows``: t
-    and u are the entries of x and y in ``rows.entries`` and gap is
-    |values[x] - values[y]|, in the sum norm when each point carries a
-    vector, as ``gap_table`` has it."""
+def entry_pairs(rows: BoolRows):
+    """Chunks (t, u) of the pairs x < y inside each row of ``rows``: t and u
+    are the entries of x and y in ``rows.entries``."""
     columns, starts = rows.entries
     # each entry's pair count, and the running total through it
     after = np.repeat(starts[1:], np.diff(starts)) - 1 - np.arange(columns.size)
@@ -305,15 +295,22 @@ def pair_stream(rows: BoolRows, values: np.ndarray):
         hi = max(lo + 1, int(np.searchsorted(ends, first + PAIR_CHUNK, "right")))
         count = after[lo:hi]
         if ends[hi - 1] > first:
-            # entries counted from lo; the pairs reach the end of the last row
-            t = np.repeat(np.arange(hi - lo), count)
+            t = np.repeat(np.arange(lo, hi), count)
             u = t + 1 + np.arange(t.size) - np.repeat(ends[lo:hi] - count - first, count)
-            v = values[columns[lo:hi + after[hi - 1]]]
-            gap = _gaps(v[t] - v[u], values.ndim > 1)
-            t += lo
-            u += lo
-            yield t, u, gap
+            yield t, u
         lo = hi
+
+
+def pair_stream(rows: BoolRows, values: np.ndarray):
+    """Chunks (t, u, gap) of ``entry_pairs``, with gap |values[x] - values[y]|,
+    in the sum norm when each point carries a vector, as ``gap_table`` has
+    it."""
+    columns = rows.entries[0]
+    for t, u in entry_pairs(rows):
+        # a chunk's entries run from its first t to its last u
+        lo = t[0]
+        v = values[columns[lo:u[-1] + 1]]
+        yield t, u, _gaps(v[t - lo] - v[u - lo], values.ndim > 1)
 
 
 @dataclass(frozen=True)
@@ -338,12 +335,6 @@ class Filtration:
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    def declared_bounded(self, subset: frozenset[int]) -> bool:
-        """A set is declared bounded iff it is small (<= 1 point) or fits in a level."""
-        if len(subset) <= 1:
-            return True
-        return any(subset <= lv for lv in self.levels)
 
 
 class Space:
@@ -382,8 +373,15 @@ class Space:
                 self._check_pseudometric(metric)
             metric.setflags(write=False)
         self.d = metric
-        if filtration is not None and not isinstance(filtration, Filtration):
-            filtration = Filtration(tuple(frozenset(l) for l in filtration))
+        if filtration is not None:
+            if not isinstance(filtration, Filtration):
+                filtration = Filtration(tuple(frozenset(l) for l in filtration))
+            for i, lv in enumerate(filtration.levels):
+                kinds = set(map(type, lv))
+                if (any(t is bool or not issubclass(t, numbers.Integral) for t in kinds)
+                        or not 0 <= min(lv) <= max(lv) < len(points)):
+                    raise InstanceError("filtration level %d has a point that is not "
+                                        "an index of the space" % (i + 1))
         self.filtration = filtration
 
     @cached_property
@@ -393,6 +391,20 @@ class Space:
         if self.d is None:
             return None
         return self.metric_kind in COORD_METRICS or self._triangle_holds(self.d)
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """The filtration as one read-only int vector: depth[p] is the index
+        of the first level holding p, or the number of levels L for a point
+        past the top (every point of an unfiltered space, where L = 0).  The
+        levels form a chain, so a set fits the window of index j iff its
+        greatest depth is at most j."""
+        levels = () if self.filtration is None else self.filtration.levels
+        depth = np.full(self.n, len(levels), dtype=np.int64)
+        for j in reversed(range(len(levels))):
+            depth[list(levels[j])] = j
+        depth.setflags(write=False)
+        return depth
 
     # -- structural checks -------------------------------------------------
 

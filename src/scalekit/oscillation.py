@@ -19,7 +19,7 @@ from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
 from .model import (InstanceError, fmt_value, gap_table, ordered_grid, pair_stream,
                     widest_pair)
 from .reports import CheckReport, truncation_label
-from .scales import Cover, star_set
+from .scales import Cover, first, star_set
 
 FORMS = ("strict", "relaxed")
 
@@ -100,24 +100,6 @@ def heavy_pairs(f: np.ndarray, cover: Cover, eps: float) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _masks(space, witnesses):
-    out = []
-    for name, s in witnesses:
-        m = np.zeros(space.n, dtype=bool)
-        if s:
-            m[np.fromiter(s, dtype=np.int64)] = True
-        out.append((name, s, m))
-    return out
-
-
-def _strict_pass(mask, bad_union):
-    return bool(mask[bad_union].all()) if bad_union.size else True
-
-
-def _relaxed_pass(mask, xs, ys):
-    return bool((mask[xs] | mask[ys]).all()) if xs.size else True
-
-
 def _first(flags) -> int | None:
     """Index of the first true entry of a bool vector, or None."""
     return int(np.argmax(flags)) if flags.any() else None
@@ -156,7 +138,7 @@ def _search(q: SOQuery, form: str, diams: dict) -> CheckReport:
     if form not in FORMS:
         raise InstanceError("unknown form %r" % form)
     space = q.structure.space
-    cells = _masks(space, witness_space(q.structure))
+    cells = witness_space(q.structure)
     found = []
     for k, cov in enumerate(q.base):
         if form == "strict":
@@ -167,14 +149,14 @@ def _search(q: SOQuery, form: str, diams: dict) -> CheckReport:
             if form == "strict":
                 bad = np.flatnonzero(diams_k > eps)
                 bad_union = np.flatnonzero(cov.matrix[bad].any(axis=0))
-                test = lambda m: _strict_pass(m, bad_union)
+                test = lambda m: m[bad_union].all()
                 refute = lambda: _strict_refutation(q, cov, eps, bad, cells)
             else:
                 pairs = pool[pool["gap"] > eps]
                 xs, ys = pairs["x"], pairs["y"]
-                test = lambda m: _relaxed_pass(m, xs, ys)
+                test = lambda m: (m[xs] | m[ys]).all()
                 refute = lambda: _relaxed_refutation(q, cov, eps, pairs, cells)
-            hit = next((name for name, _, mask in cells if test(mask)), None)
+            hit = first(zip(*cells), test)
             if hit is None:
                 return CheckReport("slowly_oscillating[%s,%s]" % (q.name, form), False,
                                    witnesses=tuple(found), counterexample=refute(),
@@ -193,10 +175,12 @@ def _pair_entry(space, cov, pair):
 def _strict_refutation(q, cov, eps, bad, cells):
     """Deterministic failure record for one strict (cover, eps) cell: the
     first oversized element that no witness swallows, with its widest pair
-    (the first of equals), or else the first element each witness misses."""
+    (the first of equals), or else the first element each witness misses;
+    ``cells`` is ``witness_space``'s (names, matrix)."""
     space = q.structure.space
+    names, w = cells
     base = {"cover": cov.name, "eps": eps, "form": "strict"}
-    outside = [(cov.matrix[bad] & ~mask).any(axis=1) for _, _, mask in cells]
+    outside = [(cov.matrix[bad] & ~mask).any(axis=1) for mask in w]
     common = _first(_every(outside, bad.size))
     if common is not None:
         k = int(bad[common])
@@ -205,7 +189,7 @@ def _strict_refutation(q, cov, eps, bad, cells):
         base["mode"] = "element survives every witness"
         return base
     per = [{"witness": name, "element": cov.labels()[bad[_first(miss)]]}
-           for (name, _, _), miss in zip(cells, outside)]
+           for name, miss in zip(names, outside)]
     base.update({"mode": "no single witness", "refutations": per})
     return base
 
@@ -215,16 +199,17 @@ def _relaxed_refutation(q, cov, eps, pairs, cells):
     first heavy pair that keeps both endpoints outside every witness, or else
     the first such pair per witness."""
     space = q.structure.space
+    names, w = cells
     base = {"cover": cov.name, "eps": eps, "form": "relaxed"}
     xs, ys = pairs["x"], pairs["y"]
-    alive = [~(mask[xs] | mask[ys]) for _, _, mask in cells]
+    alive = [~(mask[xs] | mask[ys]) for mask in w]
     common = _first(_every(alive, len(pairs)))
     if common is not None:
         base.update(_pair_entry(space, cov, pairs[common]))
         base["mode"] = "pair survives every witness"
         return base
     per = [{"witness": name, **_pair_entry(space, cov, pairs[_first(live)])}
-           for (name, _, _), live in zip(cells, alive)]
+           for name, live in zip(names, alive)]
     base.update({"mode": "no single witness", "refutations": per})
     return base
 
@@ -240,15 +225,14 @@ def equivalence_test(q: SOQuery) -> CheckReport:
     rs = _search(q, "strict", diams)
     rr = is_slowly_oscillating(q, "relaxed")
     agree = rs.status == rr.status
-    by_name = dict(witness_space(q.structure))
+    names, w = witness_space(q.structure)
     space = q.structure.space
     checks = []
     ok = True
     for cell in rr.witnesses:
         k = next(k for k, c in enumerate(q.base) if c.name == cell["cover"])
         cov = q.base[k]
-        b = by_name[cell["witness"]]
-        starred = star_set(b, cov)
+        starred = star_set(np.flatnonzero(w[names.index(cell["witness"])]).tolist(), cov)
         bad_union = cov.matrix[_diameters(q, k, diams) > cell["eps"]].any(axis=0)
         contained = frozenset(np.flatnonzero(bad_union).tolist()) <= starred
         ok = ok and contained
@@ -292,15 +276,18 @@ def build_bump_refuter(space, centers, eps: float) -> np.ndarray:
     centers = [int(c) for c in centers]
     if not centers or len(set(centers)) != len(centers):
         raise InstanceError("centers must be distinct and nonempty")
+    if not all(0 <= c < space.n for c in centers):
+        raise InstanceError("centers must be point indices")
     for i, a in enumerate(centers):
         for b in centers[i + 1:]:
             if space.d[a, b] <= 2 * eps:
                 raise InstanceError("centers %s and %s are within 2*eps"
                                     % (space.points[a], space.points[b]))
-    if space.filtration is not None and len(space.filtration.levels) > 1:
-        for j, k in enumerate(space.filtration.levels[:-1]):
-            if all(c in k for c in centers):
-                raise InstanceError("centers do not escape window K%d" % (j + 1))
+    if space.filtration is not None:
+        # the first window holding every center, which must be the top one
+        j = int(space.depth[centers].max())
+        if j < len(space.filtration) - 1:
+            raise InstanceError("centers do not escape window K%d" % (j + 1))
     f = np.zeros(space.n)
     for c in centers:
         f = np.maximum(f, _ball_bump(space, c, eps))

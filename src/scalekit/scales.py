@@ -124,6 +124,14 @@ class Cover:
         m.setflags(write=False)
         return BoolRows(m)
 
+    def value_range(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least and the greatest of a per-point vector over each element."""
+        columns, starts = self.rows.entries
+        # elements are nonempty, so reduceat meets no empty segment
+        per_entry = values[columns]
+        return (np.minimum.reduceat(per_entry, starts[:-1]),
+                np.maximum.reduceat(per_entry, starts[:-1]))
+
     def element_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.elements)
 
@@ -204,12 +212,15 @@ def trivial_extension(family: Cover, space: Space | None = None) -> Cover:
 
 def base_members(base, empty_message: str) -> tuple:
     """The members of a base (a ``ScaleBase`` or any iterable of covers or
-    entourages), checked to be nonempty and to share one space."""
+    entourages), checked to be nonempty and to share one space, which is a
+    ``ScaleBase``'s own."""
     members = tuple(base)
     if not members:
         raise InstanceError(empty_message)
     if any(m.space is not members[0].space for m in members):
         raise InstanceError("base members live on different spaces")
+    if isinstance(base, ScaleBase) and members[0].space is not base.space:
+        raise InstanceError("base members do not live on the base's space")
     return members
 
 
@@ -219,19 +230,23 @@ def first(items, test):
     return next((label for label, item in items if test(item)), None)
 
 
-def base_report(name: str, space: Space, flaws, cells, notes=()) -> CheckReport:
+def base_report(name: str, space: Space, flaws, cells, notes=(),
+                partial: bool = False) -> CheckReport:
     """The report of a base check.  ``flaws`` yields a counterexample per
     flawed member, ``cells`` yields (label, key, found, counterexample) with
     ``found`` the first passing candidate or None; both are read lazily and
-    the first flaw, else the first cell found None, fails the check with no
-    witnesses.  A passing check has one witness per cell: its label with
-    ``key`` set to the candidate."""
+    the first flaw, else the first cell found None, fails the check.  Each
+    cell that passes gives one witness: its label with ``key`` set to the
+    candidate.  A failing check keeps the witnesses of the cells before the
+    failing one when ``partial``, else none; a flaw leaves none."""
     failure = next(iter(flaws), None)
     witnesses = []
     if failure is None:
         for label, key, found, counterexample in cells:
             if found is None:
-                failure, witnesses = counterexample, []
+                failure = counterexample
+                if not partial:
+                    witnesses = []
                 break
             witnesses.append({**label, key: found})
     return CheckReport(name, failure is None, witnesses=tuple(witnesses),

@@ -22,8 +22,7 @@ from scalekit.duality import (LSQuery, ls_membership, reflectivity_oracle,
                               theorem75_agreement, wright_c0_check)
 from scalekit.entourages import entourage_of_scale, scale_of_entourage
 from scalekit.instances import bundled
-from scalekit.metric import (ball_cover, distance_candidates, lebesgue_number,
-                             mesh, metric_ls_base, metric_ss_base)
+from scalekit.metric import ball_cover, lebesgue_number, mesh, metric_ls_base, metric_ss_base
 from scalekit.model import Space, builder_grid, builder_line
 from scalekit.oscillation import (SOQuery, build_bump_refuter,
                                   build_scaled_refuter, equivalence_test,
@@ -31,6 +30,7 @@ from scalekit.oscillation import (SOQuery, build_bump_refuter,
 from scalekit.scales import (Cover, PartitionOfUnity, check_ls_base,
                              check_ss_base, refines, star_family, star_set)
 from scalekit.algebra_noncomm import pou_improve
+from test_matrix_oracles import distance_candidates
 
 SEED = 20240117
 

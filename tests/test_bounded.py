@@ -5,9 +5,8 @@ import pytest
 
 from scalekit import bounded
 from scalekit.bounded import (BoundedStructure, check_axioms, check_proper,
-                              desk_weakly_bounded, is_weakly_bounded,
-                              lemma_wb_test, proper_hls_test, proper_hss_test,
-                              st_weakly_bounded_test, star_probes,
+                              desk_weakly_bounded, lemma_wb_test, proper_hls_test,
+                              proper_hss_test, st_weakly_bounded_test, star_probes,
                               uniformly_bounded, witness_space)
 from scalekit.metric import ball_cover, metric_ls_base, metric_ss_base
 from scalekit.model import Filtration, InstanceError, Space, builder_line
@@ -75,6 +74,16 @@ def test_components_transitive_closure():
     assert frozenset({8}) in comps
 
 
+def test_components_are_numbered_by_minimal_point():
+    # the third generator re-roots the class of 0 at 3, past the root of {1, 2}
+    b = BoundedStructure(line(5), ({0, 5}, {1, 2}, {3, 5}))
+    part = b.components()
+    assert part.ids.tolist() == [0, 1, 1, 0, 2, 0]
+    assert part.components == (frozenset({0, 3, 5}), frozenset({1, 2}), frozenset({4}))
+    assert b.traces({5, 2, 4}) == [(0, frozenset({5})), (1, frozenset({2})),
+                                   (2, frozenset({4}))]
+
+
 def test_check_axioms_reports_counts():
     space = line(9)
     b = BoundedStructure(space, (interval(space, 0, 3), interval(space, 2, 6)))
@@ -98,9 +107,14 @@ def test_from_filtration_and_from_metric():
 
 
 def test_weakly_bounded_literal_is_cheap_true():
+    # every trace lies in one component, so each is a member: the literal
+    # notion decides nothing, which is why only the desk notion is computed
     tn = trunc_nat()
     b = bounded.from_filtration(tn)
-    assert is_weakly_bounded(frozenset(range(tn.n)), b)
+    traces = b.traces(range(tn.n))
+    assert [cid for cid, _ in traces] == list(range(len(b.components().components)))
+    assert all(b.is_member(t) for _, t in traces)
+    assert frozenset().union(*(t for _, t in traces)) == frozenset(range(tn.n))
 
 
 def test_desk_weakly_bounded_frozen_cases():
@@ -134,11 +148,12 @@ def test_star_probes_exclude_top_window():
 def test_witness_space_layout():
     tn = trunc_nat()
     b = bounded.from_filtration(tn)
-    ws = witness_space(b)
-    names = [name for name, _ in ws]
-    assert names[0] == "empty" and ws[0][1] == frozenset()
-    assert names[1:11] == ["K%d" % k for k in range(1, 11)]
-    sizes = [len(w) for _, w in ws[1:11]]
+    names, rows = witness_space(b)
+    assert rows.shape == (len(names), tn.n) and not rows.flags.writeable
+    assert names[0] == "empty" and not rows[0].any()
+    assert names[1:11] == tuple("K%d" % k for k in range(1, 11))
+    assert all(np.array_equal(rows[k + 1], tn.depth <= k) for k in range(10))
+    sizes = rows[1:11].sum(axis=1).tolist()
     assert sizes == sorted(sizes)
     # tail entries are window-plus-component patches
     assert all("+comp@" in nm for nm in names[11:])
@@ -147,9 +162,9 @@ def test_witness_space_layout():
 def test_witness_space_unfiltered():
     space = line(6)
     b = BoundedStructure(space, (interval(space, 0, 2), interval(space, 4, 6)))
-    ws = witness_space(b)
-    assert ws[0] == ("empty", frozenset())
-    tails = {w for _, w in ws[1:]}
+    names, rows = witness_space(b)
+    assert names[0] == "empty" and not rows[0].any()
+    tails = {frozenset(np.flatnonzero(r).tolist()) for r in rows[1:]}
     assert interval(space, 0, 2) in tails
     assert interval(space, 4, 6) in tails
 

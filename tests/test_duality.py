@@ -58,11 +58,11 @@ def test_ls_membership_witnesses_verify():
     assert rep.status
     from scalekit.bounded import witness_space
     from scalekit.oscillation import heavy_pairs
-    ws = dict(witness_space(TN_B))
+    names, rows = witness_space(TN_B)
     for w in rep.witnesses:
         if w.get("condition") != 2:
             continue
-        s = ws[w["witness"]]
+        s = frozenset(np.flatnonzero(rows[names.index(w["witness"])]).tolist())
         f = TN_FAM.member(w["function"])
         for _, x, y, _ in heavy_pairs(f, T75["tens"][0], w["eps"]):
             assert x in s or y in s

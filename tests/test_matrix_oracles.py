@@ -1,11 +1,16 @@
 """Covers and entourages are stored as bool matrices, heavy pairs as
-structured arrays, operators as coordinate arrays, and every spread (the
-widest value or metric gap inside an element) comes from one kernel; these
-properties pit every matrix, array or kernel operation against the set-,
-dict- or loop-based version it replaced, on seeded random carriers of 1 to
-8 points (a few to 150 for operators), with duplicate cover elements
-allowed.  The two paths of the relation kernel, packed words and BLAS
+structured arrays, operators as coordinate arrays, a filtration as one depth
+vector, components as one id vector and the witness catalogue as one bool
+matrix, and every spread (the widest value or metric gap inside an element)
+comes from one kernel; these properties pit every matrix, array or kernel
+operation against the set-, dict- or loop-based version it replaced, on
+seeded random carriers of 1 to 12 points (a few to 150 for operators), with
+duplicate cover elements allowed, and the window checks also on the bundled
+truncated carriers.  The two paths of the relation kernel, packed words and BLAS
 counts, are pitted against each other on wider random bool matrices."""
+import re
+from functools import lru_cache, reduce
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,19 +23,24 @@ from scalekit.algebra_noncomm import (OperatorMatrix, StarFamily, _monomials,
                                       column_pseudometric, f_bounded, operator_norm,
                                       roe_comparison_tests, ss_from_algebra,
                                       ssp_witness_check, support_entourage)
-from scalekit.bounded import (BoundedStructure, desk_weakly_bounded,
+from scalekit.bounded import (BoundedStructure, _bounded_image, check_proper,
+                              desk_weakly_bounded, from_filtration, lemma_wb_test,
+                              proper_hss_test, st_weakly_bounded_test, uniformly_bounded,
                               witness_space)
-from scalekit.duality import (LSQuery, _extreme_pairs, _star_condition,
-                              ls_membership, s0_classify, wright_c0_check)
+from scalekit.duality import (LSQuery, _extreme_pairs, continuously_controlled_check,
+                              ls_membership, maximal_structure_check, reflectivity_oracle,
+                              s0_classify, theorem75_agreement, wright_c0_check)
+from scalekit.instances import bundled
 from scalekit.entourages import (Entourage, check_coarse_axioms, check_uniform_axioms,
                                  compose, diagonal, entourage_of_scale, invert,
                                  scale_of_entourage, slice_at)
-from scalekit.metric import (ball_cover, distance_candidates, lebesgue_number, mesh,
-                             metric_ls_base, metric_ss_base, sup_diameter)
+from scalekit.metric import (ball_cover, lebesgue_number, mesh, metric_ls_base,
+                             metric_ss_base, sup_diameter)
 from scalekit import model
 from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_covered,
                             bool_product, builder_line, fmt_value)
-from scalekit.oscillation import (SOQuery, element_diameters, equivalence_test,
+from scalekit.oscillation import (SOQuery, _ball_bump, build_bump_refuter,
+                                  build_scaled_refuter, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
 from scalekit.reports import CheckReport, truncation_label
 from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, check_ls_base,
@@ -68,6 +78,21 @@ def oracle_compose(e, f):
 
 def oracle_slice(pairs, x):
     return frozenset(y for (y, x2) in pairs if x2 == x)
+
+
+def distance_candidates(space):
+    """Sorted distinct positive finite distances, plus consecutive midpoints:
+    the radii the mesh and Lebesgue scans once stepped through.  Outcomes
+    are constant between neighbouring distances, so the midpoints never
+    shift a scan value."""
+    vals = np.unique(space.d)
+    vals = vals[np.isfinite(vals) & (vals > 0)]
+    out = []
+    for i, v in enumerate(vals):
+        if i > 0:
+            out.append(float(vals[i - 1] + v) / 2.0)
+        out.append(float(v))
+    return out
 
 
 def oracle_entourage_of_scale(elements):
@@ -379,6 +404,106 @@ def oracle_heavy_pairs(f, elements, eps):
     return pairs
 
 
+# the truncation layer's frozenset code: components as sets, windows as levels
+
+def oracle_components(n, groups):
+    """Union-find classes of the points once each group is joined, listed by
+    minimal point, and each point's class id."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for g in groups:
+        it = iter(g)
+        first = find(next(it))
+        for x in it:
+            parent[find(x)] = first
+    buckets = {}
+    for x in range(n):
+        buckets.setdefault(find(x), set()).add(x)
+    comps = tuple(sorted((frozenset(c) for c in buckets.values()), key=min))
+    ids = [0] * n
+    for cid, comp in enumerate(comps):
+        for x in comp:
+            ids[x] = cid
+    return comps, tuple(ids)
+
+
+@lru_cache(maxsize=4)
+def oracle_partitions(b):
+    """The generated and the ideal partition of a structure, each as
+    (components, ids); the ideal one joins each row of finite distances."""
+    space = b.space
+    generated = oracle_components(space.n, b.generators)
+    if space.d is None:
+        return generated, generated
+    rows = {np.isfinite(r).tobytes(): r for r in space.d}.values()
+    return generated, oracle_components(space.n, [np.flatnonzero(np.isfinite(r)).tolist()
+                                                  for r in rows])
+
+
+def oracle_traces(partition, subset):
+    out = {}
+    for x in subset:
+        out.setdefault(partition[1][x], set()).add(x)
+    return [(cid, frozenset(t)) for cid, t in sorted(out.items())]
+
+
+def oracle_is_member(partition, subset):
+    return len(subset) <= 1 or len({partition[1][x] for x in subset}) == 1
+
+
+def oracle_desk(subset, b):
+    space = b.space
+    subset = frozenset(int(x) for x in subset)
+    generated, ideal = oracle_partitions(b)
+    if space.filtration is None:
+        ok = all(oracle_is_member(generated, t) for _, t in oracle_traces(generated, subset))
+        return ok, {"mode": "literal", "verdict": ok}
+    levels = space.filtration.levels
+    bad = [cid for cid, t in oracle_traces(ideal, subset)
+           if len(t) > 1 and not any(t <= k for k in levels)]
+    return not bad, {"mode": "truncation", "bad_ideal_components": bad}
+
+
+def oracle_star_probes(b):
+    space = b.space
+    if space.filtration is None:
+        return [("comp@%s" % space.points[min(c)], c) for c in oracle_partitions(b)[0][0]]
+    return [("K%d" % (i + 1), k) for i, k in enumerate(space.filtration.levels[:-1])]
+
+
+def oracle_witness_space(b):
+    space = b.space
+    generated, ideal = oracle_partitions(b)
+    out = [("empty", frozenset())]
+    if space.filtration is None:
+        return out + [("comp@%s" % space.points[min(c)], c) for c in generated[0]]
+    levels = space.filtration.levels
+    out += [("K%d" % (i + 1), k) for i, k in enumerate(levels)]
+    compatible = [c for c in ideal[0] if len(c) <= 1 or any(c <= k for k in levels)]
+    for i, k in enumerate(levels):
+        for comp in compatible:
+            if not comp <= k:
+                out.append(("K%d+comp@%s" % (i + 1, space.points[min(comp)]), k | comp))
+    return out
+
+
+def oracle_star_condition(cover, b):
+    hits = []
+    for name, probe in oracle_star_probes(b):
+        st_ = oracle_star(probe, cover.elements)
+        ok, detail = oracle_desk(st_, b)
+        if not ok:
+            return None, {"condition": 1, "probe": name, "detail": detail}
+        hits.append({"probe": name, "star_size": len(st_)})
+    return hits, None
+
+
 def oracle_masks(space, witnesses):
     out = []
     for name, s in witnesses:
@@ -433,7 +558,7 @@ def oracle_refutation(q, cov, eps, form, pairs, bad, cells):
 
 def oracle_slowly_oscillating(q, form):
     space = q.structure.space
-    cells = oracle_masks(space, witness_space(q.structure))
+    cells = oracle_masks(space, oracle_witness_space(q.structure))
     found = []
     name = "slowly_oscillating[%s,%s]" % (q.name, form)
     for cov in q.base:
@@ -461,7 +586,7 @@ def oracle_slowly_oscillating(q, form):
 
 
 def oracle_equivalence_checks(q, relaxed):
-    by_name = dict(witness_space(q.structure))
+    by_name = dict(oracle_witness_space(q.structure))
     checks = []
     for cell in relaxed.witnesses:
         cov = next(c for c in q.base if c.name == cell["cover"])
@@ -471,7 +596,7 @@ def oracle_equivalence_checks(q, relaxed):
         for k, el in enumerate(cov.elements):
             if diams[k] > cell["eps"]:
                 bad_union |= el
-        wb, _ = desk_weakly_bounded(starred, q.structure)
+        wb, _ = oracle_desk(starred, q.structure)
         checks.append({"cover": cell["cover"], "eps": cell["eps"],
                        "relaxed_witness": cell["witness"],
                        "strict_at_star": bad_union <= starred, "star_desk_wb": wb})
@@ -480,11 +605,11 @@ def oracle_equivalence_checks(q, relaxed):
 
 def oracle_ls_membership(q):
     space = q.structure.space
-    hits, fail = _star_condition(q.cover, q.structure)
+    hits, fail = oracle_star_condition(q.cover, q.structure)
     if fail is not None:
         return CheckReport("ls_membership", False, counterexample=fail,
                            truncation=truncation_label(space))
-    masks = oracle_masks(space, witness_space(q.structure))
+    masks = oracle_masks(space, oracle_witness_space(q.structure))
     if space.filtration is not None:
         bases = [("K%d" % (i + 1), k) for i, k in enumerate(space.filtration.levels)]
     else:
@@ -996,6 +1121,408 @@ def test_lebesgue_matches_candidate_scan(cover):
 def test_wright_c0_matches_oracle(cover):
     got = wright_c0_check(cover, cover.space)
     assert payload_bytes(got) == payload_bytes(oracle_wright_c0(cover, cover.space))
+
+
+# -- window checks: the depth vector against the level scans it replaced -------
+
+def oracle_maximal_structure(cover, b):
+    space = b.space
+    levels = space.filtration.levels
+    top = levels[-1]
+    notes = []
+    over = sum(1 for el in cover.elements if not el <= top)
+    if over:
+        notes.append("%d elements reach past the top window" % over)
+    witnesses = []
+    for name, probe in oracle_star_probes(b):
+        st_ = oracle_star(probe, cover.elements)
+        home = next((j for j, k in enumerate(levels) if st_ <= k), None)
+        if home is None:
+            spill = sorted(st_ - top)
+            return CheckReport(
+                "maximal_structure", False, witnesses=tuple(witnesses),
+                counterexample={"probe": name,
+                                "spill": [space.points[i] for i in spill[:4]],
+                                "reason": "star fits no window"},
+                notes=tuple(notes), truncation=truncation_label(space))
+        witnesses.append({"probe": name, "home": "K%d" % (home + 1)})
+    return CheckReport("maximal_structure", True, witnesses=tuple(witnesses),
+                       notes=tuple(notes), truncation=truncation_label(space))
+
+
+def oracle_continuously_controlled(cover, b):
+    space = b.space
+    hits, fail = oracle_star_condition(cover, b)
+    if fail is not None:
+        return CheckReport("continuously_controlled", False, counterexample=fail,
+                           truncation=truncation_label(space))
+    levels = space.filtration.levels
+    outside = [frozenset(range(space.n)) - k for k in levels]
+    witnesses = [{"condition": 1, "stars": hits}]
+    for i in range(len(levels) - 1):
+        inner = levels[i]
+        hit = next((j for j in range(i, len(levels))
+                    if all(not (el & outside[j] and el & inner)
+                           for el in cover.elements)), None)
+        if hit is None:
+            viol = next(k for k, el in enumerate(cover.elements)
+                        if el & outside[-1] and el & inner)
+            return CheckReport(
+                "continuously_controlled", False, witnesses=tuple(witnesses),
+                counterexample={"condition": 2, "window": "K%d" % (i + 1),
+                                "element": cover.labels()[viol],
+                                "reason": "element bridges the window and the "
+                                          "far region at every depth"},
+                truncation=truncation_label(space))
+        witnesses.append({"condition": 2, "window": "K%d" % (i + 1),
+                          "depth": "K%d" % (hit + 1)})
+    return CheckReport("continuously_controlled", True, witnesses=tuple(witnesses),
+                       truncation=truncation_label(space))
+
+
+def oracle_st_weakly_bounded(subset, cover, b, ls_base):
+    space = b.space
+    if not uniformly_bounded(cover, ls_base):
+        raise InstanceError("cover is not uniformly bounded in the given base")
+    s = frozenset(subset)
+    st_ = oracle_star(s, cover.elements)
+    generated = oracle_partitions(b)[0]
+    literal = all(oracle_is_member(generated, t) for _, t in oracle_traces(generated, st_))
+    desk, detail = oracle_desk(st_, b)
+    ids = generated[1]
+    straddler = next((k for k, el in enumerate(cover.elements)
+                      if len({ids[x] for x in el}) > 1), None)
+    identity = None
+    if straddler is None:
+        identity = all(st_ & comp == (oracle_star(s & comp, cover.elements)
+                                      if s & comp else frozenset())
+                       for comp in generated[0])
+    notes = []
+    if straddler is not None:
+        notes.append("component identity skipped: element %d straddles" % straddler)
+    levels = space.filtration.levels if space.filtration is not None else ()
+    level_home = next(("K%d" % (i + 1) for i, k in enumerate(levels) if st_ <= k), None)
+    status = literal and desk and (identity is not False)
+    return CheckReport(
+        "st_weakly_bounded_test", status,
+        witnesses=({"star_size": len(st_), "star_inside": level_home,
+                    "componentwise_identity": identity,
+                    "desk_detail": detail},),
+        counterexample=None if status else {"desk_detail": detail,
+                                            "componentwise_identity": identity},
+        notes=tuple(notes), truncation=truncation_label(space))
+
+
+def oracle_proper_hss(b, covers):
+    probes = oracle_star_probes(b)
+    generated = oracle_partitions(b)[0]
+    last_fail = None
+    for ci, u in enumerate(covers):
+        ok = True
+        for pname, p in probes:
+            st_ = oracle_star(p, u.elements)
+            if not oracle_is_member(generated, st_):
+                ok = False
+                last_fail = {"cover": ci, "probe": pname, "star_size": len(st_)}
+                break
+        if ok:
+            return CheckReport("proper_hss_test", True,
+                               witnesses=({"cover": ci, "probes": len(probes)},),
+                               truncation=truncation_label(b.space))
+    return CheckReport("proper_hss_test", False, counterexample=last_fail,
+                       truncation=truncation_label(b.space))
+
+
+def oracle_lemma_wb(f, b_x, b_y):
+    f = np.asarray(f, dtype=np.int64)
+    proper = check_proper(f, b_x, b_y)
+    img_ok, img_bad = _bounded_image(f, b_x, b_y)
+    notes = ["literal weak boundedness is automatic on finite generated "
+             "families; the desk certificate carries the content"]
+    label = truncation_label(b_x.space)
+    if proper.status and img_ok:
+        generated = oracle_partitions(b_x)[0]
+        checked = 0
+        for wname, w in oracle_witness_space(b_y):
+            if not oracle_desk(w, b_y)[0]:
+                continue
+            pre = frozenset(np.flatnonzero(np.isin(f, sorted(w))).tolist())
+            if not all(oracle_is_member(generated, t) for _, t in oracle_traces(generated, pre)):
+                return CheckReport("lemma_wb_test", False,
+                                   counterexample={"witness": wname,
+                                                   "reason": "literal conclusion fails"},
+                                   truncation=label)
+            ok_x, detail = oracle_desk(pre, b_x)
+            if not ok_x:
+                return CheckReport("lemma_wb_test", False,
+                                   counterexample={"witness": wname, "desk_detail": detail},
+                                   truncation=label)
+            checked += 1
+        return CheckReport("lemma_wb_test", True,
+                           witnesses=({"hypotheses": "proper+bounded-image",
+                                       "witnesses_checked": checked},),
+                           notes=tuple(notes), truncation=label)
+    wb_y, _ = oracle_desk(range(b_y.space.n), b_y)
+    wb_x, detail_x = oracle_desk(range(b_x.space.n), b_x)
+    notes.append("hypothesis failed: %s" % (
+        "image of a bounded set escapes" if proper.status else "map not proper"))
+    return CheckReport(
+        "lemma_wb_test", True,
+        witnesses=({"hypothesis_proper": proper.status,
+                    "hypothesis_bounded_image": img_ok,
+                    "image_failure": img_bad,
+                    "carrier_desk_wb_in_codomain": wb_y,
+                    "carrier_preimage_desk_wb_in_domain": wb_x,
+                    "domain_desk_detail": detail_x},),
+        notes=tuple(notes), truncation=label)
+
+
+def oracle_reflectivity(cover, b, ls_base, catalogue, eps_grid):
+    space = b.space
+    if uniformly_bounded(cover, ls_base):
+        return CheckReport("reflectivity_oracle", True,
+                           witnesses=({"verdict": "MEMBER-CONSISTENT",
+                                       "route": "uniform boundedness precheck"},),
+                           notes=("membership consistent without a witness search",),
+                           truncation=truncation_label(space))
+    hits, fail = oracle_star_condition(cover, b)
+    if fail is not None:
+        confirm = oracle_ls_membership(LSQuery(cover, b, catalogue, eps_grid))
+        return CheckReport("reflectivity_oracle", False,
+                           witnesses=({"verdict": "NOT-MEMBER", "route": "unbounded star"},),
+                           counterexample={**fail, "membership_confirms": not confirm.status},
+                           truncation=truncation_label(space))
+    picks = []
+    k = 1
+    for _, x, y, dist in oracle_extreme_pairs(cover, space):
+        if dist >= 2 * k and all(space.d[x, px] > pr + k and space.d[y, px] >= pr
+                                 and space.d[py, x] >= k for px, py, pr in picks):
+            picks.append((x, y, k))
+            k += 1
+    if not picks:
+        return CheckReport("reflectivity_oracle", True,
+                           witnesses=({"verdict": "INCONCLUSIVE",
+                                       "route": "no separated wide pairs"},),
+                           truncation=truncation_label(space))
+    refuter = build_scaled_refuter(space, [p[0] for p in picks], [p[2] for p in picks])
+    refuted = all(any(x not in s and y not in s for x, y, _ in picks)
+                  for _, s in oracle_witness_space(b))
+    pick_view = [{"pair": [space.points[x], space.points[y]], "radius": r}
+                 for x, y, r in picks]
+    if not refuted:
+        return CheckReport("reflectivity_oracle", True,
+                           witnesses=({"verdict": "INCONCLUSIVE",
+                                       "route": "tents absorbed by the window ladder",
+                                       "picks": pick_view},),
+                           truncation=truncation_label(space))
+    cat2 = FunctionFamily(space, tuple(catalogue.names) + ("tent_refuter",),
+                          np.vstack([catalogue.values, refuter.reshape(1, -1)]))
+    confirm = oracle_ls_membership(LSQuery(cover, b, cat2, eps_grid))
+    notes = ["eps grid never drops below the tent height"] if min(eps_grid) >= 1 else []
+    return CheckReport("reflectivity_oracle", False,
+                       witnesses=({"verdict": "NOT-MEMBER",
+                                   "route": "tent refuter", "picks": pick_view},),
+                       counterexample={"membership_confirms": not confirm.status,
+                                       "detail": confirm.counterexample},
+                       notes=tuple(notes), truncation=truncation_label(space))
+
+
+def oracle_theorem75_notes(b, fam):
+    space = b.space
+    levels = space.filtration.levels
+    far = (sorted(frozenset(range(space.n)) - levels[-2]) if len(levels) > 1
+           else list(range(space.n)))
+    tail = max(float(oracle_gaps(row[far]).max()) for row in fam.values)
+    return ("catalogue tail variation %s past K%d" % (fmt_value(tail), len(levels) - 1),)
+
+
+def oracle_bump_refuter(space, centers, eps):
+    if space.d is None:
+        raise InstanceError("refuters need a metric")
+    if eps <= 0:
+        raise InstanceError("eps must be positive")
+    centers = [int(c) for c in centers]
+    if not centers or len(set(centers)) != len(centers):
+        raise InstanceError("centers must be distinct and nonempty")
+    for i, a in enumerate(centers):
+        for b in centers[i + 1:]:
+            if space.d[a, b] <= 2 * eps:
+                raise InstanceError("centers %s and %s are within 2*eps"
+                                    % (space.points[a], space.points[b]))
+    if space.filtration is not None and len(space.filtration.levels) > 1:
+        for j, k in enumerate(space.filtration.levels[:-1]):
+            if all(c in k for c in centers):
+                raise InstanceError("centers do not escape window K%d" % (j + 1))
+    return reduce(np.maximum, (_ball_bump(space, c, eps) for c in centers), np.zeros(space.n))
+
+
+def same_report(got, want):
+    assert payload_bytes(got) == payload_bytes(want)
+
+
+def same_outcome(call, oracle, same=same_report):
+    """Both raise an InstanceError with the same message, or both give
+    results that are ``same``: reports of the same bytes by default."""
+    try:
+        want = oracle()
+    except InstanceError as exc:
+        with pytest.raises(InstanceError, match="^%s$" % re.escape(str(exc))):
+            call()
+        return
+    same(call(), want)
+
+
+def assert_window_checks_match(cover, b, fam, eps_grid, subsets):
+    """Every rewritten window scan against its frozenset oracle on one
+    cover of one structure; ``subsets`` feed the desk and star tests."""
+    space = b.space
+    generated, ideal = oracle_partitions(b)
+    for got, want in ((b.components(), generated), (b.ideal_components(), ideal)):
+        assert got.components == want[0] and got.ids.tolist() == list(want[1])
+        assert got.one_component == (len(want[0]) == 1)
+    names, rows = witness_space(b)
+    want = oracle_witness_space(b)
+    assert names == tuple(nm for nm, _ in want)
+    assert [frozenset(np.flatnonzero(r).tolist()) for r in rows] == [w for _, w in want]
+    probes = [oracle_star(p, cover.elements) for _, p in oracle_star_probes(b)]
+    for s in list(subsets) + probes + [w for _, w in want]:
+        assert desk_weakly_bounded(s, b) == oracle_desk(s, b)
+        assert b.traces(s) == oracle_traces(generated, s)
+    filtered = space.filtration is not None
+    if space.d is not None:
+        ls_base = metric_ls_base(space, (1.0, 3.0, 9.0))
+        ss_base = metric_ss_base(space, (3.0, 1.0, 1.0 / 3))
+    else:
+        ls_base = ScaleBase(space, (Cover(space, [range(space.n)]),))
+        ss_base = ScaleBase(space, (Cover(space, np.eye(space.n, dtype=bool)),))
+    for s in subsets:
+        same_outcome(lambda: st_weakly_bounded_test(s, cover, b, ls_base),
+                     lambda: oracle_st_weakly_bounded(s, cover, b, ls_base))
+    checks = [(maximal_structure_check, oracle_maximal_structure),
+              (continuously_controlled_check, oracle_continuously_controlled)]
+    for check, oracle in checks:
+        if filtered:
+            same_report(check(cover, b), oracle(cover, b))
+        else:
+            with pytest.raises(InstanceError):
+                check(cover, b)
+    if filtered and space.d is not None:
+        same_report(wright_c0_check(cover, space), oracle_wright_c0(cover, space))
+    q = LSQuery(cover, b, fam, eps_grid)
+    same_report(ls_membership(q), oracle_ls_membership(q))
+    same_report(proper_hss_test(b, ss_base), oracle_proper_hss(b, ss_base.covers))
+    pairs = [(b, b)] + ([(b, from_filtration(space)), (from_filtration(space), b)]
+                        if filtered else [])
+    for f in (np.arange(space.n), np.minimum(np.arange(space.n) * 2, space.n - 1)):
+        for b_x, b_y in pairs:
+            same_report(lemma_wb_test(f, b_x, b_y), oracle_lemma_wb(f, b_x, b_y))
+    # radius-1 balls hold no wide element, so the refuting branches run
+    if space.d is not None:
+        points = metric_ls_base(space, (1.0,))
+        same_report(reflectivity_oracle(cover, b, points, fam, eps_grid),
+                    oracle_reflectivity(cover, b, points, fam, eps_grid))
+    if filtered and fam.constant_at_infinity and space.d is not None:
+        rep = theorem75_agreement([("u", cover)], b, fam, eps_grid)
+        assert rep.notes == oracle_theorem75_notes(b, fam)
+        assert rep.witnesses == ({"cover": "u",
+                                  "induced": oracle_ls_membership(q).status,
+                                  "controlled": oracle_continuously_controlled(cover, b).status},)
+    for centers in ([0], [space.n - 1], [0, space.n - 1]) if space.d is not None else ():
+        same_outcome(lambda: build_bump_refuter(space, centers, 0.25),
+                     lambda: oracle_bump_refuter(space, centers, 0.25),
+                     lambda got, want: np.testing.assert_array_equal(got, want))
+
+
+WINDOWED = [(name, cover) for name in ("truncnat", "halfline")
+            for cover in sorted(bundled(name)[1].covers)]
+
+
+@pytest.mark.parametrize("name,cover", WINDOWED, ids=["-".join(c) for c in WINDOWED])
+def test_window_checks_match_oracle_on_bundled(name, cover):
+    space, cat = bundled(name)
+    b = from_filtration(space)
+    tagged = cat.tags["constant_at_infinity"]
+    fam = cat.family(space, tagged if name == "truncnat" else tuple(cat.functions)[:2])
+    windows = space.filtration.levels
+    subsets = [frozenset(), windows[0], windows[1], frozenset({space.n - 1}),
+               frozenset({0, space.n - 1}), frozenset(range(space.n))]
+    assert_window_checks_match(cat.covers[cover], b, fam, (1.0, 0.5, 0.25), subsets)
+
+
+@st.composite
+def windowed_cases(draw):
+    """Points p0.. with a random pseudometric (inf splits the ideal
+    components; now and then no metric, when the generated components are
+    the ideal ones), 1 to 4 windows (none now and then), a structure from
+    the windows or from random generators, a cover whose elements may reach
+    past the top window, a catalogue and a few subsets."""
+    n = draw(st.integers(1, 12))
+    d = None
+    if draw(st.integers(0, 3)):
+        d = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i, j] = d[j, i] = draw(DISTANCES)
+    filtration = None
+    if draw(st.integers(0, 4)):
+        order = draw(st.permutations(range(n)))
+        count = draw(st.integers(1, min(n, 4)))
+        cuts = sorted(draw(st.sets(st.integers(1, n), min_size=count, max_size=count)))
+        filtration = Filtration(tuple(frozenset(order[:c]) for c in cuts))
+    space = Space(["p%d" % i for i in range(n)], metric=d, filtration=filtration)
+    if filtration is not None and draw(st.booleans()):
+        b = from_filtration(space)
+    else:
+        b = BoundedStructure(space, draw(st.lists(
+            st.frozensets(st.integers(0, n - 1), min_size=1), max_size=3)))
+    cover = Cover(space, draw(element_lists(n)), name="u")
+    k = draw(st.integers(1, 2))
+    fam = FunctionFamily(space, ["g%d" % i for i in range(k)],
+                         [values(draw, n) for _ in range(k)],
+                         constant_at_infinity=draw(st.booleans()))
+    subsets = [frozenset()] + draw(st.lists(st.frozensets(st.integers(0, n - 1)),
+                                            max_size=3))
+    return cover, b, fam, draw(eps_grids), subsets
+
+
+@settings(SEEDED, max_examples=150)
+@given(windowed_cases())
+def test_window_checks_match_oracle(case):
+    assert_window_checks_match(*case)
+
+
+def test_empty_star_lands_in_the_first_window():
+    space, cat = bundled("truncnat")
+    b = from_filtration(space)
+    cover = cat.covers["tens"]
+    base = metric_ls_base(space, (1.0, 3.0, 9.0))
+    rep = st_weakly_bounded_test(frozenset(), cover, b, base)
+    same_report(rep, oracle_st_weakly_bounded(frozenset(), cover, b, base))
+    assert rep.witnesses[0]["star_size"] == 0
+    assert rep.witnesses[0]["star_inside"] == "K1"
+
+
+def test_lemma_wb_pulls_witnesses_back_to_other_windows():
+    # one component on both sides, so the identity is proper with bounded
+    # images; the codomain's single window holds every witness, the
+    # domain's windows stop at point 1, so the first pulled-back witness
+    # with a point past them fails there
+    points = ["a", "b", "c", "d"]
+    b_x = BoundedStructure(Space(points, filtration=[[0], [0, 1]]), [range(4)])
+    b_y = BoundedStructure(Space(points, filtration=[range(4)]), [range(4)])
+    f = np.arange(4)
+    rep = lemma_wb_test(f, b_x, b_y)
+    same_report(rep, oracle_lemma_wb(f, b_x, b_y))
+    assert rep.counterexample["witness"] == "K1"
+    same_report(lemma_wb_test(f, b_y, b_x), oracle_lemma_wb(f, b_y, b_x))
+
+
+def test_desk_on_an_unfiltered_space_is_the_literal_notion():
+    space = builder_line(6, 1.0)
+    b = BoundedStructure(space, [frozenset({0, 1}), frozenset({4, 5})])
+    for s in (frozenset(), frozenset({0, 5}), frozenset(range(7))):
+        assert desk_weakly_bounded(s, b) == oracle_desk(s, b) == (
+            True, {"mode": "literal", "verdict": True})
 
 
 @SEEDED

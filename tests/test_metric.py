@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from scalekit.metric import (ball_cover, distance_candidates, lebesgue_number,
-                             mesh, sup_diameter)
+from scalekit.metric import ball_cover, lebesgue_number, mesh, sup_diameter
 from scalekit.model import InstanceError, Space, builder_grid, builder_line
 from scalekit.scales import Cover, refines, star_family
+from test_matrix_oracles import distance_candidates
 
 LINE20 = builder_line(20, 1.0)
 

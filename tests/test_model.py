@@ -148,11 +148,25 @@ def test_filtration_must_increase():
 
 
 def test_filtration_declared_bounded():
+    # a set fits a window iff its greatest depth is below the level count
     fl = Filtration((frozenset({0, 1}), frozenset({0, 1, 2, 3})))
-    assert fl.declared_bounded(frozenset({0, 1}))
-    assert fl.declared_bounded(frozenset({3}))
-    assert fl.declared_bounded(frozenset())
-    assert not fl.declared_bounded(frozenset({3, 4}))
+    sp = Space(["a", "b", "c", "d", "e"], filtration=fl)
+    assert sp.depth.tolist() == [0, 0, 1, 1, 2]
+    assert not sp.depth.flags.writeable
+
+    def fits(s):
+        return sp.depth[sorted(s)].max(initial=0) < len(fl)
+
+    assert fits({0, 1}) and fits({3}) and fits(set())
+    assert not fits({3, 4})
+    assert Space(["a", "b"]).depth.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("level", [[0, 5], [-1], [0.5], ["0"], [True]],
+                         ids=["past-the-end", "negative", "float", "label", "bool"])
+def test_filtration_entries_must_be_point_indices(level):
+    with pytest.raises(InstanceError, match="filtration level 1"):
+        Space(["a", "b"], metric=[[0, 1], [1, 0]], filtration=[level])
 
 
 def test_group_window_space():

@@ -112,9 +112,9 @@ def test_witness_certificate_is_constructive():
     rep = is_slowly_oscillating(q, form="strict")
     assert rep.status
     from scalekit.bounded import witness_space
-    ws = dict(witness_space(q.structure))
+    names, rows = witness_space(q.structure)
     for w in rep.witnesses:
-        witness = ws[w["witness"]]
+        witness = frozenset(np.flatnonzero(rows[names.index(w["witness"])]).tolist())
         cover = next(c for c in q.base if c.name == w["cover"])
         diams = element_diameters(q.f, cover)
         for k, el in enumerate(cover.elements):
@@ -178,6 +178,12 @@ def test_bump_refuter_defeats_every_witness():
     rep = is_slowly_oscillating(q, form="strict")
     assert not rep.status
     assert rep.counterexample["mode"] == "element survives every witness"
+
+
+@pytest.mark.parametrize("center", [-1, SPACE.n], ids=["negative", "past-the-end"])
+def test_bump_refuter_rejects_centers_off_the_carrier(center):
+    with pytest.raises(InstanceError, match="centers must be point indices"):
+        build_bump_refuter(SPACE, [center], 1.0)
 
 
 def test_bump_refuter_error_paths():

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalekit.algebra_comm import is_ss_continuous
+from scalekit.algebra_noncomm import ssp_witness_check
 from scalekit.bounded import (from_filtration, from_metric, proper_hls_test,
                               proper_hss_test, st_weakly_bounded_test,
                               uniformly_bounded)
 from scalekit.catalogues import trunc_nat
+from scalekit.duality import s0_classify
 from scalekit.entourages import check_coarse_axioms, check_uniform_axioms, metric_entourage
 from scalekit.model import InstanceError, builder_line
-from scalekit.scales import (Cover, PartitionOfUnity, check_ls_base,
+from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, check_ls_base,
                              check_ss_base, is_hausdorff, is_smaller,
                              pou_support, refines, smaller_or_equal,
                              star_family, star_set, subordinated,
@@ -155,6 +158,32 @@ SAME_A, SAME_B, OTHER = builder_line(5, 1.0), builder_line(5, 2.0), builder_line
 def test_base_members_on_different_spaces_are_an_instance_error(check, member, other):
     with pytest.raises(InstanceError, match="^base members live on different spaces$"):
         check([member(SAME_A, 1.0), member(other, 1.0)])
+
+
+def test_an_empty_small_scale_base_is_an_instance_error():
+    empty = ScaleBase(SAME_A, ())
+    f = np.arange(SAME_A.n, dtype=float)
+    with pytest.raises(InstanceError, match="a scale base needs at least one cover"):
+        is_ss_continuous(f, empty, [1.0])
+    with pytest.raises(InstanceError, match="a scale base needs at least one cover"):
+        s0_classify(f, "f", from_metric(SAME_A), empty, metric_ls_base(SAME_A, [1.0]),
+                    [1.0])
+    phi = PartitionOfUnity(SAME_A, np.ones((SAME_A.n, 1)))
+    with pytest.raises(InstanceError, match="a scale base needs at least one cover"):
+        ssp_witness_check(phi, empty, ball_cover(SAME_A, 1.0), [1.0])
+
+
+@pytest.mark.parametrize("other", [SAME_B, OTHER], ids=["same-size", "other-size"])
+@pytest.mark.parametrize("check", [
+    check_ss_base, check_ls_base, is_hausdorff,
+    lambda base: is_ss_continuous(np.zeros(SAME_A.n), base, [1.0]),
+    lambda base: proper_hss_test(from_metric(SAME_A), base),
+], ids=["check_ss_base", "check_ls_base", "is_hausdorff", "is_ss_continuous",
+        "proper_hss_test"])
+def test_a_scale_base_with_members_on_another_space_is_an_instance_error(check, other):
+    base = ScaleBase(SAME_A, metric_ss_base(other, [1.0]).covers)
+    with pytest.raises(InstanceError, match="^base members do not live on the base's space$"):
+        check(base)
 
 
 @pytest.mark.parametrize("other", [SAME_B, OTHER], ids=["same-size", "other-size"])
