@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain
 from types import MappingProxyType
 
@@ -18,22 +19,18 @@ import numpy as np
 from .algebra_comm import fine_scales
 from .entourages import Entourage, compose
 from .metric import ball_ladder, sup_diameter
-from .model import WORD, InstanceError, Space, fmt_value, packed_union, unpack_rows
+from .model import (WORD, InstanceError, Space, fmt_value, packed_union, parse_points,
+                    unpack_rows)
 from .reports import CheckReport, truncation_label
-from .scales import (Cover, PartitionOfUnity, ScaleBase, pou_support, refines,
+from .scales import (Cover, PartitionOfUnity, ScaleBase, first, pou_support, refines,
                      smaller_or_equal, star_family)
 
 
-def _integers(values: list, error: str) -> np.ndarray:
-    """Python or numpy integers (not bools) as int64; raises ``error``
-    otherwise."""
-    if any(t is bool or not issubclass(t, (int, np.integer))
-           for t in set(map(type, values))):
-        raise InstanceError(error)
-    try:
-        return np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError as exc:
-        raise InstanceError("an entry position lies outside the carrier") from exc
+def _positions(error: str):
+    """The error of an entry position: ``error``, or the carrier's own for
+    an integer past int64."""
+    return lambda k, outside: ("an entry position lies outside the carrier"
+                               if outside else error)
 
 
 def _numbers(values: list, error: str, dtype=complex) -> np.ndarray:
@@ -82,8 +79,8 @@ class OperatorMatrix:
         if (not all(issubclass(t, tuple) for t in set(map(type, keys)))
                 or not set(map(len, keys)) <= {2}):
             raise InstanceError("operator entries are keyed by (x, y) pairs")
-        flat = _integers(list(chain.from_iterable(keys)),
-                         "entry positions must be integers")
+        flat = parse_points(chain.from_iterable(keys), None,
+                             _positions("entry positions must be integers"))
         vals = _numbers(list(entries.values()), "entry values must be numbers")
         self._checked(space, flat[0::2], flat[1::2], vals, name, obj=self)
 
@@ -98,7 +95,8 @@ class OperatorMatrix:
         if not set(map(len, rows)) <= {4}:
             raise InstanceError(error)
         ys, xs, res, ims = map(list, zip(*rows)) if rows else ([],) * 4
-        y, x = _integers(ys, error), _integers(xs, error)
+        y = parse_points(ys, None, _positions(error))
+        x = parse_points(xs, None, _positions(error))
         val = np.empty(x.size, dtype=complex)
         val.real = _numbers(res, error, float)
         val.imag = _numbers(ims, error, float)
@@ -132,18 +130,16 @@ class OperatorMatrix:
         keep = val != 0
         order = np.argsort(x[keep] * space.n + y[keep], kind="stable")
         obj = object.__new__(cls) if obj is None else obj
-        obj.space, obj.name, obj._entries = space, name, None
+        obj.space, obj.name = space, name
         obj.x, obj.y, obj.val = x[keep][order], y[keep][order], val[keep][order]
         return obj
 
-    @property
+    @cached_property
     def entries(self):
         """Read-only {(x, y): value} view of the stored entries, built on
         first use."""
-        if self._entries is None:
-            self._entries = MappingProxyType(dict(zip(
-                zip(self.x.tolist(), self.y.tolist()), self.val.tolist())))
-        return self._entries
+        return MappingProxyType(dict(zip(zip(self.x.tolist(), self.y.tolist()),
+                                         self.val.tolist())))
 
     @property
     def nnz(self) -> int:
@@ -440,14 +436,14 @@ def cstar_ss_membership(cover: Cover, fam: StarFamily, eps_grid) -> CheckReport:
 
     A miss is only a miss for this family and grid; the report says so.
     """
-    for nm, op in zip(fam.names, fam.ops):
-        base = ss_from_algebra(op, eps_grid)
-        for cov in base.covers:
-            if refines(cover, cov):
-                return CheckReport("cstar_ss_membership", True,
-                                   witnesses=({"operator": nm,
-                                               "balls": cov.name},),
-                                   truncation=truncation_label(cover.space))
+    # the ball covers of each member are built only when the scan reaches it
+    balls = (({"operator": nm, "balls": cov.name}, cov)
+             for nm, op in zip(fam.names, fam.ops)
+             for cov in ss_from_algebra(op, eps_grid).covers)
+    hit = first(balls, partial(refines, cover))
+    if hit is not None:
+        return CheckReport("cstar_ss_membership", True, witnesses=(hit,),
+                           truncation=truncation_label(cover.space))
     return CheckReport("cstar_ss_membership", False,
                        counterexample={"reason": "no member ball cover is "
                                                  "refined by the cover"},
@@ -462,15 +458,11 @@ def pou_to_operator(phi: PartitionOfUnity) -> OperatorMatrix:
     improvement step.
     """
     n = phi.space.n
-    cols = []
-    for v in phi.index:
-        if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                or not (0 <= int(v) < n)):
-            raise InstanceError("column label %r is not a point index" % (v,))
-        cols.append(int(v))
+    cols = parse_points(phi.index, n, lambda k, outside:
+                         "column label %r is not a point index" % (phi.index[k],))
     # weights in row-major order, so each position adds its columns in order
     xs, js = np.nonzero(phi.weights > 0)
-    keys, sums, _ = _sums(xs * n + np.asarray(cols, dtype=np.int64)[js],
+    keys, sums, _ = _sums(xs * n + cols[js],
                           phi.weights[xs, js].astype(complex))
     return OperatorMatrix._stored(phi.space, keys // n, keys % n, sums, "M_phi")
 
@@ -485,7 +477,7 @@ def pou_improve(phi: PartitionOfUnity, selection) -> tuple:
     """
     pruned = phi.prune()
     sups = pruned.supports()
-    sel = [int(s) for s in selection]
+    sel = parse_points(selection, phi.space.n, "selection must be point indices").tolist()
     if len(sel) != len(pruned.index):
         raise InstanceError("one selected point per surviving column")
     for j, p in enumerate(sel):
@@ -519,7 +511,7 @@ def chain_cover_operator(cover: Cover, centers=None) -> OperatorMatrix:
     points, starts = cover.rows.entries
     if centers is None:
         centers = points[starts[:-1]]
-    centers = _integers(list(centers), "centers must be point indices")
+    centers = parse_points(centers, None, "centers must be point indices")
     if len(centers) != len(cover):
         raise InstanceError("one center per element")
     n = cover.space.n

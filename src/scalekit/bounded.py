@@ -34,24 +34,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import InstanceError, Space
+from .model import InstanceError, Space, parse_points
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, _distinct_rows, base_members, base_report, first, refines,
                      star_set)
 
 
-def _as_subset(space: Space, subset) -> frozenset[int]:
-    s = frozenset(int(x) for x in subset)
-    n = space.n
-    for x in s:
-        if not (0 <= x < n):
-            raise InstanceError("point index %d out of range" % x)
-    return s
-
-
-def _as_index(space: Space, subset) -> np.ndarray:
-    """``_as_subset`` as a sorted index array."""
-    return np.array(sorted(_as_subset(space, subset)), dtype=np.int64)
+# the refusal of a subset that is not a list of point indices of the carrier
+_SUBSET = "subsets are lists of point indices of the carrier"
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +60,6 @@ class ComponentPartition:
     @property
     def one_component(self) -> bool:
         return not self.ids.any()
-
-    def traces(self, subset) -> list[tuple[int, frozenset[int]]]:
-        """Nonempty component traces of a set of point indices, by id."""
-        idx = np.unique(np.fromiter(subset, dtype=np.int64))
-        cid = self.ids[idx]
-        order = np.argsort(cid, kind="stable")
-        keys, starts = np.unique(cid[order], return_index=True)
-        return [(int(c), frozenset(t.tolist()))
-                for c, t in zip(keys, np.split(idx[order], starts[1:]))]
 
 
 def _partition(n: int, groups) -> ComponentPartition:
@@ -120,7 +101,7 @@ class BoundedStructure:
         self.name = name
         gens = []
         for g in generators:
-            gs = _as_subset(space, g)
+            gs = frozenset(parse_points(g, space.n, _SUBSET).tolist())
             if not gs:
                 raise InstanceError("empty generator")
             gens.append(gs)
@@ -148,12 +129,8 @@ class BoundedStructure:
 
     def is_member(self, subset) -> bool:
         """Singleton, or inside one component."""
-        ids = self._partition.ids[_as_index(self.space, subset)]
+        ids = self._partition.ids[parse_points(subset, self.space.n, _SUBSET)]
         return ids.size <= 1 or ids.min() == ids.max()
-
-    def traces(self, subset) -> list[tuple[int, frozenset[int]]]:
-        """Nonempty component traces of the subset, by component id."""
-        return self._partition.traces(_as_subset(self.space, subset))
 
     def __repr__(self):
         return "<BoundedStructure %s: %d generators, %d components>" % (
@@ -227,7 +204,7 @@ def desk_weakly_bounded(subset, b: BoundedStructure) -> tuple[bool, dict]:
     component.
     """
     space = b.space
-    idx = _as_index(space, subset)
+    idx = np.unique(parse_points(subset, space.n, _SUBSET))
     if space.filtration is None:
         return True, {"mode": "literal", "verdict": True}
     ids = b.ideal_components().ids[idx]
@@ -299,11 +276,7 @@ def check_proper(f_map, b_x: BoundedStructure, b_y: BoundedStructure) -> CheckRe
 
     Members live inside components, so preimages of components decide.
     """
-    f = np.asarray(f_map, dtype=np.int64)
-    if f.shape != (b_x.space.n,):
-        raise InstanceError("map must assign one codomain index per domain point")
-    if f.min() < 0 or f.max() >= b_y.space.n:
-        raise InstanceError("map target out of range")
+    f = _targets(f_map, b_x, b_y)
     witnesses = []
     for cid, comp in enumerate(b_y.components().components):
         mask = np.isin(f, sorted(comp))
@@ -321,8 +294,16 @@ def check_proper(f_map, b_x: BoundedStructure, b_y: BoundedStructure) -> CheckRe
                        truncation=truncation_label(b_x.space))
 
 
-def _bounded_image(f, b_x: BoundedStructure, b_y: BoundedStructure):
-    f = np.asarray(f, dtype=np.int64)
+def _targets(f_map, b_x: BoundedStructure, b_y: BoundedStructure) -> np.ndarray:
+    """A map from the carrier of b_x to that of b_y as its array of targets."""
+    f = parse_points(f_map, b_y.space.n, lambda k, outside: (
+        "map target out of range" if outside else "map targets must be point indices"))
+    if f.shape != (b_x.space.n,):
+        raise InstanceError("map must assign one codomain index per domain point")
+    return f
+
+
+def _bounded_image(f: np.ndarray, b_x: BoundedStructure, b_y: BoundedStructure):
     for cid, comp in enumerate(b_x.components().components):
         img = frozenset(int(f[i]) for i in comp)
         if not b_y.is_member(img):
@@ -335,7 +316,7 @@ def lemma_wb_test(f_map, b_x: BoundedStructure, b_y: BoundedStructure) -> CheckR
     weakly bounded sets; without the image hypothesis the conclusion is
     allowed to fail, and the failure pattern is exhibited.
     """
-    f = np.asarray(f_map, dtype=np.int64)
+    f = _targets(f_map, b_x, b_y)
     proper = check_proper(f, b_x, b_y)
     img_ok, img_bad = _bounded_image(f, b_x, b_y)
     notes = ["literal weak boundedness is automatic on finite generated "
@@ -385,7 +366,7 @@ def st_weakly_bounded_test(subset, cover: Cover, b: BoundedStructure,
         raise InstanceError("cover does not live on the structure's carrier")
     if not uniformly_bounded(cover, ls_base):
         raise InstanceError("cover is not uniformly bounded in the given base")
-    s = _as_subset(space, subset)
+    s = frozenset(parse_points(subset, space.n, _SUBSET).tolist())
     st = star_set(s, cover)
     idx = np.fromiter(st, dtype=np.int64, count=len(st))
     desk, detail = desk_weakly_bounded(idx, b)
@@ -458,11 +439,11 @@ def proper_hls_test(b: BoundedStructure, ls_base, covers) -> CheckReport:
         return CheckReport("proper_hls_test", False,
                            counterexample={"reason": "family differs from declared windows"},
                            truncation=truncation_label(space))
-    for ci, u in enumerate(covers):
-        if u.open_flag and uniformly_bounded(u, ls_base):
-            return CheckReport("proper_hls_test", True,
-                               witnesses=({"open_cover": ci, "name": u.name},),
-                               truncation=truncation_label(space))
+    hit = first((({"open_cover": ci, "name": u.name}, u) for ci, u in enumerate(covers)),
+                lambda u: u.open_flag and uniformly_bounded(u, ls_base))
+    if hit is not None:
+        return CheckReport("proper_hls_test", True, witnesses=(hit,),
+                           truncation=truncation_label(space))
     return CheckReport("proper_hls_test", False,
                        counterexample={"reason": "no open uniformly bounded cover"},
                        truncation=truncation_label(space))

@@ -16,7 +16,7 @@ from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
-from .model import BoolRows, InstanceError, Space, bool_product
+from .model import BoolRows, InstanceError, Space, bool_product, parse_points
 from .reports import CheckReport
 from .scales import Cover, base_members, base_report, first
 
@@ -36,41 +36,42 @@ class Entourage:
                 raise InstanceError("entourage matrix must be %d x %d" % (n, n))
             m = pairs.copy()
         else:
-            xy = np.array(list(pairs), dtype=np.int64)
-            if xy.size and (xy.ndim != 2 or xy.shape[1] != 2):
-                raise InstanceError("entourage pairs must be (x, y) index pairs")
-            xy = xy.reshape(-1, 2)
-            bad = np.flatnonzero(((xy < 0) | (xy >= n)).any(axis=1))
-            if bad.size:
-                raise InstanceError("entourage pair out of range: %r"
-                                    % (tuple(xy[bad[0]].tolist()),))
+            shape = "entourage pairs must be (x, y) index pairs"
+            try:
+                pairs = [tuple(p) for p in pairs]
+            except TypeError as exc:
+                raise InstanceError(shape) from exc
+            if not set(map(len, pairs)) <= {2}:
+                raise InstanceError(shape)
+            xy = parse_points(chain.from_iterable(pairs), n, lambda k, outside: (
+                "entourage pair out of range: %r" % (pairs[k // 2],) if outside
+                else shape))
             m = np.zeros((n, n), dtype=bool)
-            m[xy[:, 0], xy[:, 1]] = True
+            m[xy[0::2], xy[1::2]] = True
         m.setflags(write=False)
         self.matrix = m
         self.name = name
-        self._pairs = None
 
     @cached_property
     def rows(self) -> BoolRows:
         """The relation matrix as the relation kernel reads it."""
         return BoolRows(self.matrix)
 
-    @property
+    @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The relation as a set of (x, y) index pairs, built on first use."""
-        if self._pairs is None:
-            xs, ys = np.nonzero(self.matrix)
-            self._pairs = frozenset(zip(xs.tolist(), ys.tolist()))
-        return self._pairs
+        xs, ys = np.nonzero(self.matrix)
+        return frozenset(zip(xs.tolist(), ys.tolist()))
 
     def __len__(self):
         return int(np.count_nonzero(self.matrix))
 
     def __contains__(self, pair):
-        x, y = int(pair[0]), int(pair[1])
-        n = self.space.n
-        return 0 <= x < n and 0 <= y < n and bool(self.matrix[x, y])
+        try:
+            x, y = parse_points(pair, self.space.n, "")
+        except ValueError:  # InstanceError is one, as is a pair of the wrong length
+            return False
+        return bool(self.matrix[x, y])
 
     def __eq__(self, other):
         if not isinstance(other, Entourage):

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .algebra_comm import FunctionFamily
 from .algebra_noncomm import OperatorMatrix
 from .entourages import Entourage
-from .model import COORD_METRICS, Filtration, InstanceError, Space, check_group_table
+from .model import COORD_METRICS, InstanceError, Space, check_group_table, parse_points
 from .scales import Cover
 
 
@@ -66,22 +68,27 @@ def _block(document: dict, key: str) -> dict:
     return raw
 
 
-def _subset(index: dict, raw, where: str) -> frozenset:
-    """Point labels or indices of a carrier (``index``: label -> index)."""
-    out = set()
-    for v in _listed(raw, where):
-        if isinstance(v, str):
-            if v not in index:
-                raise InstanceError("%s: unknown point label %r" % (where, v))
-            out.add(index[v])
-        elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-            if not (0 <= int(v) < len(index)):
-                raise InstanceError("%s: point index %d out of range" % (where, int(v)))
-            out.add(int(v))
-        else:
-            raise InstanceError("%s: points are labels or indices, got %r"
-                                % (where, v))
-    return frozenset(out)
+def _point_rows(index: dict, rows, where) -> list:
+    """Each row of point labels or indices of a carrier (``index``: label ->
+    index) as a list of indices, all rows parsed in one pass; ``where(k)``
+    names row k in errors."""
+    for k, r in enumerate(rows):
+        if not isinstance(r, (list, tuple)):
+            _listed(r, where(k))  # raises
+    flat = list(chain.from_iterable(rows))
+    starts = np.cumsum([0] + [len(r) for r in rows]).tolist()
+
+    def error(t: int, outside: bool) -> str:
+        v = flat[t]
+        text = ("unknown point label %r" if isinstance(v, str) else
+                "point index %d out of range" if outside else
+                "points are labels or indices, got %r")
+        return "%s: %s" % (where(bisect_right(starts, t) - 1), text % (v,))
+
+    # an unknown label stays a string, which the parser refuses
+    points = parse_points([index.get(v, v) if isinstance(v, str) else v for v in flat],
+                          len(index), error).tolist()
+    return [points[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def _coords(block, n: int) -> tuple:
@@ -168,10 +175,9 @@ def load_space(document) -> tuple:
     filtration = None
     if "filtration" in document:
         index = {p: i for i, p in enumerate(points)}
-        levels = tuple(_subset(index, lv, "filtration level %d" % i)
-                       for i, lv in enumerate(_listed(document["filtration"],
-                                                      "filtration")))
-        filtration = Filtration(levels)
+        # Space checks that the levels form a chain
+        filtration = _point_rows(index, _listed(document["filtration"], "filtration"),
+                                 lambda i: "filtration level %d" % i)
     group_table = None
     if "group" in document:
         block = document["group"]
@@ -191,8 +197,8 @@ def load_space(document) -> tuple:
             open_flag = bool(raw.get("open", False))
             if elements is None:
                 raise InstanceError("cover %r: object form needs elements" % nm)
-        els = [_subset(space.index, e, "cover %r element %d" % (nm, k))
-               for k, e in enumerate(_listed(elements, "cover %r" % nm))]
+        els = _point_rows(space.index, _listed(elements, "cover %r" % nm),
+                          lambda k: "cover %r element %d" % (nm, k))
         cat.covers[nm] = Cover(space, els, name=nm, open_flag=open_flag)
     for nm, raw in _block(document, "functions").items():
         cat.functions[nm] = _parse_function(raw, space.n, "function %r" % nm)
@@ -204,17 +210,15 @@ def load_space(document) -> tuple:
     for nm, raw in _block(document, "maps").items():
         if len(_listed(raw, "map %r" % nm)) != space.n:
             raise InstanceError("map %r: one target per point" % nm)
-        tgt = [next(iter(_subset(space.index, [v], "map %r" % nm))) for v in raw]
-        cat.maps[nm] = np.asarray(tgt, dtype=np.int64)
+        cat.maps[nm] = np.array(_point_rows(space.index, [raw], lambda k: "map %r" % nm)[0],
+                                dtype=np.int64)
     for nm, raw in _block(document, "entourages").items():
-        pairs = set()
-        for k, pair in enumerate(_listed(raw, "entourage %r" % nm)):
+        rows = _listed(raw, "entourage %r" % nm)
+        for k, pair in enumerate(rows):
             if len(_listed(pair, "entourage %r row %d" % (nm, k))) != 2:
                 raise InstanceError("entourage %r row %d is not a pair" % (nm, k))
-            x = next(iter(_subset(space.index, [pair[0]], "entourage %r" % nm)))
-            y = next(iter(_subset(space.index, [pair[1]], "entourage %r" % nm)))
-            pairs.add((x, y))
-        cat.entourages[nm] = Entourage(space, pairs)
+        cat.entourages[nm] = Entourage(space, _point_rows(space.index, rows,
+                                                          lambda k: "entourage %r" % nm))
     for tag, names in _block(document, "catalogues").items():
         cat.tags[str(tag)] = tuple(str(v) for v in _listed(names, "catalogue %r" % tag))
     return space, cat

@@ -41,6 +41,44 @@ def positive_grid(values, what: str) -> tuple[float, ...]:
     return vals
 
 
+def parse_points(values, n: int | None, error) -> np.ndarray:
+    """Point indices as one int64 array, converted in one pass.
+
+    ``values`` is a flat sequence of Python or numpy integers; a bool, a
+    float, a string or a nested container is refused.  Given the carrier
+    size ``n``, each index must lie in [0, n).  An integer past int64 lies
+    outside every carrier and is refused with or without ``n``.  A refusal
+    raises InstanceError with ``error``, or with ``error(k, outside)`` when
+    it is a function: k is the position of the first refused value, and
+    ``outside`` says that it is an integer out of range."""
+    def refuse(k: int, outside: bool):
+        raise InstanceError(error(k, outside) if callable(error) else error)
+
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        if values.dtype == np.uint64 and values.size and values.max() >= 2 ** 63:
+            refuse(int(np.argmax(values >= 2 ** 63)), True)
+        out = values.astype(np.int64)
+    else:
+        try:
+            values = list(values)
+        except TypeError:
+            refuse(0, False)
+        bad = {t for t in set(map(type, values))
+               if t is bool or not issubclass(t, (int, np.integer))}
+        if bad:
+            refuse(next(k for k, v in enumerate(values) if type(v) in bad), False)
+        try:
+            out = np.fromiter(values, dtype=np.int64, count=len(values))
+        except OverflowError:
+            refuse(next(k for k, v in enumerate(values) if not -2 ** 63 <= v < 2 ** 63),
+                   True)
+    if n is not None:
+        outside = (out < 0) | (out >= n)
+        if outside.any():
+            refuse(int(np.argmax(outside)), True)
+    return out
+
+
 _ORDERS = {"ascending": np.greater_equal, "descending": np.less_equal,
            "strictly descending": np.less}
 
@@ -374,14 +412,12 @@ class Space:
             metric.setflags(write=False)
         self.d = metric
         if filtration is not None:
-            if not isinstance(filtration, Filtration):
-                filtration = Filtration(tuple(frozenset(l) for l in filtration))
-            for i, lv in enumerate(filtration.levels):
-                kinds = set(map(type, lv))
-                if (any(t is bool or not issubclass(t, numbers.Integral) for t in kinds)
-                        or not 0 <= min(lv) <= max(lv) < len(points)):
-                    raise InstanceError("filtration level %d has a point that is not "
-                                        "an index of the space" % (i + 1))
+            if isinstance(filtration, Filtration):
+                filtration = filtration.levels
+            error = "filtration level %d has a point that is not an index of the space"
+            filtration = Filtration(tuple(
+                frozenset(parse_points(lv, len(points), error % (i + 1)).tolist())
+                for i, lv in enumerate(filtration)))
         self.filtration = filtration
 
     @cached_property
@@ -533,10 +569,11 @@ def check_group_table(table) -> tuple[tuple[tuple[int, ...], ...], int]:
     """A multiplication table as tuples of point indices, checked to be a
     Latin square with a two-sided identity, and that identity's index;
     ``table[g][h]`` is the index of g*h."""
+    error = "multiplication table must be rows of point indices"
     try:
-        table = tuple(tuple(int(v) for v in row) for row in table)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InstanceError("multiplication table must be rows of point indices") from exc
+        table = tuple(tuple(parse_points(row, None, error).tolist()) for row in table)
+    except TypeError as exc:
+        raise InstanceError(error) from exc
     n = len(table)
     rng = set(range(n))
     for g, row in enumerate(table):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
 from .model import (InstanceError, fmt_value, gap_table, ordered_grid, pair_stream,
-                    widest_pair)
+                    parse_points, widest_pair)
 from .reports import CheckReport, truncation_label
 from .scales import Cover, first, star_set
 
@@ -273,11 +273,9 @@ def build_bump_refuter(space, centers, eps: float) -> np.ndarray:
         raise InstanceError("refuters need a metric")
     if eps <= 0:
         raise InstanceError("eps must be positive")
-    centers = [int(c) for c in centers]
+    centers = parse_points(centers, space.n, "centers must be point indices").tolist()
     if not centers or len(set(centers)) != len(centers):
         raise InstanceError("centers must be distinct and nonempty")
-    if not all(0 <= c < space.n for c in centers):
-        raise InstanceError("centers must be point indices")
     for i, a in enumerate(centers):
         for b in centers[i + 1:]:
             if space.d[a, b] <= 2 * eps:
@@ -302,7 +300,7 @@ def build_scaled_refuter(space, centers, radii) -> np.ndarray:
     """
     if space.d is None:
         raise InstanceError("refuters need a metric")
-    centers = [int(c) for c in centers]
+    centers = parse_points(centers, space.n, "centers must be point indices").tolist()
     radii = [float(r) for r in radii]
     if len(centers) != len(radii) or not centers:
         raise InstanceError("need matching nonempty centers and radii")

@@ -16,25 +16,9 @@ from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
-from .model import BoolRows, InstanceError, Space, bool_covered, bool_product
+from .model import (BoolRows, InstanceError, Space, bool_covered, bool_product,
+                    parse_points)
 from .reports import CheckReport, truncation_label
-
-
-def _indices(rows) -> np.ndarray:
-    """The points of all rows as one int64 array; raises on a point that is
-    not an integer.  A point past int64 becomes -1, out of range like any
-    negative index."""
-    flat = list(chain.from_iterable(rows))
-    bad = {t for t in set(map(type, flat))
-           if t is bool or not issubclass(t, (int, np.integer))}
-    if bad:
-        k = next(k for k, row in enumerate(rows) if not bad.isdisjoint(map(type, row)))
-        raise InstanceError("cover element %d has a point that is not an integer" % k)
-    try:
-        return np.fromiter(flat, dtype=np.int64, count=len(flat))
-    except OverflowError:
-        return np.array([p if -2 ** 63 <= p < 2 ** 63 else -1 for p in flat],
-                        dtype=np.int64)
 
 
 def _incidence(n: int, elements) -> np.ndarray:
@@ -45,18 +29,26 @@ def _incidence(n: int, elements) -> np.ndarray:
         if elements.ndim != 2 or elements.shape[1] != n:
             raise InstanceError("incidence matrix needs one column per point")
         m = elements.copy()
-        stray = np.zeros(0, dtype=np.int64)
     else:
-        rows = [tuple(e) for e in elements]
+        try:
+            rows = [tuple(e) for e in elements]
+        except TypeError as exc:
+            raise InstanceError("cover elements must be lists of point indices") from exc
         owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        pts = _indices(rows)
-        inside = (pts >= 0) & (pts < n)
+        empty = next((k for k, r in enumerate(rows) if not r), len(rows))
+
+        def error(k: int, outside: bool) -> str:
+            # elements are reported in order, so an empty element before
+            # the first out-of-range point is reported in its place
+            if outside and owner[k] > empty:
+                return "cover element %d is empty" % empty
+            return ("cover element %d has out-of-range points" if outside else
+                    "cover element %d has a point that is not an integer") % owner[k]
+
+        pts = parse_points(chain.from_iterable(rows), n, error)
         m = np.zeros((len(rows), n), dtype=bool)
-        m[owner[inside], pts[inside]] = True
-        stray = owner[~inside]
+        m[owner, pts] = True
     empty = np.flatnonzero(~m.any(axis=1))
-    if stray.size and (not empty.size or stray[0] <= empty[0]):
-        raise InstanceError("cover element %d has out-of-range points" % stray[0])
     if empty.size:
         raise InstanceError("cover element %d is empty" % empty[0])
     if not len(m):
@@ -89,7 +81,6 @@ class Cover:
         self.matrix = _incidence(space.n, elements)
         self.name = name
         self.open_flag = bool(open_flag)
-        self._elements = None
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -97,13 +88,10 @@ class Cover:
     def __iter__(self):
         return iter(self.elements)
 
-    @property
+    @cached_property
     def elements(self) -> tuple[frozenset[int], ...]:
         """The element sets in matrix row order, built on first use."""
-        if self._elements is None:
-            self._elements = tuple(frozenset(np.flatnonzero(row).tolist())
-                                   for row in self.matrix)
-        return self._elements
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.matrix)
 
     @cached_property
     def rows(self) -> BoolRows:
@@ -166,10 +154,11 @@ class ScaleBase:
 
 def star_set(subset, cover: Cover) -> frozenset[int]:
     """st(A, u) = A together with every element of u meeting A."""
-    subset = frozenset(subset)
+    idx = parse_points(subset, cover.space.n, "a star is taken of a set of point indices")
     m = cover.matrix
-    meets = m[:, np.fromiter(subset, dtype=np.int64)].any(axis=1)
-    return subset | frozenset(np.flatnonzero(m[meets].any(axis=0)).tolist())
+    star = m[m[:, idx].any(axis=1)].any(axis=0)
+    star[idx] = True
+    return frozenset(np.flatnonzero(star).tolist())
 
 
 def star_family(u: Cover, v: Cover) -> Cover:

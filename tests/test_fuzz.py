@@ -2,24 +2,34 @@
 instance document, the command line exits 0 (all checks passed), 1 (a real
 counterexample, shown as a failing report) or 2 (a bad request or instance,
 one line on stderr), and loading raises nothing but InstanceError; whatever
-the base, a base check gives a verdict or raises InstanceError."""
+the base, a base check gives a verdict or raises InstanceError; whatever
+stands in for a point index, a library function that takes point indices
+raises InstanceError rather than answer for another point."""
 import copy
 import json
 import pathlib
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scalekit.bounded import from_metric, proper_hss_test, uniformly_bounded
+from scalekit.algebra_noncomm import (OperatorMatrix, chain_cover_operator, pou_improve,
+                                      pou_to_operator)
+from scalekit.bounded import (BoundedStructure, check_proper, desk_weakly_bounded,
+                              from_metric, lemma_wb_test, proper_hss_test,
+                              st_weakly_bounded_test, uniformly_bounded)
 from scalekit.cli import main
 from scalekit.entourages import Entourage, check_coarse_axioms, check_uniform_axioms
 from scalekit.instances import load_space
 from scalekit.metric import ball_cover
-from scalekit.model import InstanceError, builder_line
+from scalekit.model import InstanceError, Space, builder_line, check_group_table
+from scalekit.oscillation import build_bump_refuter, build_scaled_refuter
 from scalekit.reports import CheckReport
-from scalekit.scales import Cover, ScaleBase, check_ls_base, check_ss_base, is_hausdorff
+from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, check_ls_base,
+                             check_ss_base, is_hausdorff, star_set)
+from scalekit.translation import GroupWindow, translation_scale, window_group, z_window
 
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "instances"
 # capsys is read out after every example, so sharing it is safe
@@ -189,3 +199,111 @@ def test_hostile_bases_give_a_verdict_or_an_instance_error(covers, relations):
             except InstanceError:
                 continue
             assert isinstance(verdict, (CheckReport, bool))
+
+
+# -- point indices: every entry point that takes them parses them alike -------
+#
+# Each site takes three points (a valid input with VALID[site] in their
+# place) built into its own input.  One of them is swapped for a hostile
+# value; the site must raise InstanceError, never answer for a coerced point.
+
+PTS = builder_line(4, 1.0)
+PTS_B = BoundedStructure(PTS, [[0, 1]])
+PTS_B3 = BoundedStructure(builder_line(2, 1.0), [[0, 1]])
+PTS_COVER = Cover(PTS, [[0, 1], [1, 2], [2, 3, 4]])
+# columns supported on {0}, {1} and {2, 3, 4}
+PTS_W = np.eye(5, 3)
+PTS_W[3:, 2] = 1.0
+PTS_PHI = PartitionOfUnity(PTS, PTS_W)
+PTS_G = window_group(z_window(2))
+SITES = {
+    "Cover": lambda p: Cover(PTS, [p[:2], p[2:], [3, 4]]),
+    "OperatorMatrix": lambda p: OperatorMatrix(PTS, {(p[0], p[1]): 1.0, (p[2], 0): 2.0}),
+    "from_triplets": lambda p: OperatorMatrix.from_triplets(
+        PTS, [[p[0], p[1], 1.0, 0.0], [p[2], 0, 1.0, 0.0]]),
+    "chain_cover_operator": lambda p: chain_cover_operator(PTS_COVER, p),
+    "Space filtration": lambda p: Space("abcde", filtration=[p[:2], p]),
+    "BoundedStructure": lambda p: BoundedStructure(PTS, [p[:2], p[2:]]),
+    "is_member": lambda p: PTS_B.is_member(p),
+    "desk_weakly_bounded": lambda p: desk_weakly_bounded(p, PTS_B),
+    "st_weakly_bounded_test": lambda p: st_weakly_bounded_test(
+        p, PTS_COVER, PTS_B, [Cover(PTS, [range(5)])]),
+    "pou_to_operator": lambda p: pou_to_operator(PartitionOfUnity(PTS, PTS_W, index=p)),
+    "pou_improve": lambda p: pou_improve(PTS_PHI, p),
+    "Entourage": lambda p: Entourage(PTS, [(p[0], p[1]), (p[2], 0)]),
+    "build_bump_refuter": lambda p: build_bump_refuter(PTS, p, 0.5),
+    "build_scaled_refuter": lambda p: build_scaled_refuter(PTS, p, [0.4] * 3),
+    "translation_scale": lambda p: translation_scale(PTS_G, p),
+    "check_group_table": lambda p: check_group_table([p, [1, 2, 0], [2, 0, 1]]),
+    "GroupWindow": lambda p: GroupWindow(Space("abc"), values=p),
+    "check_proper": lambda p: check_proper(p + [3, 4], PTS_B, PTS_B),
+    "lemma_wb_test": lambda p: lemma_wb_test(p + [3, 4], PTS_B, PTS_B),
+    "star_set": lambda p: star_set(p, PTS_COVER),
+    "load_space": lambda p: load_space({"points": list("abcde"), "covers": {"c": [p]}}),
+}
+VALID = {"build_bump_refuter": [0, 2, 4], "build_scaled_refuter": [0, 2, 4],
+         "GroupWindow": [-1, 0, 1]}
+# values that are not integers, or lie past int64, or are (hashable, so that
+# they can key an operator entry) containers
+NOT_INDICES = (0.5, 1.0, np.float64(1), True, np.bool_(True), "1", float("nan"),
+               2 ** 64, (), (0,), (0, 1))
+# integers off the carrier; window values are integers of no carrier
+OFF_CARRIER = (-1, PTS.n)
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_point_index_sites_take_valid_points(site):
+    SITES[site](VALID.get(site, [0, 1, 2]))
+
+
+@settings(deadline=None, derandomize=True, max_examples=1000)
+@given(st.sampled_from(sorted(SITES)), st.integers(0, 2),
+       st.sampled_from(NOT_INDICES + OFF_CARRIER))
+def test_hostile_point_indices_raise_an_instance_error(site, at, bad):
+    if site == "GroupWindow" and bad in OFF_CARRIER:
+        return
+    points = list(VALID.get(site, [0, 1, 2]))
+    points[at] = bad
+    with pytest.raises(InstanceError):
+        SITES[site](points)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.integers(0, 1), st.sampled_from(NOT_INDICES + OFF_CARRIER))
+def test_an_entourage_holds_no_pair_that_is_not_of_point_indices(at, bad):
+    pair = [1, 1]
+    pair[at] = bad
+    assert tuple(pair) not in Entourage(PTS, np.ones((5, 5), dtype=bool))
+
+
+def test_an_entourage_asked_about_floats_answers_false():
+    assert (0.5, 0.2) not in Entourage(PTS, [(0, 0)])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Entourage(PTS, [(0.5, 1.9)]), id="entourage-floats"),
+    pytest.param(lambda: BoundedStructure(PTS, [[0.5, 1.9]]), id="generator-floats"),
+    pytest.param(lambda: check_proper([0.5, 1.2, 2, 3, 4], PTS_B, PTS_B), id="proper-map"),
+    pytest.param(lambda: build_scaled_refuter(PTS, [-1], [0.4]), id="scaled-negative"),
+    pytest.param(lambda: star_set([-1], PTS_COVER), id="star-negative"),
+    pytest.param(lambda: check_group_table([["0", "1"], ["1", "0"]]), id="table-text"),
+    pytest.param(lambda: Entourage(PTS, [("1", "2")]), id="entourage-text"),
+    pytest.param(lambda: Entourage(PTS, [(True, False)]), id="entourage-bools"),
+    pytest.param(lambda: Entourage(PTS, [(0, 1), (2,)]), id="entourage-ragged"),
+    pytest.param(lambda: desk_weakly_bounded([2.7, "3"], PTS_B), id="desk-mixed"),
+    pytest.param(lambda: lemma_wb_test([0.2, 1.9, 2], PTS_B3, PTS_B3), id="lemma-map"),
+    pytest.param(lambda: build_bump_refuter(PTS, [0.7, 3.9], 1.0), id="bump-floats"),
+    pytest.param(lambda: build_scaled_refuter(PTS, [9], [0.4]), id="scaled-past-the-end"),
+    pytest.param(lambda: star_set([0.5], PTS_COVER), id="star-float"),
+    pytest.param(lambda: star_set([7], PTS_COVER), id="star-past-the-end"),
+    pytest.param(lambda: translation_scale(PTS_G, [1.7]), id="translate-float"),
+    pytest.param(lambda: GroupWindow(Space("abc"), values=[-1.5, 0, 1.5]),
+                 id="window-floats"),
+    pytest.param(lambda: pou_improve(PTS_PHI, [0.9, 1.2, 2.7]), id="selection-floats"),
+    pytest.param(lambda: desk_weakly_bounded(np.array([2 ** 64 - 1], dtype=np.uint64), PTS_B),
+                 id="uint64-array-past-int64"),
+    pytest.param(lambda: desk_weakly_bounded(np.array([1.0]), PTS_B), id="float-array"),
+])
+def test_coerced_point_indices_are_refused(call):
+    with pytest.raises(InstanceError):
+        call()
