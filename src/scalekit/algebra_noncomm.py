@@ -19,8 +19,8 @@ import numpy as np
 from .algebra_comm import fine_scales
 from .entourages import Entourage, compose
 from .metric import ball_ladder, sup_diameter
-from .model import (WORD, InstanceError, Space, fmt_value, packed_union, parse_points,
-                    unpack_rows)
+from .model import (WORD, BoolRows, InstanceError, Space, distinct_sorted, fmt_value,
+                    packed_union, parse_points, unpack_rows)
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, PartitionOfUnity, ScaleBase, first, pou_support, refines,
                      smaller_or_equal, star_family)
@@ -225,10 +225,10 @@ def support_entourage(a: OperatorMatrix, tau: float = 0.0) -> Entourage:
     """Pairs where the modulus of the entry clears tau, plus the diagonal."""
     if tau < 0:
         raise InstanceError("threshold must be nonnegative")
-    m = np.eye(a.space.n, dtype=bool)
+    n = a.space.n
     keep = np.abs(a.val) > tau
-    m[a.x[keep], a.y[keep]] = True
-    return Entourage(a.space, m)
+    return Entourage(a.space, BoolRows.of_pairs(np.concatenate([np.arange(n), a.x[keep]]),
+                                                np.concatenate([np.arange(n), a.y[keep]]), n, n))
 
 
 def orientation_check(a: OperatorMatrix, b: OperatorMatrix) -> bool:
@@ -280,8 +280,8 @@ def _step_relation(fam: StarFamily, level: float = 1.0):
     some member: the distinct steps (x, y), sorted."""
     n = fam.space.n
     strong = [np.abs(op.val) >= level for op in fam.ops]
-    keys = np.unique(np.concatenate([op.x[s] * n + op.y[s]
-                                     for op, s in zip(fam.ops, strong)]))
+    keys = distinct_sorted(np.concatenate([op.x[s] * n + op.y[s]
+                                           for op, s in zip(fam.ops, strong)]))
     return keys // n, keys % n
 
 
@@ -304,7 +304,7 @@ def f_bounded(cover: Cover, fam: StarFamily, n_max: int) -> CheckReport:
         notes = ("family is not adjoint closed: chains are one-way",)
     n = space.n
     # one row per entry of the cover: element e, its point p, its place in e
-    points, starts = cover.rows.entries
+    points, starts = cover.rows.columns, cover.rows.starts
     sizes = np.diff(starts)
     element = np.repeat(np.arange(sizes.size), sizes)
     place = np.arange(points.size) - starts[element]
@@ -491,8 +491,9 @@ def pou_improve(phi: PartitionOfUnity, selection) -> tuple:
     psi = PartitionOfUnity(phi.space, w, tuple(targets))
     old_cover = Cover(phi.space, sups, name="pou-support")
     new_cover = pou_support(psi)
+    elements = new_cover.elements
     coarsened = all(
-        any(sups[j] <= t for t, p in zip(new_cover.elements, psi.index)
+        any(sups[j] <= t for t, p in zip(elements, psi.index)
             if p == sel[j])
         for j in range(len(sel)))
     starred = refines(new_cover, star_family(old_cover, old_cover))
@@ -508,7 +509,7 @@ def pou_improve(phi: PartitionOfUnity, selection) -> tuple:
 def chain_cover_operator(cover: Cover, centers=None) -> OperatorMatrix:
     """The tally operator of a cover: delta_y goes to one spike per element
     through y, placed at that element's center (least point by default)."""
-    points, starts = cover.rows.entries
+    points, starts = cover.rows.columns, cover.rows.starts
     if centers is None:
         centers = points[starts[:-1]]
     centers = parse_points(centers, None, "centers must be point indices")
@@ -516,7 +517,7 @@ def chain_cover_operator(cover: Cover, centers=None) -> OperatorMatrix:
         raise InstanceError("one center per element")
     n = cover.space.n
     held = (centers >= 0) & (centers < n)
-    held[held] = cover.matrix[np.flatnonzero(held), centers[held]]
+    held[held] = cover.rows.has(np.flatnonzero(held), centers[held])
     if not held.all():
         c = int(centers[np.argmin(held)])
         raise InstanceError("center %s outside its element"
@@ -548,7 +549,7 @@ def roe_comparison_tests(cover: Cover, r: float, n_max: int = 3,
     n = rep.witnesses[0]["n"] if rep.witnesses else n_max
     bound = (n - 1) * r
     holds = rep.status and top <= bound
-    mult = int(cover.matrix.sum(axis=0).max())
+    mult = int(np.bincount(cover.rows.columns, minlength=space.n).max())
     return CheckReport("roe_comparison", holds,
                        witnesses=({"n": n, "max_diam": fmt_value(top),
                                    "bound": fmt_value(bound),

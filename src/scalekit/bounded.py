@@ -34,10 +34,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import InstanceError, Space, parse_points
+from .model import (BoolRows, InstanceError, Space, distinct_rows, parse_points,
+                    table_blocks)
 from .reports import CheckReport, truncation_label
-from .scales import (Cover, _distinct_rows, base_members, base_report, first, refines,
-                     star_set)
+from .scales import Cover, base_members, base_report, first, refines, star_set
 
 
 # the refusal of a subset that is not a list of point indices of the carrier
@@ -89,8 +89,8 @@ def _partition(n: int, groups) -> ComponentPartition:
 def _finite_distance_classes(space: Space) -> ComponentPartition:
     # transitive closure of finite distance, which holds even without the
     # triangle inequality; identical rows would add no unions
-    rows = _distinct_rows(np.isfinite(space.d))
-    return _partition(space.n, (np.flatnonzero(r).tolist() for r in rows))
+    rows = distinct_rows(table_blocks(space.d, np.isfinite), space.n)
+    return _partition(space.n, (r.tolist() for r in rows.lists()))
 
 
 class BoundedStructure:
@@ -267,7 +267,7 @@ def witness_space(b: BoundedStructure) -> tuple[tuple[str, ...], np.ndarray]:
 def uniformly_bounded(cover: Cover, ls_base) -> bool:
     """Every element sits inside some element of some base cover."""
     pool = base_members(ls_base, "a scale base needs at least one cover")
-    return refines(cover, Cover(pool[0].space, np.vstack([v.matrix for v in pool]),
+    return refines(cover, Cover(pool[0].space, BoolRows.stack([v.rows for v in pool]),
                                 name="pooled-base"))
 
 

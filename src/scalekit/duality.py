@@ -134,7 +134,7 @@ def wright_c0_check(cover: Cover, space) -> CheckReport:
         notes.append("%d elements reach past the top window; smallness out "
                      "there is taken on trust" % over)
 
-    columns, starts = cover.rows.entries
+    columns, starts = cover.rows.columns, cover.rows.starts
     # per depth m, the widest pair inside an element whose nearer point has
     # depth m; per element, its widest pair past the top window
     widest, far = np.zeros(top + 1), np.zeros(len(cover))
@@ -273,7 +273,7 @@ def s0_classify(f, name: str, b: BoundedStructure, ss_base: ScaleBase,
         fine = ss_base.covers[-1]
         # the finest scale has an element wider than the failing eps
         k = _first(element_diameters(f, fine) > rss.counterexample["eps"])
-        gap, x, y = _widest_in(f, fine.matrix[k])
+        gap, x, y = _widest_in(f, fine.rows.row(k))
         cx["small_scale_pair"] = [space.points[x], space.points[y]]
         cx["small_scale_gap"] = fmt_value(gap)
     if not rso.status:
@@ -289,8 +289,7 @@ def s0_classify(f, name: str, b: BoundedStructure, ss_base: ScaleBase,
 def _extreme_pairs(cover: Cover, space):
     """Per element, the lexicographically first pair realizing its diameter."""
     out = []
-    for k, row in enumerate(cover.matrix):
-        idx = np.flatnonzero(row)
+    for k, idx in enumerate(cover.rows.lists()):
         gap, i, j = widest_pair(space.d[np.ix_(idx, idx)])
         if gap > 0:
             out.append((k, int(idx[i]), int(idx[j]), gap))

@@ -1,12 +1,15 @@
 """Entourage calculus: relations over a space and the cover dictionary.
 
-An entourage is a relation on the points, stored as an n x n bool matrix
-with entry (x, y) set when the pair is in the relation; the pair set is
-derived from it on demand.  Composition is a boolean matrix product and
-inversion a transpose.  Small-scale bases ask for symmetric members with a
-half-step (G o G inside E and F), large-scale bases ask for a member absorbing
-each composition.  The dictionary with covers sends a scale to the union of
-its squares and an entourage to its slice cover.
+An entourage is a relation on the points, stored as point lists: row x
+lists, ascending, every y with (x, y) in the relation (``model.BoolRows``);
+the pair set, the holder lists (the relation inverted) and the matrix are
+derived from them.  One that the relation kernel writes (a composition, a
+metric entourage) keeps its packed words and reads its lists from them on
+first use.  Composition is a product in the relation kernel and inversion
+reads the holder lists.  Small-scale bases ask for symmetric members with a
+half-step (G o G inside E and F), large-scale bases ask for a member
+absorbing each composition.  The dictionary with covers sends a scale to
+the union of its squares and an entourage to its slice cover.
 """
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
-from .model import BoolRows, InstanceError, Space, bool_product, parse_points
+from .model import (BoolRows, InstanceError, Space, bool_product, parse_points,
+                    real_value, rows_of_blocks, table_blocks)
 from .reports import CheckReport
 from .scales import Cover, base_members, base_report, first
 
@@ -24,8 +28,8 @@ from .scales import Cover, base_members, base_report, first
 class Entourage:
     """Relation on a space.
 
-    ``pairs`` is an iterable of ordered index pairs or the n x n bool
-    relation matrix itself.
+    ``pairs`` is an iterable of ordered index pairs, the n x n bool
+    relation matrix or a ``BoolRows`` of point lists.
     """
 
     def __init__(self, space: Space, pairs, name: str | None = None):
@@ -34,7 +38,9 @@ class Entourage:
         if isinstance(pairs, np.ndarray) and pairs.dtype == bool:
             if pairs.shape != (n, n):
                 raise InstanceError("entourage matrix must be %d x %d" % (n, n))
-            m = pairs.copy()
+            rows = BoolRows.of_matrix(pairs)
+        elif isinstance(pairs, BoolRows) and pairs.shape == (n, n):
+            rows = pairs
         else:
             shape = "entourage pairs must be (x, y) index pairs"
             try:
@@ -46,58 +52,62 @@ class Entourage:
             xy = parse_points(chain.from_iterable(pairs), n, lambda k, outside: (
                 "entourage pair out of range: %r" % (pairs[k // 2],) if outside
                 else shape))
-            m = np.zeros((n, n), dtype=bool)
-            m[xy[0::2], xy[1::2]] = True
-        m.setflags(write=False)
-        self.matrix = m
+            rows = BoolRows.of_pairs(xy[0::2], xy[1::2], n, n)
+        self.rows = rows
         self.name = name
 
-    @cached_property
-    def rows(self) -> BoolRows:
-        """The relation matrix as the relation kernel reads it."""
-        return BoolRows(self.matrix)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x n bool relation matrix, built on every call."""
+        return self.rows.matrix
 
     @cached_property
+    def holders(self) -> BoolRows:
+        """The relation inverted: row y lists every x with (x, y) in it."""
+        return self.rows.transpose()
+
+    @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        """The relation as a set of (x, y) index pairs, built on first use."""
-        xs, ys = np.nonzero(self.matrix)
-        return frozenset(zip(xs.tolist(), ys.tolist()))
+        """The relation as a set of (x, y) index pairs, built on every call."""
+        return frozenset(self.sorted_pairs())
 
     def __len__(self):
-        return int(np.count_nonzero(self.matrix))
+        return self.rows.nnz
 
     def __contains__(self, pair):
         try:
             x, y = parse_points(pair, self.space.n, "")
         except ValueError:  # InstanceError is one, as is a pair of the wrong length
             return False
-        return bool(self.matrix[x, y])
+        return bool(self.rows.has([x], [y])[0])
 
     def __eq__(self, other):
         if not isinstance(other, Entourage):
             return NotImplemented
-        return self.space is other.space and np.array_equal(self.matrix, other.matrix)
+        return self.space is other.space and self.rows == other.rows
 
     __hash__ = object.__hash__
 
     def contains_diagonal(self) -> bool:
-        return bool(self.matrix.diagonal().all())
+        # entries are distinct, so n of them on the diagonal are all of it
+        return int(np.count_nonzero(self.rows.columns == self.rows.owners())) == self.space.n
 
     def is_symmetric(self) -> bool:
-        return np.array_equal(self.matrix, self.matrix.T)
+        return self.rows == self.holders
 
     def issubset(self, other: "Entourage") -> bool:
         if self.space is not other.space:
             raise InstanceError("entourages live on different spaces")
-        return not (self.matrix & ~other.matrix).any()
+        return self.rows.issubset(other.rows)
 
     def intersection(self, other: "Entourage") -> "Entourage":
         if self.space is not other.space:
             raise InstanceError("entourages live on different spaces")
-        return Entourage(self.space, self.matrix & other.matrix)
+        return Entourage(self.space, BoolRows.of_words(self.rows.words & other.rows.words,
+                                                       self.space.n))
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
-        return [tuple(p) for p in np.argwhere(self.matrix).tolist()]
+        return list(zip(self.rows.owners().tolist(), self.rows.columns.tolist()))
 
     def __repr__(self):
         nm = self.name or "entourage"
@@ -105,11 +115,14 @@ class Entourage:
 
 
 def diagonal(space: Space) -> Entourage:
-    return Entourage(space, np.eye(space.n, dtype=bool), name="diagonal")
+    return Entourage(space, BoolRows.identity(space.n), name="diagonal")
 
 
 def invert(e: Entourage) -> Entourage:
-    return Entourage(e.space, e.matrix.T)
+    # a fresh relation over e's holder lists, so that what it caches (its
+    # packed words, say) is not kept with e
+    holders = e.holders
+    return Entourage(e.space, BoolRows(holders.columns, holders.starts, holders.n))
 
 
 def compose(e: Entourage, f: Entourage) -> Entourage:
@@ -120,30 +133,33 @@ def compose(e: Entourage, f: Entourage) -> Entourage:
 
 
 def slice_at(e: Entourage, x: int) -> frozenset[int]:
-    """E[x] = {y : (y, x) in E}: second coordinate fixed."""
-    return frozenset(np.flatnonzero(e.matrix[:, x]).tolist())
+    """E[x] = {y : (y, x) in E}: second coordinate fixed, one holder list."""
+    (x,) = parse_points((x,), e.space.n, "a slice is taken at a point index")
+    return frozenset(e.holders.row(x).tolist())
 
 
 def entourage_of_scale(u: Cover) -> Entourage:
     """Union of U x U over the cover elements."""
-    return Entourage(u.space, u.neighbours.matrix, name="of-scale")
+    return Entourage(u.space, u.neighbours, name="of-scale")
 
 
 def scale_of_entourage(e: Entourage) -> Cover:
     """Slice cover {E[x]}, one element per point in load order."""
     if not e.contains_diagonal():
         raise InstanceError("entourage misses the diagonal; slices would not cover")
-    return Cover(e.space, e.matrix.T, name="of-entourage")
+    return Cover(e.space, e.holders, name="of-entourage")
 
 
 def metric_entourage(space: Space, r: float, closed: bool = True) -> Entourage:
     """{(x, y): d(x, y) <= r} (or strict < r); r must be finite and >= 0."""
     if space.d is None:
         raise InstanceError("space carries no metric")
-    if not (math.isfinite(r) and r >= 0):
-        raise InstanceError("entourage radius %r must be finite and nonnegative" % float(r))
-    mask = (space.d <= r) if closed else (space.d < r)
-    return Entourage(space, mask, name="E_%s%s" % (r, "" if closed else "<"))
+    radius = real_value(r, "entourage radius")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise InstanceError("entourage radius %r must be finite and nonnegative" % radius)
+    test = (lambda block: block <= radius) if closed else (lambda block: block < radius)
+    return Entourage(space, rows_of_blocks(table_blocks(space.d, test), space.n),
+                     name="E_%s%s" % (r, "" if closed else "<"))
 
 
 # -- base checks -------------------------------------------------------------

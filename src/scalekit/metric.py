@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InstanceError, Space, entry_pairs, fmt_value, ordered_grid
-from .scales import Cover, ScaleBase, _distinct_rows, refines, star_family
+from .model import (InstanceError, Space, distinct_rows, entry_pairs, fmt_value,
+                    ordered_grid, real_value, table_blocks)
+from .scales import Cover, ScaleBase, refines, star_family
 
 
 def _ball_cover(space: Space, d: np.ndarray, r: float, kind: str) -> Cover:
     """Open balls d(x, .) < r of a pseudometric table, one per point,
     duplicates dropped; the first center of each distinct ball decides
     element order."""
+    r = real_value(r, "ball radius")
     if not r > 0:
         raise InstanceError("ball radius must be positive")
-    return Cover(space, _distinct_rows(d < r), name="%s(%s)" % (kind, fmt_value(r)),
-                 open_flag=True)
+    return Cover(space, distinct_rows(table_blocks(d, lambda block: block < r), space.n),
+                 name="%s(%s)" % (kind, fmt_value(r)), open_flag=True)
 
 
 def ball_cover(space: Space, r: float) -> Cover:
@@ -81,13 +83,14 @@ def mesh(cover: Cover) -> float:
         raise InstanceError("space carries no metric")
     if not ((d > 0) & np.isfinite(d)).any():
         return 0.0
-    stars = _distinct_rows(star_family(cover, cover).matrix)
-    return float(max(d[:, s].max(axis=1).min() for s in stars))
+    # repeated stars would only repeat a term of the max
+    stars = {s.tobytes(): s for s in star_family(cover, cover).rows.lists()}
+    return float(max(d[:, s].max(axis=1).min() for s in stars.values()))
 
 
 def sup_diameter(cover: Cover) -> float:
     """The widest distance between two points of one element."""
-    d, columns = cover.space.d, cover.rows.entries[0]
+    d, columns = cover.space.d, cover.rows.columns
     return max((float(d[columns[t], columns[u]].max()) for t, u in entry_pairs(cover.rows)),
                default=0.0)
 

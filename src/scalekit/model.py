@@ -30,10 +30,23 @@ def fmt_value(v: float) -> str:
     return repr(f)
 
 
+def real_value(v, what: str) -> float:
+    """A real number as a float; a bool, a string or anything else that is
+    not a real number is refused, with ``what`` naming it in the error."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InstanceError("%s must be a real number, not %r" % (what, v))
+    return float(v)
+
+
 def positive_grid(values, what: str) -> tuple[float, ...]:
-    """Values as floats, checked nonempty, finite and positive; ``what``
-    names the grid in the error.  Ordering rules stay with the caller."""
-    vals = tuple(float(v) for v in values)
+    """Values as floats, checked nonempty, real, finite and positive;
+    ``what`` names the grid in the error.  Ordering rules stay with the
+    caller."""
+    try:
+        values = tuple(values)
+    except TypeError as exc:
+        raise InstanceError("%s must be a list of numbers" % what) from exc
+    vals = tuple(real_value(v, "each value of the %s" % what) for v in values)
     if not vals:
         raise InstanceError("%s needs at least one value" % what)
     if not all(math.isfinite(v) and v > 0 for v in vals):
@@ -132,19 +145,32 @@ def _max_gap_table(coords: np.ndarray) -> np.ndarray:
 COORD_METRICS = {"line": gap_table, "grid": _max_gap_table}
 
 
-# -- the relation kernel: products of bool matrices --------------------------
+# -- the relation kernel: bool relations as point lists --------------------
 #
-# Row i of a product of bool matrices a (m x k) and b (k x n) reduces the
-# rows b[p] over the points p of row i of a: OR gives (a @ b) > 0, AND says
-# for each j that every point of row i is related to j.  Two paths compute
-# it.  The packed path takes each row of b as ceil(n / 64) uint64 words,
-# gathers them for the points of a and reduces them with reduceat: time ~
-# nnz(a) * ceil(n / 64), which wins on sparse bands such as ball covers.
-# The BLAS path counts in a float32 product, exact up to 2**24 points: time
-# ~ m * k * n, which wins on dense or small operands.  Both work through a
-# in chunks of at most CHUNK_BYTES of gathered words or float32 rows (one
-# row or entry at least), so that their working memory stays flat.  Each
-# path is a generator that yields its result so far after every chunk,
+# A bool relation of m rows over n columns (a cover's elements x points, an
+# entourage's points x points) is stored as point lists: the column of each
+# true entry, row by row and ascending inside a row, and where each row
+# begins in that list.  The other forms are derived from the lists: the
+# transpose by one stable argsort, packed words by scatter, and a dense
+# matrix only for a caller that needs one.  The kernel below writes its
+# results as packed words, which such a relation keeps, with its row
+# counts, and lists on first read: a dense result that is only tested or
+# multiplied again on the BLAS path is never listed, and its words take a
+# bit per entry where lists take 32.
+#
+# Row i of a product of relations a (m x k) and b (k x n) reduces the rows
+# b[p] over the points p of row i of a: OR gives (a @ b) > 0, AND says for
+# each j that every point of row i is related to j.  Two paths compute it.
+# The packed path takes each row of b as ceil(n / 64) uint64 words, gathers
+# them for the points of a and reduces them with reduceat: time ~ nnz(a) *
+# ceil(n / 64), which wins on sparse bands such as ball covers.  The BLAS
+# path counts in a float32 product, exact up to 2**24 points, of operands
+# unpacked from packed rows: time ~ m * k * n, which wins on dense or small
+# operands.  Both work through a in chunks of at most CHUNK_BYTES of
+# gathered words or float32 rows (one row or entry at least), so that their
+# working memory stays flat; the packed path writes its result as packed
+# words, the BLAS path as a bool matrix.
+# Each path is a generator that yields its result so far after every chunk,
 # with the number of leading rows that are final, so that a caller that
 # only asks whether every row holds a true entry can stop at the first
 # chunk that completes a row that does not.
@@ -170,9 +196,7 @@ WORD = np.dtype("<u8")
 def _pack(m: np.ndarray) -> np.ndarray:
     """The rows of a bool matrix as little-endian uint64 words; the bits
     past the last column are zero."""
-    # a strided operand (a cover's holders are a transpose) packs about
-    # twice as fast from a contiguous copy; the copy is not kept
-    bits = np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")
+    bits = np.packbits(m, axis=1, bitorder="little")
     words = np.zeros((len(m), -(-m.shape[1] // 64) * 8), dtype=np.uint8)
     words[:, :bits.shape[1]] = bits
     return words.view(WORD)
@@ -184,36 +208,230 @@ def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
+def distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, ascending: one sort and a mask of
+    the values that differ from their predecessor."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _point_lists(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (int32) and row starts of the entries of a 2-d bool
+    matrix."""
+    m, n = matrix.shape
+    flat = matrix.ravel().nonzero()[0]
+    starts = flat.searchsorted(np.arange(0, (m + 1) * n, n))
+    return np.remainder(flat, n, out=flat).astype(np.int32), starts
+
+
+def _stacked(lists) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, starts) pairs of relations over the same columns, one
+    after another, as one pair."""
+    if len(lists) == 1:
+        return lists[0]
+    offsets = np.cumsum([0] + [starts[-1] for _, starts in lists])
+    return (np.concatenate([columns for columns, _ in lists]),
+            np.concatenate([[0]] + [starts[1:] + o for (_, starts), o in zip(lists, offsets)]))
+
+
 class BoolRows:
-    """A read-only bool matrix and the forms the relation kernel reads, each
-    built on first use."""
+    """A read-only bool relation of m rows over n columns, as point lists:
+    ``columns`` holds the column of each true entry, row by row and
+    ascending inside a row, as int32, and row i is
+    columns[starts[i]:starts[i + 1]] (``starts`` is int64, with the total
+    at the end).  The packed words are derived from the lists and kept
+    once built.  A relation that the kernel writes as packed words (see
+    ``of_words``) keeps them, with its row counts, and lists its entries
+    on first read."""
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, columns, starts, n: int):
+        self.columns = np.asarray(columns, dtype=np.int32)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.columns.setflags(write=False)
+        self.starts.setflags(write=False)
+        self.m, self.n = len(self.starts) - 1, n
+
+    @classmethod
+    def of_pairs(cls, rows: np.ndarray, columns: np.ndarray, m: int, n: int) -> "BoolRows":
+        """The relation holding each (rows[t], columns[t]), in any order and
+        with repeats."""
+        keys = distinct_sorted(np.asarray(rows, dtype=np.int64) * n + columns)
+        return cls(keys % n, keys.searchsorted(np.arange(0, (m + 1) * n, n)), n)
+
+    @classmethod
+    def of_matrix(cls, matrix: np.ndarray) -> "BoolRows":
+        """The relation of a 2-d bool matrix."""
+        return cls(*_point_lists(matrix), matrix.shape[1])
+
+    @classmethod
+    def of_words(cls, words: np.ndarray, n: int) -> "BoolRows":
+        """The relation of packed rows of n bits, as ``words`` has them; it
+        keeps ``words`` as its own, with each row's entry count, and lists
+        its entries on first read."""
+        rows = cls.__new__(cls)
+        rows.m, rows.n = len(words), n
+        words.setflags(write=False)
+        rows.words = words
+        rows.sizes = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        return rows
+
+    @classmethod
+    def stack(cls, parts) -> "BoolRows":
+        """The rows of relations over the same columns, one after another."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*_stacked([(p.columns, p.starts) for p in parts]), parts[0].n)
+
+    @classmethod
+    def identity(cls, n: int) -> "BoolRows":
+        return cls(np.arange(n), np.arange(n + 1), n)
 
     @cached_property
+    def _lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """The point lists of a relation made from packed words, unpacked a
+        block of rows, of at most CHUNK_BYTES bits, at a time."""
+        step = max(1, CHUNK_BYTES // (64 * self.words.shape[1]))
+        columns, starts = _stacked([_point_lists(self.dense(bool, lo, lo + step))
+                                    for lo in range(0, max(1, self.m), step)])
+        columns.setflags(write=False)
+        starts.setflags(write=False)
+        return columns, starts
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return self._lists[0]
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return self._lists[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.m, self.n
+
+    @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.matrix))
+        return int(self.sizes.sum())
+
+    def __eq__(self, other):
+        if not isinstance(other, BoolRows):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.starts, other.starts)
+                and np.array_equal(self.columns, other.columns))
+
+    __hash__ = object.__hash__
 
     @cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The column of each true entry, row by row, and where each row
-        begins in that list (with the total at the end).  Columns are kept
-        as int32, half the memory of int64."""
-        m, k = self.matrix.shape
-        flat = np.flatnonzero(self.matrix)
-        starts = np.searchsorted(flat, np.arange(m + 1) * k)
-        np.remainder(flat, k, out=flat)
-        return flat.astype(np.int32), starts
+    def sizes(self) -> np.ndarray:
+        """The number of entries of each row."""
+        return self.starts[1:] - self.starts[:-1]
+
+    def owners(self) -> np.ndarray:
+        """The row of each entry, as int32."""
+        return np.repeat(np.arange(self.m, dtype=np.int32), self.sizes)
+
+    def row(self, i: int) -> np.ndarray:
+        return self.columns[self.starts[i]:self.starts[i + 1]]
+
+    def lists(self) -> list[np.ndarray]:
+        """Every row's columns, as views."""
+        return np.split(self.columns, self.starts[1:-1])
+
+    def take(self, rows) -> "BoolRows":
+        """The relation of the given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        sizes = self.sizes[rows]
+        starts = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        at = np.repeat(self.starts[rows] - starts[:-1], sizes) + np.arange(starts[-1])
+        return BoolRows(self.columns[at], starts, self.n)
+
+    def union(self, rows) -> np.ndarray:
+        """The union of the given rows, as a bool mask over the columns."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.take(rows).columns] = True
+        return mask
+
+    def transpose(self) -> "BoolRows":
+        """Columns x rows, by one stable argsort of the columns, so that
+        each row of the transpose lists its points ascending."""
+        starts = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.columns, minlength=self.n), out=starts[1:])
+        order = np.argsort(self.columns, kind="stable")
+        return BoolRows(self.owners()[order], starts, self.m)
+
+    def has(self, rows, columns) -> np.ndarray:
+        """Whether each (rows[t], columns[t]) is an entry, read bit by bit
+        from the packed words."""
+        columns = np.asarray(columns, dtype=np.int64)
+        bits = self.words[rows, columns >> 6] >> (columns & 63).astype(np.uint64)
+        return (bits & np.uint64(1)).astype(bool)
+
+    def issubset(self, other: "BoolRows") -> bool:
+        """Whether every entry is one of ``other``, of the same shape."""
+        return not (self.words & ~other.words).any()
 
     @cached_property
     def words(self) -> np.ndarray:
-        return _pack(self.matrix)
+        """The rows as little-endian uint64 words, bit j of row i set for an
+        entry (i, j) and zero past the last column.  Built a block of rows,
+        of at most CHUNK_BYTES bits, at a time: the block's entries are set
+        in a bool block of whole words, which is packed."""
+        m, bits = self.m, 64 * -(-self.n // 64)
+        words = np.empty((m, bits // 64), dtype=WORD)
+        step = max(1, CHUNK_BYTES // bits)
+        for lo in range(0, m, step):
+            hi = min(m, lo + step)
+            block = np.zeros((hi - lo) * bits, dtype=bool)
+            block[np.arange(0, (hi - lo) * bits, bits).repeat(self.sizes[lo:hi])
+                  + self.columns[self.starts[lo]:self.starts[hi]]] = True
+            words[lo:hi] = np.packbits(block, bitorder="little").view(WORD).reshape(hi - lo, -1)
+        words.setflags(write=False)
+        return words
+
+    def dense(self, dtype=bool, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows lo to hi as a dense array, 1 at each entry, unpacked from
+        the words."""
+        return np.unpackbits(self.words[lo:hi].view(np.uint8), axis=1, count=self.n,
+                             bitorder="little").astype(dtype)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense bool matrix, built on every call."""
+        return self.dense()
+
+
+def table_blocks(table: np.ndarray, test):
+    """``test`` (a vectorised predicate) on a 2-d table, one block of rows
+    of at most CHUNK_BYTES entries after another, so that no bool copy of
+    the whole table is held."""
+    step = max(1, CHUNK_BYTES // table.shape[1])
+    for lo in range(0, len(table), step):
+        yield test(table[lo:lo + step])
+
+
+def rows_of_blocks(blocks, n: int) -> BoolRows:
+    """The relation of bool blocks of n columns, read one after another,
+    as packed words."""
+    return BoolRows.of_words(np.concatenate([_pack(block) for block in blocks]), n)
+
+
+def distinct_rows(blocks, n: int) -> BoolRows:
+    """The distinct rows of bool blocks of n columns, read one after
+    another, each row at its first occurrence; rows are told apart, and
+    kept until the end, as their packed bits."""
+    seen: dict = {}
+    for block in blocks:
+        seen.update(dict.fromkeys(map(bytes, _pack(block))))
+    words = np.frombuffer(b"".join(seen), dtype=WORD).reshape(len(seen), -1)
+    return BoolRows.of_words(words, n)
 
 
 def _packed_cheaper(a: BoolRows, b: BoolRows) -> bool:
     """Whether the packed path is estimated faster than BLAS."""
-    (m, k), n = a.matrix.shape, b.matrix.shape[1]
+    (m, k), n = a.shape, b.n
     blas = BLAS_MAC_S * m * k * n
     # below the packed path's fixed cost there is nothing to count
     return (blas > PACKED_CALL_S
@@ -229,7 +447,7 @@ def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,
     final."""
     out = np.zeros((len(starts) - 1, words.shape[1]), dtype=WORD)
     if ufunc is np.bitwise_and:  # an empty row holds for every column
-        out[:] = _pack(np.ones((1, n), dtype=bool))
+        out[:] = BoolRows(np.arange(n), [0, n], n).words
     step = max(1, CHUNK_BYTES // (8 * words.shape[1]))
     for lo in range(0, columns.size, step):
         hi = min(columns.size, lo + step)
@@ -249,28 +467,28 @@ def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,
 
 def _counted(a: BoolRows, b: BoolRows, ufunc):
     """The BLAS path: count each row's related points in a float32 product;
-    OR asks for one, AND for all of them.  Yields the result after each
-    chunk of rows, with the number of rows done."""
-    (m, k), n = a.matrix.shape, b.matrix.shape[1]
-    b32 = b.matrix.astype(np.float32)
+    OR asks for one, AND for all of them.  Yields the result, a bool
+    matrix, after each chunk of rows, with the number of rows done."""
+    (m, k), n = a.shape, b.n
+    b32 = b.dense(np.float32)
     out = np.empty((m, n), dtype=bool)
     step = max(1, CHUNK_BYTES // (4 * max(k, n, 1)))
     for lo in range(0, m, step):
-        a32 = a.matrix[lo:lo + step].astype(np.float32)
+        hi = min(m, lo + step)
+        a32 = a.dense(np.float32, lo, hi)
         counts = a32 @ b32
         if ufunc is np.bitwise_and:
-            np.equal(counts, a32.sum(axis=1)[:, None], out=out[lo:lo + step])
+            np.equal(counts, a32.sum(axis=1)[:, None], out=out[lo:hi])
         else:
-            np.greater(counts, 0, out=out[lo:lo + step])
-        yield out, min(m, lo + step)
+            np.greater(counts, 0, out=out[lo:hi])
+        yield out, hi
     yield out, m
 
 
 def _chunks(a: BoolRows, b: BoolRows, ufunc):
     """The chunks of the reduction along the cheaper path."""
     if _packed_cheaper(a, b):
-        columns, starts = a.entries
-        return _reduce_rows(columns, starts, b.words, ufunc, b.matrix.shape[1])
+        return _reduce_rows(a.columns, a.starts, b.words, ufunc, b.n)
     return _counted(a, b, ufunc)
 
 
@@ -281,22 +499,22 @@ def _final(chunks) -> np.ndarray:
     return out
 
 
-def _collect(chunks, n: int) -> np.ndarray:
-    """The whole result of a path, as a bool matrix of n columns."""
-    out = _final(chunks)
-    return unpack_rows(out, n) if out.dtype == WORD else out
-
-
 def packed_union(columns: np.ndarray, starts: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Row i ORs the packed rows words[columns[starts[i]:starts[i + 1]]]: the
     packed path fed from point lists, its result left packed."""
     return _final(_reduce_rows(columns, starts, words, np.bitwise_or, 0))
 
 
-def bool_product(a: BoolRows, b: BoolRows) -> np.ndarray:
+def product_words(a: BoolRows, b: BoolRows) -> np.ndarray:
+    """(a @ b) > 0 as packed rows (see ``BoolRows.words``)."""
+    out = _final(_chunks(a, b, np.bitwise_or))
+    return out if out.dtype == WORD else _pack(out)
+
+
+def bool_product(a: BoolRows, b: BoolRows) -> BoolRows:
     """(a @ b) > 0: entry (i, j) says that some point p of row i of ``a``
     has b[p, j]."""
-    return _collect(_chunks(a, b, np.bitwise_or), b.matrix.shape[1])
+    return BoolRows.of_words(product_words(a, b), b.n)
 
 
 def bool_covered(a: BoolRows, b: BoolRows) -> bool:
@@ -314,7 +532,7 @@ def bool_covered(a: BoolRows, b: BoolRows) -> bool:
 
 # -- the pair stream: value gaps of the pairs inside each element -----------
 #
-# Entry t of a bool matrix's point lists (``BoolRows.entries``) pairs with
+# Entry t of a relation's point lists (``BoolRows.columns``) pairs with
 # the entries after it in its row, so the pairs come in (row, x, y) order
 # with x < y.  They are made in chunks of whole entries, which may split a
 # row: a chunk holds at most PAIR_CHUNK pairs, so that working memory stays
@@ -322,8 +540,8 @@ def bool_covered(a: BoolRows, b: BoolRows) -> bool:
 
 def entry_pairs(rows: BoolRows):
     """Chunks (t, u) of the pairs x < y inside each row of ``rows``: t and u
-    are the entries of x and y in ``rows.entries``."""
-    columns, starts = rows.entries
+    are the entries of x and y in ``rows.columns``."""
+    columns, starts = rows.columns, rows.starts
     # each entry's pair count, and the running total through it
     after = np.repeat(starts[1:], np.diff(starts)) - 1 - np.arange(columns.size)
     ends = np.cumsum(after)
@@ -343,7 +561,7 @@ def pair_stream(rows: BoolRows, values: np.ndarray):
     """Chunks (t, u, gap) of ``entry_pairs``, with gap |values[x] - values[y]|,
     in the sum norm when each point carries a vector, as ``gap_table`` has
     it."""
-    columns = rows.entries[0]
+    columns = rows.columns
     for t, u in entry_pairs(rows):
         # a chunk's entries run from its first t to its last u
         lo = t[0]
@@ -482,16 +700,18 @@ class Space:
         return frozenset(out)
 
     def labels(self, subset) -> tuple[str, ...]:
-        return tuple(self.points[i] for i in sorted(subset))
+        idx = parse_points(subset, self.n, "labels are taken of point indices")
+        return tuple(self.points[i] for i in np.sort(idx).tolist())
 
     def distance(self, i: int, j: int) -> float:
         if self.d is None:
             raise InstanceError("space carries no metric")
+        i, j = parse_points((i, j), self.n, "a distance is taken between point indices")
         return float(self.d[i, j])
 
     def diam(self, subset) -> float:
         """Largest pairwise distance inside ``subset`` (0 for <= 1 point)."""
-        idx = sorted(subset)
+        idx = np.sort(parse_points(subset, self.n, "a diameter is taken of point indices"))
         return widest_pair(self.d[np.ix_(idx, idx)])[0]
 
     def values(self) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
 from .model import (InstanceError, fmt_value, gap_table, ordered_grid, pair_stream,
-                    parse_points, widest_pair)
+                    parse_points, real_value, widest_pair)
 from .reports import CheckReport, truncation_label
 from .scales import Cover, first, star_set
 
@@ -56,7 +56,7 @@ def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
     """Greatest value gap inside each element; values that are vectors (one
     row per point) are compared in the sum norm."""
     f = np.asarray(f, dtype=complex)
-    starts = cover.rows.entries[1]
+    starts = cover.rows.starts
     # per entry, its widest gap to a later point of its element; a chunk
     # holds every pair of the entries it reaches
     widest = np.zeros(starts[-1])
@@ -67,10 +67,9 @@ def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
     return np.maximum.reduceat(widest, starts[:-1])
 
 
-def _widest_in(f: np.ndarray, row: np.ndarray) -> tuple[float, int, int]:
-    """(gap, x, y): the widest value gap inside one element, given as a bool
-    row, and the first pair x < y attaining it."""
-    idx = np.flatnonzero(row)
+def _widest_in(f: np.ndarray, idx: np.ndarray) -> tuple[float, int, int]:
+    """(gap, x, y): the widest value gap inside one element, given as its
+    ascending point list, and the first pair x < y attaining it."""
     gap, i, j = widest_pair(gap_table(f[idx]))
     return gap, int(idx[i]), int(idx[j])
 
@@ -86,7 +85,7 @@ def heavy_pairs(f: np.ndarray, cover: Cover, eps: float) -> np.ndarray:
     pairs at a coarser eps are ``pairs[pairs["gap"] > eps]``, in the same
     order."""
     f = np.asarray(f, dtype=complex)
-    columns, starts = cover.rows.entries
+    columns, starts = cover.rows.columns, cover.rows.starts
     parts = [np.empty(0, dtype=PAIR)]
     for t, u, gap in pair_stream(cover.rows, f):
         heavy = gap > eps
@@ -148,7 +147,7 @@ def _search(q: SOQuery, form: str, diams: dict) -> CheckReport:
         for eps in q.eps_grid:
             if form == "strict":
                 bad = np.flatnonzero(diams_k > eps)
-                bad_union = np.flatnonzero(cov.matrix[bad].any(axis=0))
+                bad_union = np.flatnonzero(cov.rows.union(bad))
                 test = lambda m: m[bad_union].all()
                 refute = lambda: _strict_refutation(q, cov, eps, bad, cells)
             else:
@@ -180,11 +179,14 @@ def _strict_refutation(q, cov, eps, bad, cells):
     space = q.structure.space
     names, w = cells
     base = {"cover": cov.name, "eps": eps, "form": "strict"}
-    outside = [(cov.matrix[bad] & ~mask).any(axis=1) for mask in w]
+    # bad elements are nonempty, so reduceat meets no empty segment
+    bad_rows = cov.rows.take(bad)
+    outside = [np.logical_or.reduceat(~mask[bad_rows.columns], bad_rows.starts[:-1])
+               for mask in w]
     common = _first(_every(outside, bad.size))
     if common is not None:
         k = int(bad[common])
-        gap, x, y = _widest_in(q.f, cov.matrix[k])
+        gap, x, y = _widest_in(q.f, cov.rows.row(k))
         base.update(_pair_entry(space, cov, {"k": k, "x": x, "y": y, "gap": gap}))
         base["mode"] = "element survives every witness"
         return base
@@ -233,8 +235,8 @@ def equivalence_test(q: SOQuery) -> CheckReport:
         k = next(k for k, c in enumerate(q.base) if c.name == cell["cover"])
         cov = q.base[k]
         starred = star_set(np.flatnonzero(w[names.index(cell["witness"])]).tolist(), cov)
-        bad_union = cov.matrix[_diameters(q, k, diams) > cell["eps"]].any(axis=0)
-        contained = frozenset(np.flatnonzero(bad_union).tolist()) <= starred
+        bad = np.flatnonzero(_diameters(q, k, diams) > cell["eps"])
+        contained = frozenset(np.flatnonzero(cov.rows.union(bad)).tolist()) <= starred
         ok = ok and contained
         wb, _ = desk_weakly_bounded(starred, q.structure)
         checks.append({"cover": cell["cover"], "eps": cell["eps"],
@@ -301,7 +303,7 @@ def build_scaled_refuter(space, centers, radii) -> np.ndarray:
     if space.d is None:
         raise InstanceError("refuters need a metric")
     centers = parse_points(centers, space.n, "centers must be point indices").tolist()
-    radii = [float(r) for r in radii]
+    radii = [real_value(r, "each radius") for r in radii]
     if len(centers) != len(radii) or not centers:
         raise InstanceError("need matching nonempty centers and radii")
     if any(r <= 0 for r in radii):

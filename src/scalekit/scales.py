@@ -1,41 +1,47 @@
 """Covers, stars and scale bases.
 
-A scale is a cover of the whole space.  A cover is stored as its bool
-incidence matrix, elements x points; the element sets are derived from it on
-demand.  Covers are compared through star refinement: ``u`` is a smaller
-scale than ``v`` when the family of stars st(U, u) refines ``v`` and the two
-covers differ as element sets.  Small-scale bases are downward directed under
-star refinement, large-scale bases are directed the opposite way (every star
-of two members is coarsened by a third).
+A scale is a cover of the whole space.  A cover is stored as point lists,
+one ascending list of point indices per element (``model.BoolRows``); the
+element sets, the holder lists of each point and the neighbourhood
+relation are derived from them.  Covers are compared through star
+refinement: ``u`` is a smaller scale than ``v`` when the family of stars
+st(U, u) refines ``v`` and the two covers differ as element sets.
+Small-scale bases are downward directed under star refinement, large-scale
+bases are directed the opposite way (every star of two members is
+coarsened by a third).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
 from .model import (BoolRows, InstanceError, Space, bool_covered, bool_product,
-                    parse_points)
+                    parse_points, product_words)
 from .reports import CheckReport, truncation_label
 
 
-def _incidence(n: int, elements) -> np.ndarray:
-    """Bool elements x points matrix of point-index iterables, or a copy of
-    one given as such a matrix; raises on empty or out-of-range elements and
-    on points that are not integers."""
-    if isinstance(elements, np.ndarray) and elements.dtype == bool:
+def _incidence(n: int, elements) -> BoolRows:
+    """The point lists of point-index iterables, of a bool elements x
+    points matrix or of point lists themselves; raises on empty or
+    out-of-range elements and on points that are not integers."""
+    if isinstance(elements, BoolRows):
+        if elements.n != n:
+            raise InstanceError("incidence matrix needs one column per point")
+        rows = elements
+    elif isinstance(elements, np.ndarray) and elements.dtype == bool:
         if elements.ndim != 2 or elements.shape[1] != n:
             raise InstanceError("incidence matrix needs one column per point")
-        m = elements.copy()
+        rows = BoolRows.of_matrix(elements)
     else:
         try:
-            rows = [tuple(e) for e in elements]
+            lists = [tuple(e) for e in elements]
         except TypeError as exc:
             raise InstanceError("cover elements must be lists of point indices") from exc
-        owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        empty = next((k for k, r in enumerate(rows) if not r), len(rows))
+        owner = np.repeat(np.arange(len(lists)), [len(r) for r in lists])
+        empty = next((k for k, r in enumerate(lists) if not r), len(lists))
 
         def error(k: int, outside: bool) -> str:
             # elements are reported in order, so an empty element before
@@ -45,89 +51,76 @@ def _incidence(n: int, elements) -> np.ndarray:
             return ("cover element %d has out-of-range points" if outside else
                     "cover element %d has a point that is not an integer") % owner[k]
 
-        pts = parse_points(chain.from_iterable(rows), n, error)
-        m = np.zeros((len(rows), n), dtype=bool)
-        m[owner, pts] = True
-    empty = np.flatnonzero(~m.any(axis=1))
-    if empty.size:
-        raise InstanceError("cover element %d is empty" % empty[0])
-    if not len(m):
+        pts = parse_points(chain.from_iterable(lists), n, error)
+        rows = BoolRows.of_pairs(owner, pts, len(lists), n)
+    sizes = rows.sizes
+    if not sizes.all():
+        raise InstanceError("cover element %d is empty" % sizes.argmin())
+    if not rows.m:
         raise InstanceError("a cover needs at least one element")
-    m.setflags(write=False)
-    return m
-
-
-def _distinct_rows(m: np.ndarray) -> np.ndarray:
-    """The distinct rows of a bool matrix, each at its first occurrence."""
-    packed = np.packbits(m, axis=1)
-    # bytes keys: np.unique(axis=0) would sort the rows, which is far slower
-    kept = b"".join(dict.fromkeys(map(bytes, packed)))
-    rows = np.frombuffer(kept, dtype=np.uint8).reshape(-1, packed.shape[1])
-    return np.unpackbits(rows, axis=1, count=m.shape[1]).astype(bool)
+    return rows
 
 
 class Cover:
     """Indexed family of nonempty point subsets of one space.
 
-    ``elements`` is an iterable of point-index iterables or the bool
-    incidence matrix itself.  Element order is preserved; duplicate element
-    sets are allowed (they can arise from star families) and only collapse
-    when callers dedupe.
+    ``elements`` is an iterable of point-index iterables, the bool
+    incidence matrix (elements x points) or a ``BoolRows`` of point lists.
+    Element order is preserved; duplicate element sets are allowed (they
+    can arise from star families) and only collapse when callers dedupe.
     """
 
     def __init__(self, space: Space, elements, name: str | None = None,
                  open_flag: bool = False):
         self.space = space
-        self.matrix = _incidence(space.n, elements)
+        self.rows = _incidence(space.n, elements)
         self.name = name
         self.open_flag = bool(open_flag)
 
     def __len__(self) -> int:
-        return len(self.matrix)
+        return self.rows.m
 
     def __iter__(self):
         return iter(self.elements)
 
-    @cached_property
+    @property
     def elements(self) -> tuple[frozenset[int], ...]:
-        """The element sets in matrix row order, built on first use."""
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.matrix)
+        """The element sets in order, built on every call."""
+        columns, bounds = self.rows.columns.tolist(), self.rows.starts.tolist()
+        return tuple(frozenset(columns[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
-    @cached_property
-    def rows(self) -> BoolRows:
-        """The incidence matrix as the relation kernel reads it."""
-        return BoolRows(self.matrix)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The bool incidence matrix, elements x points, built on every call."""
+        return self.rows.matrix
 
     @cached_property
     def holders(self) -> BoolRows:
-        """Points x elements: row p marks the elements that hold p."""
-        return BoolRows(self.matrix.T)
+        """Points x elements: row p lists the elements that hold p."""
+        return self.rows.transpose()
 
     @cached_property
     def neighbours(self) -> BoolRows:
         """Points x points: row p is the union of the elements that hold p,
         so that st(A, u) = A | neighbours[A]."""
-        # a fresh transpose, so that its point lists, read once, are not kept
-        m = bool_product(BoolRows(self.matrix.T), self.rows)
-        m.setflags(write=False)
-        return BoolRows(m)
+        return bool_product(self.holders, self.rows)
 
     def value_range(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The least and the greatest of a per-point vector over each element."""
-        columns, starts = self.rows.entries
         # elements are nonempty, so reduceat meets no empty segment
-        per_entry = values[columns]
-        return (np.minimum.reduceat(per_entry, starts[:-1]),
-                np.maximum.reduceat(per_entry, starts[:-1]))
+        per_entry, starts = values[self.rows.columns], self.rows.starts[:-1]
+        return np.minimum.reduceat(per_entry, starts), np.maximum.reduceat(per_entry, starts)
 
     def element_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.elements)
 
     def is_scale(self) -> bool:
-        return bool(self.matrix.any(axis=0).all())
+        return bool(np.bincount(self.rows.columns, minlength=self.space.n).all())
 
     def labels(self) -> list[list[str]]:
-        return [list(self.space.labels(e)) for e in self.elements]
+        points = self.space.points
+        columns, bounds = self.rows.columns.tolist(), self.rows.starts.tolist()
+        return [[points[p] for p in columns[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
 
     def __repr__(self):
         nm = self.name or "cover"
@@ -153,10 +146,10 @@ class ScaleBase:
 # -- stars ---------------------------------------------------------------------
 
 def star_set(subset, cover: Cover) -> frozenset[int]:
-    """st(A, u) = A together with every element of u meeting A."""
+    """st(A, u) = A together with every element of u meeting A: the elements
+    are read from the holder lists of A's points."""
     idx = parse_points(subset, cover.space.n, "a star is taken of a set of point indices")
-    m = cover.matrix
-    star = m[m[:, idx].any(axis=1)].any(axis=0)
+    star = cover.rows.union(np.flatnonzero(cover.holders.union(idx)))
     star[idx] = True
     return frozenset(np.flatnonzero(star).tolist())
 
@@ -165,7 +158,8 @@ def star_family(u: Cover, v: Cover) -> Cover:
     """st(u, v): one element st(U, v) per element U of u, order preserved."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
-    return Cover(u.space, u.matrix | bool_product(u.rows, v.neighbours))
+    words = product_words(u.rows, v.neighbours) | u.rows.words
+    return Cover(u.space, BoolRows.of_words(words, u.space.n))
 
 
 def refines(u: Cover, v: Cover) -> bool:
@@ -188,8 +182,8 @@ def is_smaller(u: Cover, v: Cover) -> bool:
 def trivial_extension(family: Cover, space: Space | None = None) -> Cover:
     """The family together with every singleton, the minimal scale above it."""
     space = space or family.space
-    m = np.vstack([family.matrix, np.eye(family.space.n, dtype=bool)])
-    return Cover(space, m, name=(family.name or "family") + "+singletons")
+    rows = BoolRows.stack([family.rows, BoolRows.identity(family.space.n)])
+    return Cover(space, rows, name=(family.name or "family") + "+singletons")
 
 
 # -- base checks -----------------------------------------------------------------
@@ -281,12 +275,12 @@ def is_hausdorff(base) -> CheckReport:
     """Some base scale separates every pair: no element contains both points."""
     covers = base_members(base, "a scale base needs at least one cover")
     space = covers[0].space
-    together = np.ones((space.n, space.n), dtype=bool)
-    for u in covers:
-        together &= u.neighbours.matrix
-    np.fill_diagonal(together, False)
-    if together.any():
-        x, y = map(int, np.argwhere(together)[0])
+    together = BoolRows.of_words(reduce(np.bitwise_and, (u.neighbours.words for u in covers)),
+                                 space.n)
+    owners = together.owners()
+    apart = np.flatnonzero(together.columns != owners)
+    if apart.size:
+        x, y = int(owners[apart[0]]), int(together.columns[apart[0]])
         return CheckReport(
             "is_hausdorff", False,
             counterexample={"pair": [space.points[x], space.points[y]],
@@ -352,6 +346,6 @@ def pou_support(phi: PartitionOfUnity) -> Cover:
 
 def subordinated(phi: PartitionOfUnity, u: Cover) -> bool:
     """S_v inside the matching element of u, column v against element v."""
-    if len(phi.index) != len(u.elements):
+    if len(phi.index) != len(u):
         raise InstanceError("index set of the partition does not match the cover")
     return all(s <= e for s, e in zip(phi.supports(), u.elements))

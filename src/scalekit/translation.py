@@ -12,8 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from .model import (Filtration, InstanceError, Space, check_group_table, parse_points,
-                    whole_size)
+from .model import (BoolRows, Filtration, InstanceError, Space, check_group_table,
+                    parse_points, whole_size)
 from .reports import CheckReport
 from .scales import Cover, base_report, first, refines, star_family
 
@@ -66,10 +66,12 @@ class GroupWindow:
 
     def mul(self, a: int, b: int) -> int | None:
         """Product index, or None when it leaves the window."""
+        a, b = parse_points((a, b), self.space.n, "factors must be point indices")
         p = int(self.table[a, b])
         return None if p < 0 else p
 
     def inv(self, a: int) -> int | None:
+        (a,) = parse_points((a,), self.space.n, "an inverse is taken of a point index")
         p = int(self.inverse[a])
         return None if p < 0 else p
 
@@ -126,10 +128,10 @@ def translation_scale(g: GroupWindow, f_subset) -> tuple[Cover, int]:
                                  "of point indices").tolist()) | {g.identity})
     prods = g.table[:, f]
     kept = prods >= 0
-    matrix = np.zeros((g.space.n, g.space.n), dtype=bool)
-    matrix[np.nonzero(kept)[0], prods[kept]] = True
+    n = g.space.n
+    rows = BoolRows.of_pairs(np.nonzero(kept)[0], prods[kept], n, n)
     name = "translates[%s]" % ",".join(g.space.points[i] for i in f)
-    return Cover(g.space, matrix, name=name), int(kept.size - kept.sum())
+    return Cover(g.space, rows, name=name), int(kept.size - kept.sum())
 
 
 def _closure_candidates(g: GroupWindow, subsets):

@@ -9,6 +9,7 @@ import copy
 import json
 import pathlib
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from scalekit.bounded import (BoundedStructure, check_proper, desk_weakly_bounde
                               from_metric, lemma_wb_test, proper_hss_test,
                               st_weakly_bounded_test, uniformly_bounded)
 from scalekit.cli import main
-from scalekit.entourages import Entourage, check_coarse_axioms, check_uniform_axioms
+from scalekit.entourages import (Entourage, check_coarse_axioms, check_uniform_axioms,
+                                 metric_entourage, slice_at)
 from scalekit.instances import load_space
-from scalekit.metric import ball_cover
+from scalekit.metric import ball_cover, metric_ls_base, metric_ss_base
 from scalekit.model import InstanceError, Space, builder_line, check_group_table
-from scalekit.oscillation import build_bump_refuter, build_scaled_refuter
+from scalekit.oscillation import SOQuery, build_bump_refuter, build_scaled_refuter
 from scalekit.reports import CheckReport
 from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, check_ls_base,
                              check_ss_base, is_hausdorff, star_set)
@@ -216,6 +218,7 @@ PTS_W = np.eye(5, 3)
 PTS_W[3:, 2] = 1.0
 PTS_PHI = PartitionOfUnity(PTS, PTS_W)
 PTS_G = window_group(z_window(2))
+PTS_E = Entourage(PTS, [(x, y) for x in range(5) for y in range(5) if abs(x - y) <= 1])
 SITES = {
     "Cover": lambda p: Cover(PTS, [p[:2], p[2:], [3, 4]]),
     "OperatorMatrix": lambda p: OperatorMatrix(PTS, {(p[0], p[1]): 1.0, (p[2], 0): 2.0}),
@@ -240,6 +243,12 @@ SITES = {
     "lemma_wb_test": lambda p: lemma_wb_test(p + [3, 4], PTS_B, PTS_B),
     "star_set": lambda p: star_set(p, PTS_COVER),
     "load_space": lambda p: load_space({"points": list("abcde"), "covers": {"c": [p]}}),
+    "Space.labels": lambda p: PTS.labels(p),
+    "Space.diam": lambda p: PTS.diam(p),
+    "Space.distance": lambda p: (PTS.distance(p[0], p[1]), PTS.distance(p[2], 0)),
+    "slice_at": lambda p: [slice_at(PTS_E, x) for x in p],
+    "GroupWindow.mul": lambda p: (PTS_G.mul(p[0], p[1]), PTS_G.mul(p[2], 0)),
+    "GroupWindow.inv": lambda p: [PTS_G.inv(x) for x in p],
 }
 VALID = {"build_bump_refuter": [0, 2, 4], "build_scaled_refuter": [0, 2, 4],
          "GroupWindow": [-1, 0, 1]}
@@ -307,3 +316,31 @@ def test_an_entourage_asked_about_floats_answers_false():
 def test_coerced_point_indices_are_refused(call):
     with pytest.raises(InstanceError):
         call()
+
+
+# -- scalars: radii and grids take real numbers, never a coerced one ---------
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: metric_ss_base(PTS, ["2", True]), id="ss-radii-text-and-bool"),
+    pytest.param(lambda: metric_ls_base(PTS, [1, True]), id="ls-radii-bool"),
+    pytest.param(lambda: metric_ss_base(PTS, 3.0), id="radii-not-a-list"),
+    pytest.param(lambda: ball_cover(PTS, "1"), id="ball-text"),
+    pytest.param(lambda: ball_cover(PTS, True), id="ball-bool"),
+    pytest.param(lambda: ball_cover(PTS, None), id="ball-none"),
+    pytest.param(lambda: metric_entourage(PTS, "1"), id="entourage-text"),
+    pytest.param(lambda: build_scaled_refuter(PTS, [0], ["0.4"]), id="scaled-text"),
+    pytest.param(lambda: build_scaled_refuter(PTS, [0], [np.bool_(True)]), id="scaled-bool"),
+    pytest.param(lambda: SOQuery(np.zeros(PTS.n), [PTS_COVER], ["0.5"],
+                                 from_metric(PTS)), id="eps-text"),
+])
+def test_coerced_scalars_are_refused(call):
+    with pytest.raises(InstanceError):
+        call()
+
+
+def test_real_scalars_of_any_type_are_taken():
+    base = metric_ss_base(PTS, [np.float32(2), 1, Fraction(1, 2)])
+    assert [c.name for c in base.covers] == ["balls(2)", "balls(1)", "balls(0.5)"]
+    assert ball_cover(PTS, np.int64(2)).name == "balls(2)"
+    assert np.array_equal(build_scaled_refuter(PTS, [0], [Fraction(1, 2)]),
+                          build_scaled_refuter(PTS, [0], [0.5]))

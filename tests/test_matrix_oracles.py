@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scalekit.algebra_comm import (FunctionFamily, family_ball_cover,
                                    is_ss_continuous, separation_blocks,
                                    ss_base_from_family, stone_weierstrass_desk_test)
-from scalekit.algebra_noncomm import (OperatorMatrix, StarFamily, _monomials,
+from scalekit.algebra_noncomm import (OperatorMatrix, StarFamily, _monomials, _step_relation,
                                       column_pseudometric, f_bounded, operator_norm,
                                       roe_comparison_tests, ss_from_algebra,
                                       ssp_witness_check, support_entourage)
@@ -33,19 +33,19 @@ from scalekit.duality import (LSQuery, _extreme_pairs, continuously_controlled_c
 from scalekit.instances import bundled
 from scalekit.entourages import (Entourage, check_coarse_axioms, check_uniform_axioms,
                                  compose, diagonal, entourage_of_scale, invert,
-                                 scale_of_entourage, slice_at)
+                                 metric_entourage, scale_of_entourage, slice_at)
 from scalekit.metric import (ball_cover, lebesgue_number, mesh, metric_ls_base,
                              metric_ss_base, sup_diameter)
 from scalekit import model
 from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_covered,
-                            bool_product, builder_line, fmt_value)
+                            bool_product, builder_line, distinct_sorted, fmt_value)
 from scalekit.oscillation import (SOQuery, _ball_bump, build_bump_refuter,
                                   build_scaled_refuter, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
 from scalekit.reports import CheckReport, truncation_label
 from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, check_ls_base,
-                             check_ss_base, pou_support, refines, smaller_or_equal,
-                             star_family, star_set)
+                             check_ss_base, is_hausdorff, pou_support, refines,
+                             smaller_or_equal, star_family, star_set)
 from scalekit.translation import (GroupWindow, _closure_candidates, check_translation_ls,
                                   translation_scale, window_group, z_window)
 
@@ -275,19 +275,20 @@ def test_packed_and_blas_paths_are_byte_equal(case, chunk):
     # a one-byte chunk bound gathers one entry, or counts one row, at a time,
     # so that a packed row is reduced across chunks
     a, b = case
-    ra, rb = BoolRows(a), BoolRows(b)
+    ra, rb = BoolRows.of_matrix(a), BoolRows.of_matrix(b)
     n = b.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "CHUNK_BYTES", chunk)
         for every, ufunc in ((False, np.bitwise_or), (True, np.bitwise_and)):
             want = oracle_relation(a, b, every)
-            columns, starts = ra.entries
-            for chunks in (model._reduce_rows(columns, starts, rb.words, ufunc, n),
+            for chunks in (model._reduce_rows(ra.columns, ra.starts, rb.words, ufunc, n),
                            model._counted(ra, rb, ufunc)):
-                got = model._collect(chunks, n)
+                got = model._final(chunks)
+                if got.dtype == model.WORD:
+                    got = model.unpack_rows(got, n)
                 assert got.dtype == bool and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-    assert bool_product(ra, rb).tobytes() == oracle_relation(a, b, False).tobytes()
+    assert bool_product(ra, rb).matrix.tobytes() == oracle_relation(a, b, False).tobytes()
     assert bool_covered(ra, rb) == bool(oracle_relation(a, b, True).any(axis=1).all())
 
 
@@ -336,7 +337,7 @@ def test_refines_stops_at_first_uncontained_row(path, chunk, where):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_packed_rows_pad_with_zero_bits(n):
-    words = BoolRows(np.ones((3, n), dtype=bool)).words
+    words = BoolRows.of_matrix(np.ones((3, n), dtype=bool)).words
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     assert bits.shape[1] % 64 == 0 and bits[:, :n].all() and not bits[:, n:].any()
 
@@ -351,10 +352,13 @@ def band(n, width):
 
 
 def test_path_choice_follows_size_and_density():
-    assert model._packed_cheaper(BoolRows(band(1001, 27)), BoolRows(band(1001, 27)))
-    assert not model._packed_cheaper(BoolRows(band(36, 2)), BoolRows(band(36, 2)))
+    def rows(m):
+        return BoolRows.of_matrix(m)
+
+    assert model._packed_cheaper(rows(band(1001, 27)), rows(band(1001, 27)))
+    assert not model._packed_cheaper(rows(band(36, 2)), rows(band(36, 2)))
     dense = np.random.default_rng(0).random((881, 881)) < 0.75
-    assert not model._packed_cheaper(BoolRows(dense), BoolRows(dense))
+    assert not model._packed_cheaper(rows(dense), rows(dense))
 
 
 def test_compose_of_bands_memory_stays_flat():
@@ -370,6 +374,214 @@ def test_compose_of_bands_memory_stays_flat():
     assert np.array_equal(got.matrix, band(3000, 6))
     # a float32 product holds three 36 MB matrices at this size
     assert peak < 40 * 2 ** 20
+
+
+# -- point lists: each list-form operation against the dense matrix code it
+# replaced, when covers and entourages were stored as bool matrices --------
+
+def dense_product(a, b):
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def dense_covered(a, b):
+    """Every row of a inside some column of b."""
+    return bool(((a.astype(np.int64) @ (~b).astype(np.int64)) == 0).any(axis=1).all())
+
+
+def dense_neighbours(m):
+    """Cover.neighbours of an incidence matrix: its transpose times itself."""
+    return dense_product(m.T, m)
+
+
+def dense_star_family(u, v):
+    return u | dense_product(u, dense_neighbours(v))
+
+
+def dense_star_set(idx, m):
+    star = m[m[:, idx].any(axis=1)].any(axis=0)
+    star[idx] = True
+    return star
+
+
+def dense_hausdorff(matrices):
+    n = matrices[0].shape[1]
+    together = np.ones((n, n), dtype=bool)
+    for m in matrices:
+        together &= dense_neighbours(m)
+    np.fill_diagonal(together, False)
+    return not together.any()
+
+
+def dense_distinct_rows(m):
+    """The ball covers' dedupe: rows keyed by their packed bytes."""
+    packed = np.packbits(m, axis=1)
+    kept = b"".join(dict.fromkeys(map(bytes, packed)))
+    rows = np.frombuffer(kept, dtype=np.uint8).reshape(-1, packed.shape[1])
+    return np.unpackbits(rows, axis=1, count=m.shape[1]).astype(bool)
+
+
+def random_relation(draw, rng, rows, cols):
+    """A band of drawn half-width or a random relation of drawn density,
+    with an empty row and a repeated row planted."""
+    if draw(st.booleans()):
+        width = draw(st.integers(0, max(rows, cols)))
+        x = np.abs(np.arange(rows)[:, None] * cols // rows - np.arange(cols)) <= width
+    else:
+        x = rng.random((rows, cols)) < draw(st.sampled_from([0.02, 0.2, 0.7]))
+    empty, copy, source = rng.integers(0, rows, size=3)
+    x[copy] = x[source]
+    x[empty] = False
+    return x
+
+
+@st.composite
+def list_operands(draw):
+    """a (m x k) and b (k x n), with m, k and n drawn apart."""
+    m, k, n = (draw(st.integers(1, 70)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return random_relation(draw, rng, m, k), random_relation(draw, rng, k, n)
+
+
+@st.composite
+def cover_matrices(draw):
+    """Two incidence matrices on one carrier of n points; each empty row
+    gets one random point, so that repeated elements stay."""
+    n, m, k = (draw(st.integers(1, 50)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    out = []
+    for rows in (m, k):
+        x = random_relation(draw, rng, rows, n)
+        empty = np.flatnonzero(~x.any(axis=1))
+        x[empty, rng.integers(0, n, size=empty.size)] = True
+        out.append(x)
+    return builder_line(n - 1, 1.0), out[0], out[1], rng
+
+
+@st.composite
+def entourage_matrices(draw):
+    n = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return (builder_line(n - 1, 1.0), random_relation(draw, rng, n, n),
+            random_relation(draw, rng, n, n))
+
+
+# a path forced on every product (None: the cost estimate's), and a chunk
+# bound that splits every operand into many blocks
+PATHS = st.sampled_from([None, True, False])
+CHUNKS = st.sampled_from([model.CHUNK_BYTES, 64])
+
+
+def forced(mp, path, chunk):
+    mp.setattr(model, "CHUNK_BYTES", chunk)
+    if path is not None:
+        mp.setattr(model, "_packed_cheaper", lambda a, b: path)
+
+
+@SEEDED
+@given(list_operands(), PATHS, CHUNKS)
+def test_list_kernel_matches_dense_oracles(case, path, chunk):
+    a, b = case
+    ra, rb = BoolRows.of_matrix(a), BoolRows.of_matrix(b)
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp, path, chunk)
+        product, covered = bool_product(ra, rb), bool_covered(ra, rb)
+        holders = ra.transpose()
+        words = BoolRows(ra.columns, ra.starts, ra.n).words
+        # a relation made of packed words lists the same entries
+        listed = BoolRows.of_words(model._pack(a), a.shape[1])
+        assert (listed.columns.tobytes(), listed.starts.tobytes()) == \
+            (ra.columns.tobytes(), ra.starts.tobytes())
+    assert product.matrix.tobytes() == dense_product(a, b).tobytes()
+    assert product == BoolRows.of_matrix(dense_product(a, b))
+    assert covered == dense_covered(a, b)
+    assert holders == BoolRows.of_matrix(np.ascontiguousarray(a.T))
+    assert words.tobytes() == model._pack(a).tobytes()
+    assert ra.matrix.tobytes() == a.tobytes()
+
+
+@SEEDED
+@given(cover_matrices(), PATHS, CHUNKS)
+def test_list_covers_match_dense_oracles(case, path, chunk):
+    space, a, b, rng = case
+    u, v = Cover(space, a), Cover(space, b)
+    idx = np.flatnonzero(rng.random(space.n) < 0.3)
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp, path, chunk)
+        star = star_family(u, v)
+        assert v.neighbours.matrix.tobytes() == dense_neighbours(b).tobytes()
+        assert refines(u, v) == dense_covered(a, np.ascontiguousarray(b.T))
+        assert is_hausdorff([u, v]).status == dense_hausdorff([a, b])
+    assert star.matrix.tobytes() == dense_star_family(a, b).tobytes()
+    assert u.holders == BoolRows.of_matrix(np.ascontiguousarray(a.T))
+    assert star_set(idx.tolist(), u) == frozenset(np.flatnonzero(dense_star_set(idx, a)).tolist())
+    assert u.matrix.tobytes() == a.tobytes()
+
+
+@SEEDED
+@given(entourage_matrices(), PATHS, CHUNKS)
+def test_list_entourages_match_dense_oracles(case, path, chunk):
+    space, a, b = case
+    e, f = Entourage(space, a), Entourage(space, b)
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp, path, chunk)
+        composed = compose(e, f)
+    assert composed.matrix.tobytes() == dense_product(a, b).tobytes()
+    assert invert(e).matrix.tobytes() == np.ascontiguousarray(a.T).tobytes()
+    assert e.intersection(f).matrix.tobytes() == (a & b).tobytes()
+    assert e.issubset(f) == (not (a & ~b).any())
+    assert e.is_symmetric() == np.array_equal(a, a.T)
+    assert e.contains_diagonal() == bool(a.diagonal().all())
+    assert len(e) == int(a.sum())
+    for x in range(space.n):
+        assert slice_at(e, x) == frozenset(np.flatnonzero(a[:, x]).tolist())
+        assert ((x, space.n - 1 - x) in e) == bool(a[x, space.n - 1 - x])
+
+
+@SEEDED
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=60),
+       st.sampled_from([0.5, 1.0, 2.5, 7.0, 100.0]), CHUNKS)
+def test_list_ball_covers_match_dense_oracles(coords, r, chunk):
+    # repeated coordinates give zero distances and so repeated balls
+    x = np.asarray(coords, dtype=float)
+    d = np.abs(np.subtract.outer(x, x))
+    space = Space(["p%d" % i for i in range(len(coords))], metric=d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", chunk)
+        balls = ball_cover(space, r)
+        closed, open_ = metric_entourage(space, r), metric_entourage(space, r, closed=False)
+    assert balls.matrix.tobytes() == dense_distinct_rows(d < r).tobytes()
+    assert closed.matrix.tobytes() == (d <= r).tobytes()
+    assert open_.matrix.tobytes() == (d < r).tobytes()
+
+
+# the tracemalloc readings of these calls on builder_line(1000, 1.0) when
+# covers and entourages, and their derived forms, were dense bool matrices
+DENSE_HELD_MB = {"ls": 9.1, "ss": 6.9, "coarse": 4.3}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_HELD_MB))
+def test_checked_bases_hold_a_third_of_the_dense_memory(name):
+    import gc
+    import tracemalloc
+    space = builder_line(1000, 1.0)
+    build, check = {
+        "ls": (lambda: metric_ls_base(space, (1, 3, 9, 27)), check_ls_base),
+        "ss": (lambda: metric_ss_base(space, (3, 1, 1 / 3)), check_ss_base),
+        "coarse": (lambda: [metric_entourage(space, r) for r in (1, 3, 9, 27)],
+                   check_coarse_axioms),
+    }[name]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        base = build()
+        check(base)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the base and every form its check cached stay held
+    assert held <= DENSE_HELD_MB[name] / 3 * 2 ** 20
 
 
 # -- slow oscillation: the tuple-based scans the arrays replaced ---------------
@@ -768,7 +980,7 @@ def test_pair_stream_memory_stays_flat():
     import tracemalloc
     cover = Cover(builder_line(2000, 1.0), [range(2001)], name="whole")
     f = np.zeros(2001)
-    cover.rows.entries  # the point lists are the cover's, built once
+    cover.rows  # the point lists are the cover's, built with it
     for run in (lambda: heavy_pairs(f, cover, 0.5),
                 lambda: element_diameters(f, cover)):
         tracemalloc.start()
@@ -2381,6 +2593,19 @@ def test_f_bounded_matches_oracle(case):
     want = oracle_f_bounded(cover, [OracleOperator(n, dict(op.entries)) for op in fam.ops],
                             n_max, fam.adjoint_closed)
     assert payload_bytes(f_bounded(cover, fam, n_max)) == payload_bytes(want)
+
+
+@SEEDED
+@given(st.integers(1, 30), st.integers(0, 2 ** 16), st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+       st.booleans())
+def test_step_relation_keys_match_unique(n, seed, density, one_way):
+    fam = step_family(builder_line(n - 1, 1.0), seed, density, one_way)
+    keys = np.concatenate([op.x[np.abs(op.val) >= 1.0] * n + op.y[np.abs(op.val) >= 1.0]
+                           for op in fam.ops])
+    want = np.unique(keys)
+    assert distinct_sorted(keys).tobytes() == want.tobytes()
+    sx, sy = _step_relation(fam)
+    assert (sx.tobytes(), sy.tobytes()) == ((want // n).tobytes(), (want % n).tobytes())
 
 
 @pytest.mark.parametrize("seed", range(6))
