@@ -259,8 +259,10 @@ class StarFamily:
     def __len__(self) -> int:
         return len(self.ops)
 
-    @property
+    @cached_property
     def adjoint_closed(self) -> bool:
+        """Whether each member's adjoint has the entries of some member;
+        worked out once, as the members never change."""
         return all(any(op.adjoint().same_entries(q) for q in self.ops)
                    for op in self.ops)
 

@@ -154,9 +154,13 @@ COORD_METRICS = {"line": gap_table, "grid": _max_gap_table}
 # transpose by one stable argsort, packed words by scatter, and a dense
 # matrix only for a caller that needs one.  The kernel below writes its
 # results as packed words, which such a relation keeps, with its row
-# counts, and lists on first read: a dense result that is only tested or
+# counts, and lists on first read: the row starts are the running total of
+# the counts, and the columns come from the set bits, unpacked a block of
+# rows at a time as a bool view.  A dense result that is only tested or
 # multiplied again on the BLAS path is never listed, and its words take a
-# bit per entry where lists take 32.
+# bit per entry where lists take 32.  Ball covers are made as packed words
+# too, and their repeated rows dropped by one stable sort of the rows as
+# byte strings.
 #
 # Row i of a product of relations a (m x k) and b (k x n) reduces the rows
 # b[p] over the points p of row i of a: OR gives (a @ b) > 0, AND says for
@@ -169,7 +173,9 @@ COORD_METRICS = {"line": gap_table, "grid": _max_gap_table}
 # operands.  Both work through a in chunks of at most CHUNK_BYTES of
 # gathered words or float32 rows (one row or entry at least), so that their
 # working memory stays flat; the packed path writes its result as packed
-# words, the BLAS path as a bool matrix.
+# words, the BLAS path as a bool matrix.  When all of a fits in one chunk,
+# as on most small carriers, the packed path's reduction of a's rows is its
+# result whenever no row is empty.
 # Each path is a generator that yields its result so far after every chunk,
 # with the number of leading rows that are final, so that a caller that
 # only asks whether every row holds a true entry can stop at the first
@@ -226,16 +232,6 @@ def _point_lists(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.remainder(flat, n, out=flat).astype(np.int32), starts
 
 
-def _stacked(lists) -> tuple[np.ndarray, np.ndarray]:
-    """(columns, starts) pairs of relations over the same columns, one
-    after another, as one pair."""
-    if len(lists) == 1:
-        return lists[0]
-    offsets = np.cumsum([0] + [starts[-1] for _, starts in lists])
-    return (np.concatenate([columns for columns, _ in lists]),
-            np.concatenate([[0]] + [starts[1:] + o for (_, starts), o in zip(lists, offsets)]))
-
-
 class BoolRows:
     """A read-only bool relation of m rows over n columns, as point lists:
     ``columns`` holds the column of each true entry, row by row and
@@ -282,7 +278,10 @@ class BoolRows:
         """The rows of relations over the same columns, one after another."""
         if len(parts) == 1:
             return parts[0]
-        return cls(*_stacked([(p.columns, p.starts) for p in parts]), parts[0].n)
+        offsets = np.cumsum([0] + [p.starts[-1] for p in parts])
+        return cls(np.concatenate([p.columns for p in parts]),
+                   np.concatenate([[0]] + [p.starts[1:] + o for p, o in zip(parts, offsets)]),
+                   parts[0].n)
 
     @classmethod
     def identity(cls, n: int) -> "BoolRows":
@@ -290,11 +289,23 @@ class BoolRows:
 
     @cached_property
     def _lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """The point lists of a relation made from packed words, unpacked a
-        block of rows, of at most CHUNK_BYTES bits, at a time."""
+        """The point lists of a relation made from packed words: the row
+        starts are the running total of the row counts, and the columns
+        come from the set bits of a block of rows, of at most CHUNK_BYTES
+        bits, at a time, unpacked as a bool view (``nonzero`` is several
+        times slower on the same bits as uint8)."""
+        m, n = self.m, self.n
+        starts = np.zeros(m + 1, dtype=np.int64)
+        self.sizes.cumsum(out=starts[1:])
+        columns = np.empty(starts[-1], dtype=np.int32)
         step = max(1, CHUNK_BYTES // (64 * self.words.shape[1]))
-        columns, starts = _stacked([_point_lists(self.dense(bool, lo, lo + step))
-                                    for lo in range(0, max(1, self.m), step)])
+        for lo in range(0, m, step):
+            hi = min(m, lo + step)
+            block = columns[starts[lo]:starts[hi]]
+            block[:] = unpack_rows(self.words[lo:hi], n).ravel().nonzero()[0]
+            # less each entry's row offset, which is quicker than a remainder
+            block -= np.repeat(np.arange(0, (hi - lo) * n, n, dtype=np.int32),
+                               self.sizes[lo:hi])
         columns.setflags(write=False)
         starts.setflags(write=False)
         return columns, starts
@@ -418,15 +429,31 @@ def rows_of_blocks(blocks, n: int) -> BoolRows:
     return BoolRows.of_words(np.concatenate([_pack(block) for block in blocks]), n)
 
 
+def _first_rows(words: np.ndarray) -> np.ndarray:
+    """The indices of the packed rows that differ from every row before
+    them, ascending: one stable sort of the rows as byte strings, so that
+    equal rows lie together with the first of them in front, and a mask of
+    the sorted rows that differ from their predecessor."""
+    keys = words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.sort(order[first])
+
+
 def distinct_rows(blocks, n: int) -> BoolRows:
     """The distinct rows of bool blocks of n columns, read one after
-    another, each row at its first occurrence; rows are told apart, and
-    kept until the end, as their packed bits."""
-    seen: dict = {}
-    for block in blocks:
-        seen.update(dict.fromkeys(map(bytes, _pack(block))))
-    words = np.frombuffer(b"".join(seen), dtype=WORD).reshape(len(seen), -1)
-    return BoolRows.of_words(words, n)
+    another, each row at its first occurrence, as packed words.  Each
+    block's repeats are dropped as it is read, so that one block and the
+    rows kept so far are held; the rows kept from several blocks are then
+    sorted once more together."""
+    parts = [words[_first_rows(words)] for words in map(_pack, blocks)]
+    if len(parts) == 1:
+        return BoolRows.of_words(parts[0], n)
+    words = np.concatenate(parts)
+    parts.clear()  # hold the kept rows once
+    return BoolRows.of_words(words[_first_rows(words)], n)
 
 
 def _packed_cheaper(a: BoolRows, b: BoolRows) -> bool:
@@ -438,6 +465,18 @@ def _packed_cheaper(a: BoolRows, b: BoolRows) -> bool:
             and PACKED_CALL_S + PACKED_WORD_S * a.nnz * -(-n // 64) < blas)
 
 
+def _identity_rows(m: int, width: int, ufunc, n: int) -> np.ndarray:
+    """m packed rows of ``ufunc``'s identity over n columns: no bit for OR;
+    for AND, where an empty row holds for every column, the n bits of the
+    columns and zero bits past the last."""
+    if ufunc is not np.bitwise_and:
+        return np.zeros((m, width), dtype=WORD)
+    out = np.full((m, width), np.iinfo(WORD).max, dtype=WORD)
+    if n % 64:
+        out[:, -1] = (1 << n % 64) - 1
+    return out
+
+
 def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,
                  ufunc, n: int):
     """The packed path: reduce with ``ufunc`` (bitwise OR or AND) the rows
@@ -445,24 +484,32 @@ def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,
     list of row i is columns[starts[i]:starts[i + 1]].  Yields the packed
     result after each chunk, with the number of leading rows that are
     final."""
-    out = np.zeros((len(starts) - 1, words.shape[1]), dtype=WORD)
-    if ufunc is np.bitwise_and:  # an empty row holds for every column
-        out[:] = BoolRows(np.arange(n), [0, n], n).words
-    step = max(1, CHUNK_BYTES // (8 * words.shape[1]))
+    m, width = len(starts) - 1, words.shape[1]
+    out = None
+    step = max(1, CHUNK_BYTES // (8 * width))
     for lo in range(0, columns.size, step):
         hi = min(columns.size, lo + step)
-        r0 = int(np.searchsorted(starts, lo, side="right")) - 1
-        r1 = int(np.searchsorted(starts, hi, side="left"))
-        # each row's entries in this chunk, at [begin, end) of the gather;
-        # reduceat would return an element, not the identity, for an empty one
-        begin = np.maximum(starts[r0:r1], lo) - lo
-        held = np.minimum(starts[r0 + 1:r1 + 1], hi) - lo > begin
-        rows = np.arange(r0, r1)[held]
+        if hi - lo == columns.size:  # one chunk, which holds every row whole
+            r0, r1, begin = 0, m, starts[:-1]
+            held = starts[1:] > begin
+        else:
+            r0 = int(np.searchsorted(starts, lo, side="right")) - 1
+            r1 = int(np.searchsorted(starts, hi, side="left"))
+            # each row's entries in this chunk, at [begin, end) of the gather
+            begin = np.maximum(starts[r0:r1], lo) - lo
+            held = np.minimum(starts[r0 + 1:r1 + 1], hi) - lo > begin
+        # reduceat would return an element, not the identity, for an empty row
         got = ufunc.reduceat(np.take(words, columns[lo:hi], axis=0), begin[held], axis=0)
-        out[rows] = ufunc(out[rows], got)
+        if out is None and len(got) == m:  # the first chunk reaches every row
+            out = got
+        else:
+            if out is None:
+                out = _identity_rows(m, width, ufunc, n)
+            rows = np.arange(r0, r1)[held]
+            out[rows] = ufunc(out[rows], got)
         # the rows whose entries all lie before hi are final
-        yield out, int(np.searchsorted(starts[1:], hi, side="right"))
-    yield out, len(out)
+        yield out, m if hi == columns.size else int(np.searchsorted(starts[1:], hi, side="right"))
+    yield (_identity_rows(m, width, ufunc, n) if out is None else out), m
 
 
 def _counted(a: BoolRows, b: BoolRows, ufunc):

@@ -297,7 +297,11 @@ def build_bump_refuter(space, centers, eps: float) -> np.ndarray:
 def build_scaled_refuter(space, centers, radii) -> np.ndarray:
     """Unit-height tents on disjoint balls of prescribed radii.
 
-    The height stays 1 while the supports widen, which is what defeats a
+    Each tent is the ball's bump (the distance to the ball's complement)
+    divided by its value at the ball's center, so that it is exactly 1
+    there whatever the carrier's spacing; when the center is infinitely
+    far from the complement, the tent is 1 on the points that are.  The
+    height stays 1 while the supports widen, which is what defeats a
     slowly oscillating claim along growing scales.
     """
     if space.d is None:
@@ -315,5 +319,8 @@ def build_scaled_refuter(space, centers, radii) -> np.ndarray:
                                     % (space.points[a], space.points[b]))
     f = np.zeros(space.n)
     for c, r in zip(centers, radii):
-        f = np.maximum(f, _ball_bump(space, c, r) / r)
+        bump = _ball_bump(space, c, r)
+        # a ball infinitely far from the rest of the space is one plateau
+        tent = bump / bump[c] if np.isfinite(bump[c]) else np.isinf(bump).astype(float)
+        f = np.maximum(f, tent)
     return f

@@ -147,6 +147,23 @@ def test_star_family_adjoints():
     assert grown.with_adjoints() is grown or len(grown.with_adjoints().ops) == len(grown.ops)
 
 
+def test_adjoint_closure_is_worked_out_once(monkeypatch):
+    fam = StarFamily(LINE, ("shift",), (shift(),)).with_adjoints()
+    cover = ball_cover(LINE, 2.0)
+    first = f_bounded(cover, fam, 3)
+    calls = []
+    real = OperatorMatrix.adjoint
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(OperatorMatrix, "adjoint", counted)
+    again = f_bounded(cover, fam, 3)
+    assert not calls
+    assert again.to_payload() == first.to_payload()
+
+
 def test_f_bounded_pairs_need_two_points():
     u = Cover(LINE, (interval(LINE, 0, 1), interval(LINE, 2, 4),
                      interval(LINE, 5, 7)))

@@ -413,7 +413,8 @@ def dense_hausdorff(matrices):
 
 
 def dense_distinct_rows(m):
-    """The ball covers' dedupe: rows keyed by their packed bytes."""
+    """The dict dedupe that ball covers used: rows keyed by their packed
+    bytes, each kept at its first occurrence."""
     packed = np.packbits(m, axis=1)
     kept = b"".join(dict.fromkeys(map(bytes, packed)))
     rows = np.frombuffer(kept, dtype=np.uint8).reshape(-1, packed.shape[1])
@@ -582,6 +583,149 @@ def test_checked_bases_hold_a_third_of_the_dense_memory(name):
         tracemalloc.stop()
     # the base and every form its check cached stay held
     assert held <= DENSE_HELD_MB[name] / 3 * 2 ** 20
+
+
+# -- the kernel's fixed cost per call: rows deduplicated by a sort, packed rows
+# listed through a bool view, the AND identity written directly, and one-chunk
+# reductions that skip the per-chunk bookkeeping -----------------------------
+
+WIDTHS = st.sampled_from([1, 2, 7, 63, 64, 65, 128])
+
+
+@st.composite
+def repeated_rows(draw):
+    """A bool matrix whose rows are drawn from a few distinct rows (one of
+    them empty, all of them equal, or a single row), cut into blocks."""
+    n = draw(WIDTHS)
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    pool = rng.random((draw(st.integers(1, 6)), n)) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    pool[0] = draw(st.booleans())
+    x = pool[rng.integers(0, len(pool), size=m)]
+    cuts = sorted(draw(st.lists(st.integers(1, m), max_size=4)))
+    return x, [x[lo:hi] for lo, hi in zip([0] + cuts, cuts + [m]) if hi > lo]
+
+
+@SEEDED
+@given(repeated_rows(), CHUNKS)
+def test_distinct_rows_match_the_dict_dedupe(case, chunk):
+    x, blocks = case
+    n = x.shape[1]
+    want = dense_distinct_rows(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", chunk)
+        drawn = model.distinct_rows(blocks, n)
+        # table_blocks cuts by the chunk bound: one row a block at 64 bytes
+        cut = model.distinct_rows(model.table_blocks(x, np.copy), n)
+        whole = model.distinct_rows([x], n)
+    for got in (drawn, cut, whole):
+        assert got.words.tobytes() == model._pack(want).tobytes()
+        assert got.matrix.tobytes() == want.tobytes()
+        assert got.sizes.tolist() == want.sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+@pytest.mark.parametrize("rows", ["equal", "one", "blocks"])
+def test_distinct_rows_edge_shapes(n, rows):
+    rng = np.random.default_rng(n)
+    x = {"equal": np.tile(rng.random(n) < 0.5, (9, 1)),
+         "one": rng.random((1, n)) < 0.5,
+         "blocks": rng.random((30, n)) < 0.5}[rows]
+    if rows == "blocks":
+        x[10:20] = x[:10]  # every row of the second block repeats one of the first
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", 64)
+        got = model.distinct_rows(model.table_blocks(x, np.copy), n)
+    assert got.matrix.tobytes() == dense_distinct_rows(x).tobytes()
+
+
+@pytest.mark.parametrize("r", [1.0, 1e9], ids=["unit", "whole"])
+def test_ball_cover_dedupe_memory(r):
+    # the dict dedupe peaked at 1.6 MB (r = 1) and 1.0 MB (a radius that
+    # holds the whole space) on these calls
+    import tracemalloc
+    space = builder_line(2000, 1.0)
+    tracemalloc.start()
+    try:
+        cover = ball_cover(space, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cover) == (space.n if r == 1.0 else 1)
+    assert peak <= 1.7 * 2 ** 20
+
+
+@SEEDED
+@given(st.integers(0, 40), WIDTHS, st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       st.integers(0, 2 ** 16), CHUNKS)
+def test_word_listing_matches_point_lists(m, n, density, seed, chunk):
+    rng = np.random.default_rng(seed)
+    x = rng.random((m, n)) < density
+    x[rng.integers(0, m, size=min(m, 3))] = False  # empty rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", chunk)
+        rows = BoolRows.of_words(model._pack(x), n)
+        columns, starts = rows.columns, rows.starts
+    want_columns, want_starts = model._point_lists(x)
+    assert columns.dtype == want_columns.dtype and starts.dtype == want_starts.dtype
+    assert columns.tobytes() == want_columns.tobytes()
+    assert starts.tobytes() == want_starts.tobytes()
+
+
+@pytest.mark.parametrize("path", [True, False], ids=["packed", "blas"])
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("empty", [0, 3, 5])
+def test_empty_row_is_covered_with_a_zero_tail(path, n, empty):
+    rng = np.random.default_rng(n + empty)
+    a = rng.random((6, 20)) < 0.2
+    b = np.ones((20, n), dtype=bool)
+    b[:, ::3] = rng.random((20, len(range(0, n, 3)))) < 0.5
+    a[empty] = False
+    ra, rb = BoolRows.of_matrix(a), BoolRows.of_matrix(b)
+    want = oracle_relation(a, b, True)
+    got = model._final(model._reduce_rows(ra.columns, ra.starts, rb.words, np.bitwise_and, n))
+    # the empty row holds every column and no bit past the last
+    assert got.tobytes() == model._pack(want).tobytes()
+    assert got[empty].tobytes() == model._pack(np.ones((1, n), dtype=bool)).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_packed_cheaper", lambda a, b: path)
+        assert bool_covered(ra, rb) == dense_covered(a, b) == bool(want.any(axis=1).all())
+
+
+@SEEDED
+@given(bool_operands(), st.sampled_from([1, 8, 64]), st.booleans())
+def test_one_chunk_and_many_chunk_reductions_are_byte_equal(case, chunk, lead):
+    a, b = case
+    if lead:  # empty rows at both ends, which no chunk reaches
+        a = np.vstack([np.zeros((2, a.shape[1]), dtype=bool), a,
+                       np.zeros((1, a.shape[1]), dtype=bool)])
+    ra, rb = BoolRows.of_matrix(a), BoolRows.of_matrix(b)
+    n = b.shape[1]
+    for ufunc in (np.bitwise_or, np.bitwise_and):
+        one = model._final(model._reduce_rows(ra.columns, ra.starts, rb.words, ufunc, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "CHUNK_BYTES", chunk)
+            many = model._final(model._reduce_rows(ra.columns, ra.starts, rb.words, ufunc, n))
+        want = model._pack(oracle_relation(a, b, ufunc is np.bitwise_and))
+        assert one.tobytes() == many.tobytes() == want.tobytes()
+
+
+def test_first_chunk_reaching_every_row_is_reduced_further():
+    # rows of 1, 1, 1 and 60 points: with 8 entries a chunk the first chunk
+    # holds an entry of every row, and the long row goes on over 8 chunks
+    a = np.zeros((4, 64), dtype=bool)
+    a[0, 0] = a[1, 1] = a[2, 2] = True
+    a[3, 4:] = True
+    b = np.random.default_rng(0).random((64, 100)) < 0.9
+    ra, rb = BoolRows.of_matrix(a), BoolRows.of_matrix(b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", 8 * 8 * rb.words.shape[1])
+        for every, ufunc in ((False, np.bitwise_or), (True, np.bitwise_and)):
+            finals = []
+            for out, final in model._reduce_rows(ra.columns, ra.starts, rb.words, ufunc, 100):
+                finals.append(final)
+            assert out.tobytes() == model._pack(oracle_relation(a, b, every)).tobytes()
+            assert finals[0] == 3 and len(finals) > 2
 
 
 # -- slow oscillation: the tuple-based scans the arrays replaced ---------------

@@ -4,7 +4,7 @@ import pytest
 from scalekit import bounded
 from scalekit.catalogues import halfline, oscillation_family
 from scalekit.metric import ball_cover
-from scalekit.model import InstanceError
+from scalekit.model import InstanceError, Space, builder_line
 from scalekit.oscillation import (SOQuery, build_bump_refuter,
                                   build_scaled_refuter, element_diameters,
                                   equivalence_test, heavy_pairs,
@@ -208,6 +208,30 @@ def test_scaled_refuter_peaks_are_unit():
     for c in centers:
         assert np.isclose(f[c].real, 1.0)
     assert f.real.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.5])
+def test_scaled_refuter_height_is_one_at_any_spacing(radius):
+    # on a unit-spaced line a bump's height, the distance from its center
+    # to the ball's complement, is 1, 1 and 2, not the radius
+    f = build_scaled_refuter(builder_line(4, 1.0), [0], [radius])
+    assert f[0] == 1.0 and f.max() == 1.0
+
+
+def test_scaled_refuter_peaks_are_one_on_every_ball():
+    space = builder_line(40, 0.5)
+    centers = [0, 20, 40]
+    f = build_scaled_refuter(space, centers, (0.7, 3.3, 2.1))
+    assert f[centers].tolist() == [1.0, 1.0, 1.0]
+    assert f.max() == 1.0
+
+
+def test_scaled_refuter_is_one_on_a_ball_infinitely_far_from_the_rest():
+    inf = float("inf")
+    space = Space(["a", "b", "c"], metric=[[0, 1, inf], [1, 0, inf], [inf, inf, 0]])
+    with np.errstate(all="raise"):
+        assert build_scaled_refuter(space, [0], [2.0]).tolist() == [1.0, 1.0, 0.0]
+        assert build_scaled_refuter(space, [2], [0.5]).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_scaled_refuter_rejects_overlap():
