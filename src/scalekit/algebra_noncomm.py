@@ -417,13 +417,29 @@ def ls_from_algebra(cover: Cover, gens: StarFamily, degree: int,
 
 
 def column_pseudometric(a: OperatorMatrix) -> np.ndarray:
-    """d_a(x, y): euclidean distance between image columns."""
-    # columns are the images of the basis vectors; summing one row at a time
-    # keeps memory at n x n and adds in the same order as a sum over axis 0
-    m = a.dense()
-    sq = np.zeros((m.shape[1],) * 2)
-    for row in m:
-        sq += np.abs(row[:, None] - row[None, :]) ** 2
+    """d_a(x, y): euclidean distance between image columns.
+
+    The squares are summed one row of the matrix at a time, ascending, as a
+    sum over axis 0 adds them.  A row adds |m[r, x] - m[r, y]|^2 to every
+    pair, but that is +0.0 unless x or y is a column of one of its entries,
+    and adding +0.0 leaves a sum of squares as it is; so a row with entries
+    in columns c only adds to the rows and columns c of the sum, in
+    O(n * |c|) and without the dense matrix."""
+    n = a.space.n
+    sq = np.zeros((n, n))
+    row = np.zeros(n, dtype=complex)
+    order = np.lexsort((a.x, a.y))
+    y, x, val = a.y[order], a.x[order], a.val[order]
+    bounds = np.flatnonzero(np.diff(y)) + 1
+    for c, v in zip(np.split(x, bounds), np.split(val, bounds)):
+        row[c] = v
+        terms = np.abs(v[:, None] - row[None, :]) ** 2
+        sq[c] += terms
+        # the pairs with y in c and x outside it; (x, y) with both in c was
+        # added above
+        terms[:, c] = 0.0
+        sq[:, c] += terms.T
+        row[c] = 0
     return np.sqrt(sq)
 
 

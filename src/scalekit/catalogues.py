@@ -7,14 +7,16 @@ object: covers and structures compare their space by identity.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bounded
-from .algebra_comm import FunctionFamily
 from .model import Filtration, InstanceError, Space, builder_grid, builder_line, fmt_value
-from .oscillation import build_bump_refuter
 from .scales import Cover
+
+if TYPE_CHECKING:
+    from .algebra_comm import FunctionFamily
+    from .bounded import BoundedStructure
 
 EPS_DEFAULT = (1.0, 0.5, 0.25)
 
@@ -77,18 +79,21 @@ def value_index(space: Space, value: float) -> int:
 
 
 @lru_cache(maxsize=None)
-def halfline_structure() -> bounded.BoundedStructure:
-    return bounded.from_filtration(halfline())
+def halfline_structure() -> BoundedStructure:
+    from .bounded import from_filtration
+    return from_filtration(halfline())
 
 
 @lru_cache(maxsize=None)
-def trunc_nat_structure() -> bounded.BoundedStructure:
-    return bounded.from_filtration(trunc_nat())
+def trunc_nat_structure() -> BoundedStructure:
+    from .bounded import from_filtration
+    return from_filtration(trunc_nat())
 
 
 @lru_cache(maxsize=None)
 def oscillation_family() -> FunctionFamily:
     """Six probes on the halfline covering the accept and reject regimes."""
+    from .algebra_comm import FunctionFamily
     x = halfline().values()
     rows = np.vstack([
         np.ones_like(x),
@@ -105,6 +110,8 @@ def oscillation_family() -> FunctionFamily:
 @lru_cache(maxsize=None)
 def membership_catalogue() -> FunctionFamily:
     """Halfline catalogue with a tent refuter straddling the top window."""
+    from .algebra_comm import FunctionFamily
+    from .oscillation import build_bump_refuter
     sp = halfline()
     x = sp.values()
     bump = build_bump_refuter(sp, tuple(value_index(sp, 10.0 * k)
@@ -116,6 +123,7 @@ def membership_catalogue() -> FunctionFamily:
 @lru_cache(maxsize=None)
 def smooth_catalogue() -> FunctionFamily:
     """Bump-free halfline catalogue; every member settles at infinity."""
+    from .algebra_comm import FunctionFamily
     x = halfline().values()
     rows = np.vstack([np.ones_like(x), 1.0 / (1.0 + x), x / (1.0 + x)])
     return FunctionFamily(halfline(), ("one", "inv1p", "sat"), rows,
@@ -125,6 +133,7 @@ def smooth_catalogue() -> FunctionFamily:
 @lru_cache(maxsize=None)
 def constant_at_infinity_family() -> FunctionFamily:
     """Catalogue on the truncated naturals whose members settle far out."""
+    from .algebra_comm import FunctionFamily
     x = trunc_nat().values()
     rows = np.vstack([
         np.ones_like(x),

@@ -4,7 +4,8 @@ Every subcommand loads one instance (a bundled name or a JSON path), runs
 one family of checks, and exits 0 when everything passed, 1 when some check
 produced a counterexample, 2 when the request or the instance was bad.
 JSON output is byte-stable for fixed inputs: keys are sorted and nothing
-time- or machine-dependent is emitted.
+time- or machine-dependent is emitted.  Each subcommand imports its checks
+when it runs, so that a call loads only the modules it reaches.
 """
 from __future__ import annotations
 
@@ -16,16 +17,9 @@ import sys
 
 import numpy as np
 
-from . import bounded, instances
-from .algebra_comm import stone_weierstrass_desk_test
-from .duality import (LSQuery, continuously_controlled_check, ls_membership,
-                      theorem75_agreement, wright_c0_check)
-from .entourages import check_coarse_axioms, check_uniform_axioms, metric_entourage
-from .metric import lebesgue_number, mesh, metric_ls_base, metric_ss_base
+from . import __version__, instances
 from .model import InstanceError, Space, fmt_value
-from .oscillation import SOQuery, is_slowly_oscillating
 from .reports import CheckReport
-from .scales import check_ls_base, check_ss_base
 
 DEFAULT_EPS = "1,0.5,0.25"
 
@@ -69,11 +63,12 @@ def _load(args):
     return space, cat
 
 
-def _structure(space: Space) -> bounded.BoundedStructure:
+def _structure(space: Space):
+    from .bounded import from_filtration, from_metric
     if space.filtration is not None:
-        return bounded.from_filtration(space)
+        return from_filtration(space)
     if space.d is not None:
-        return bounded.from_metric(space)
+        return from_metric(space)
     raise InstanceError("instance has neither windows nor a metric")
 
 
@@ -110,6 +105,8 @@ def _emit(args, command, space_label, reports, numbers=None) -> int:
 
 
 def _cmd_check_ss(args):
+    from .metric import metric_ss_base
+    from .scales import check_ss_base
     space, cat = _load(args)
     base = metric_ss_base(space, _floats(args.radii))
     rep = check_ss_base(base)
@@ -117,6 +114,8 @@ def _cmd_check_ss(args):
 
 
 def _cmd_check_ls(args):
+    from .metric import metric_ls_base
+    from .scales import check_ls_base
     space, cat = _load(args)
     base = metric_ls_base(space, _floats(args.radii))
     rep = check_ls_base(base)
@@ -124,18 +123,22 @@ def _cmd_check_ls(args):
 
 
 def _cmd_lebesgue(args):
+    from .metric import lebesgue_number
     space, cat = _load(args)
     val = lebesgue_number(_cover(cat, args.cover))
     return _emit(args, "lebesgue", args.space, [], {"lebesgue": val})
 
 
 def _cmd_mesh(args):
+    from .metric import mesh
     space, cat = _load(args)
     val = mesh(_cover(cat, args.cover))
     return _emit(args, "mesh", args.space, [], {"mesh": val})
 
 
 def _cmd_so(args):
+    from .metric import metric_ls_base
+    from .oscillation import SOQuery, is_slowly_oscillating
     space, cat = _load(args)
     if args.function not in cat.functions:
         raise InstanceError("no function named %r" % args.function)
@@ -147,6 +150,7 @@ def _cmd_so(args):
 
 
 def _cmd_lsmem(args):
+    from .duality import LSQuery, ls_membership
     space, cat = _load(args)
     names = tuple(args.functions.split(",")) if args.functions else None
     fam = cat.family(space, names)
@@ -156,18 +160,21 @@ def _cmd_lsmem(args):
 
 
 def _cmd_c0(args):
+    from .duality import wright_c0_check
     space, cat = _load(args)
     rep = wright_c0_check(_cover(cat, args.cover), space)
     return _emit(args, "c0", args.space, [rep])
 
 
 def _cmd_ccs(args):
+    from .duality import continuously_controlled_check
     space, cat = _load(args)
     rep = continuously_controlled_check(_cover(cat, args.cover), _structure(space))
     return _emit(args, "ccs", args.space, [rep])
 
 
 def _cmd_t75(args):
+    from .duality import theorem75_agreement
     space, cat = _load(args)
     tagged = cat.tags.get("constant_at_infinity", ())
     names = tuple(args.functions.split(",")) if args.functions else tuple(tagged)
@@ -185,13 +192,14 @@ def _cmd_t75(args):
 
 
 def _cmd_bounded(args):
+    from .bounded import check_axioms, desk_weakly_bounded
     space, cat = _load(args)
     b = _structure(space)
-    reports = [bounded.check_axioms(b)]
+    reports = [check_axioms(b)]
     extra = {}
     if args.subset:
         subset = space.subset(args.subset.split(","))
-        ok, detail = bounded.desk_weakly_bounded(subset, b)
+        ok, detail = desk_weakly_bounded(subset, b)
         reports.append(CheckReport("desk_weakly_bounded", ok,
                                    witnesses=(detail,),
                                    truncation=reports[0].truncation))
@@ -201,7 +209,7 @@ def _cmd_bounded(args):
             size = int(rng.integers(1, max(2, space.n // 4)))
             subset = frozenset(int(i) for i in
                                rng.choice(space.n, size=size, replace=False))
-            ok, detail = bounded.desk_weakly_bounded(subset, b)
+            ok, detail = desk_weakly_bounded(subset, b)
             reports.append(CheckReport("desk_weakly_bounded[sample%d]" % k, ok,
                                        witnesses=(detail,),
                                        truncation=reports[0].truncation))
@@ -209,6 +217,7 @@ def _cmd_bounded(args):
 
 
 def _cmd_entourage(args):
+    from .entourages import check_coarse_axioms, check_uniform_axioms, metric_entourage
     space, cat = _load(args)
     if args.radii is None:
         args.radii = "3,1,0.333333" if args.axioms == "uniform" else "1,3,9,27"
@@ -222,10 +231,10 @@ def _cmd_entourage(args):
 
 
 def _cmd_op(args):
+    from .algebra_noncomm import StarFamily, f_bounded, operator_norm, support_entourage
     space, cat = _load(args)
     if args.operator not in cat.operators:
         raise InstanceError("no operator named %r" % args.operator)
-    from .algebra_noncomm import StarFamily, f_bounded, operator_norm, support_entourage
     op = cat.operators[args.operator]
     ent = support_entourage(op, args.tau)
     numbers = {"support_pairs": float(len(ent)),
@@ -238,6 +247,7 @@ def _cmd_op(args):
 
 
 def _cmd_sw(args):
+    from .algebra_comm import stone_weierstrass_desk_test
     space, cat = _load(args)
     fam = cat.family(space, tuple(args.functions.split(",")))
     if args.probe not in cat.functions:
@@ -248,6 +258,10 @@ def _cmd_sw(args):
 
 
 def _cmd_report_all(args):
+    from .bounded import check_axioms
+    from .duality import continuously_controlled_check
+    from .metric import lebesgue_number, mesh, metric_ls_base, metric_ss_base
+    from .scales import check_ls_base, check_ss_base
     space, cat = _load(args)
     reports = []
     numbers = {}
@@ -263,7 +277,7 @@ def _cmd_report_all(args):
         reports.append(check_ss_base(metric_ss_base(space, down)))
         reports.append(check_ls_base(metric_ls_base(space, up)))
     if space.d is not None or space.filtration is not None:
-        reports.append(bounded.check_axioms(_structure(space)))
+        reports.append(check_axioms(_structure(space)))
     for nm in sorted(cat.covers):
         cov = cat.covers[nm]
         if space.d is not None and cov.is_scale():
@@ -282,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="scalekit",
         description="checks for scale structures on finite carriers")
-    p.add_argument("--version", action="version", version="scalekit 0.1.0")
+    p.add_argument("--version", action="version", version="scalekit %s" % __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, eps=False, levels=True):

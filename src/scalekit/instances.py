@@ -15,14 +15,16 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra_comm import FunctionFamily
-from .algebra_noncomm import OperatorMatrix
 from .entourages import Entourage
 from .model import COORD_METRICS, InstanceError, Space, check_group_table, parse_points
 from .scales import Cover
+
+if TYPE_CHECKING:
+    from .algebra_comm import FunctionFamily
 
 
 @dataclass
@@ -38,6 +40,7 @@ class InstanceCatalogue:
 
     def family(self, space: Space, names=None) -> FunctionFamily:
         """Assemble a function family; all functions when names is None."""
+        from .algebra_comm import FunctionFamily
         if names is None:
             names = tuple(self.functions)
         names = tuple(names)
@@ -202,7 +205,10 @@ def load_space(document) -> tuple:
         cat.covers[nm] = Cover(space, els, name=nm, open_flag=open_flag)
     for nm, raw in _block(document, "functions").items():
         cat.functions[nm] = _parse_function(raw, space.n, "function %r" % nm)
-    for nm, raw in _block(document, "operators").items():
+    operators = _block(document, "operators")
+    if operators:
+        from .algebra_noncomm import OperatorMatrix
+    for nm, raw in operators.items():
         if not isinstance(raw, dict) or "triplets" not in raw:
             raise InstanceError("operator %r needs triplets" % nm)
         cat.operators[nm] = OperatorMatrix.from_triplets(space, raw["triplets"],
@@ -308,6 +314,7 @@ def bundled(name: str) -> tuple:
         cat.functions["parity"] = (vals % 2).astype(complex)
         cat.functions["ramp"] = (vals / 20.0).astype(complex)
         cat.functions["step"] = (vals >= 10).astype(complex)
+        from .algebra_noncomm import OperatorMatrix
         cat.operators["shift"] = OperatorMatrix(
             space, {(x, x + 1): 1.0 for x in range(n - 1)}, name="shift")
         return space, cat

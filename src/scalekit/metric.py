@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (InstanceError, Space, distinct_rows, entry_pairs, fmt_value,
-                    ordered_grid, real_value, table_blocks)
+from . import model
+from .model import (InstanceError, Space, _first_rows, distinct_rows, entry_pairs,
+                    fmt_value, ordered_grid, real_value, table_blocks)
 from .scales import Cover, ScaleBase, refines, star_family
 
 
@@ -77,15 +78,37 @@ def mesh(cover: Cover) -> float:
     so the inf is the largest, over the stars, of the least such max over
     the centers x: 0 when stars sit inside zero-balls, +inf when some star
     is infinitely far from every center.
+
+    The table is symmetric, so a star's columns are its rows.  The stars
+    are taken widest first, in blocks of as many as fit one gather of
+    CHUNK_BYTES of rows at the width of the block's first (one star at
+    least); a narrower star repeats its last point, which leaves its max
+    as it is.  A star wider than one gather is taken a gather at a time.
     """
     d = cover.space.d
     if d is None:
         raise InstanceError("space carries no metric")
     if not ((d > 0) & np.isfinite(d)).any():
         return 0.0
+    stars = star_family(cover, cover).rows
     # repeated stars would only repeat a term of the max
-    stars = {s.tobytes(): s for s in star_family(cover, cover).rows.lists()}
-    return float(max(d[:, s].max(axis=1).min() for s in stars.values()))
+    first = _first_rows(stars.words)
+    order = first[np.argsort(-stars.sizes[first], kind="stable")]
+    heads, sizes = stars.starts[order], stars.sizes[order]
+    step = max(1, model.CHUNK_BYTES // (8 * len(d)))  # rows of d in one gather
+    worst, lo = 0.0, 0
+    while lo < len(order):
+        width = int(sizes[lo])
+        block = slice(lo, lo + max(1, step // width))
+        size = sizes[block]
+        at = stars.columns[heads[block, None] + np.minimum(np.arange(width), size[:, None] - 1)]
+        cut = max(1, step // len(size))
+        widest = d[at[:, :cut]].max(axis=1)
+        for j in range(cut, width, cut):
+            np.maximum(widest, d[at[:, j:j + cut]].max(axis=1), out=widest)
+        worst = max(worst, float(widest.min(axis=1).max()))
+        lo += len(size)
+    return worst
 
 
 def sup_diameter(cover: Cover) -> float:

@@ -222,3 +222,17 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "scalekit" in proc.stdout
+
+
+def test_version_is_the_package_version(capsys):
+    import tomllib
+    from pathlib import Path
+
+    import scalekit
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "scalekit %s\n" % scalekit.__version__
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == scalekit.__version__

@@ -1439,6 +1439,63 @@ def test_mesh_matches_candidate_scan(cover):
     assert mesh(cover) == oracle_mesh(cover)
 
 
+def oracle_mesh_stars(cover):
+    """The per-star generator the blocked scan replaced: one ``d[:, s]``
+    gather per distinct star."""
+    d = cover.space.d
+    if not ((d > 0) & np.isfinite(d)).any():
+        return 0.0
+    stars = {s.tobytes(): s for s in star_family(cover, cover).rows.lists()}
+    return float(max(d[:, s].max(axis=1).min() for s in stars.values()))
+
+
+@SEEDED
+@given(metric_covers(), st.sampled_from([model.CHUNK_BYTES, 64, 200]))
+def test_mesh_matches_the_star_generator(cover, chunk):
+    # DISTANCES holds inf, element_lists repeats elements (so stars repeat);
+    # a chunk of 64 bytes takes one star and one point per step, 200 a few
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", chunk)
+        assert mesh(cover) == oracle_mesh_stars(cover)
+
+
+@pytest.mark.parametrize("chunk", [64, 200, model.CHUNK_BYTES])
+def test_mesh_of_mixed_star_widths(chunk):
+    # stars of 1 to 60 points in one block, some repeated, on a line with an
+    # infinitely far point
+    space = builder_line(59, 1.0)
+    d = space.d.copy()
+    d[-1, :-1] = d[:-1, -1] = np.inf
+    space = Space(space.points, metric=d)
+    els = [frozenset(range(k, min(59, k + w))) for k, w in
+           ((0, 1), (3, 40), (3, 40), (10, 2), (20, 59), (50, 9))] + [frozenset({59})]
+    cover = Cover(space, els + [frozenset({k}) for k in range(59)])
+    # a star that holds the far point and a near one is infinitely wide
+    bridged = Cover(space, els + [frozenset({58, 59})] + [frozenset({k}) for k in range(59)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "CHUNK_BYTES", chunk)
+        assert mesh(cover) == oracle_mesh_stars(cover) == 28.0
+        assert mesh(bridged) == oracle_mesh_stars(bridged) == np.inf
+
+
+def test_mesh_memory_stays_within_a_few_chunks(monkeypatch):
+    import tracemalloc
+    monkeypatch.setattr(model, "CHUNK_BYTES", 1 << 16)
+    cover = ball_cover(builder_line(499, 1.0), 50.0)
+    stars = star_family(cover, cover).rows
+    lists = stars.columns.nbytes + stars.starts.nbytes
+    assert mesh(cover) == oracle_mesh_stars(cover)
+    tracemalloc.start()
+    try:
+        mesh(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the star lists, their unpacking and a gather; one 199-point star
+    # gathered whole takes 0.8 MB
+    assert peak < lists + 12 * model.CHUNK_BYTES
+
+
 def oracle_lebesgue(cover):
     """The candidate scan, on sets: distances and their midpoints upward
     until the first radius whose balls' stars miss the cover."""
@@ -2451,6 +2508,32 @@ def random_operator(n, seed, density=0.3):
 def test_column_pseudometric_is_bit_identical_to_oracle(n, seed, density):
     op = random_operator(n, seed, density)
     assert column_pseudometric(op).tobytes() == oracle_column_pseudometric(op).tobytes()
+
+
+def oracle_column_rows(a):
+    """The row loop the coordinate walk replaced: every row of the dense
+    matrix adds its n x n squares, ascending."""
+    m = a.dense()
+    sq = np.zeros((m.shape[1],) * 2)
+    for row in m:
+        sq += np.abs(row[:, None] - row[None, :]) ** 2
+    return np.sqrt(sq)
+
+
+@SEEDED
+@given(st.integers(1, 40), st.integers(0, 2 ** 16),
+       st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+def test_column_pseudometric_is_bit_identical_to_the_row_loop(n, seed, density):
+    op = random_operator(n, seed, density)
+    assert column_pseudometric(op).tobytes() == oracle_column_rows(op).tobytes()
+
+
+def test_column_pseudometric_reads_the_coordinates_only(monkeypatch):
+    space = builder_line(500, 1.0)
+    op = OperatorMatrix(space, {(x, x + 1): 1.0 for x in range(500)}, name="shift")
+    expect = oracle_column_rows(op)
+    monkeypatch.setattr(OperatorMatrix, "dense", None)
+    assert column_pseudometric(op).tobytes() == expect.tobytes()
 
 
 def test_column_pseudometric_memory_stays_quadratic():
