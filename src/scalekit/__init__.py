@@ -21,8 +21,9 @@ _EXPORTS = {
               "builder_group_window", "builder_line", "fmt_value"),
     "reports": ("CheckReport",),
     "scales": ("Cover", "PartitionOfUnity", "check_ls_base", "check_ss_base",
-               "is_smaller", "pou_support", "refines", "smaller_or_equal",
-               "star_family", "star_set", "subordinated", "trivial_extension"),
+               "element_diameters", "is_smaller", "pou_support", "refines",
+               "smaller_or_equal", "star_family", "star_set", "subordinated",
+               "trivial_extension"),
     "entourages": ("Entourage", "check_coarse_axioms", "check_uniform_axioms",
                    "compose", "diagonal", "entourage_of_scale", "invert",
                    "metric_entourage", "scale_of_entourage"),
@@ -34,8 +35,7 @@ _EXPORTS = {
     "translation": ("GroupWindow", "check_translation_ls", "translation_scale",
                     "window_group", "z_window"),
     "oscillation": ("SOQuery", "build_bump_refuter", "build_scaled_refuter",
-                    "element_diameters", "equivalence_test", "heavy_pairs",
-                    "is_slowly_oscillating"),
+                    "equivalence_test", "heavy_pairs", "is_slowly_oscillating"),
     "algebra_comm": ("FunctionFamily", "family_ball_cover", "induced_bounded",
                      "is_ss_continuous", "separation_blocks",
                      "ss_base_from_family", "stone_weierstrass_desk_test"),

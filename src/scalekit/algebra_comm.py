@@ -15,11 +15,9 @@ import numpy as np
 
 from . import bounded
 from .metric import _ball_cover, ball_ladder
-from .model import (InstanceError, Space, fmt_value, gap_table, positive_grid,
-                    widest_pair)
-from .oscillation import element_diameters
+from .model import InstanceError, Space, fmt_value, gap_table, widest_pair
 from .reports import CheckReport, truncation_label
-from .scales import Cover, ScaleBase, base_members, first
+from .scales import Cover, ScaleBase, base_members, element_diameters, fine_scales
 
 
 def _row_key(row: np.ndarray) -> bytes:
@@ -104,23 +102,6 @@ def family_ball_cover(fam: FunctionFamily, radius: float) -> Cover:
 def ss_base_from_family(fam: FunctionFamily, eps_grid) -> ScaleBase:
     """Small-scale base of d_F ball covers along a descending eps grid."""
     return ball_ladder(fam.space, fam.pseudometric(), eps_grid, "small", "dF-balls")
-
-
-def fine_scales(values, base: ScaleBase, eps_grid) -> tuple[list, float | None]:
-    """For each eps, the first base scale whose elements all spread at most
-    eps (``element_diameters``), as {"eps", "cover"} records.  Stops at the
-    first eps that no scale meets and returns it too; None when all are met.
-    """
-    covers = base_members(base, "a scale base needs at least one cover")
-    grid = positive_grid(eps_grid, "eps grid")
-    widest = [(cov.name, element_diameters(values, cov).max()) for cov in covers]
-    found = []
-    for e in grid:
-        hit = first(widest, lambda w: w <= e)
-        if hit is None:
-            return found, e
-        found.append({"eps": e, "cover": hit})
-    return found, None
 
 
 def is_ss_continuous(f, base: ScaleBase, eps_grid) -> CheckReport:

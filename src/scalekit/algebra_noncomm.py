@@ -16,14 +16,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra_comm import fine_scales
 from .entourages import Entourage, compose
 from .metric import ball_ladder, sup_diameter
 from .model import (WORD, BoolRows, InstanceError, Space, distinct_sorted, fmt_value,
                     packed_union, parse_points, unpack_rows)
 from .reports import CheckReport, truncation_label
-from .scales import (Cover, PartitionOfUnity, ScaleBase, first, pou_support, refines,
-                     smaller_or_equal, star_family)
+from .scales import (Cover, PartitionOfUnity, ScaleBase, fine_scales, first, pou_support,
+                     refines, smaller_or_equal, star_family)
 
 
 def _positions(error: str):

@@ -89,6 +89,10 @@ def _partition(n: int, groups) -> ComponentPartition:
 def _finite_distance_classes(space: Space) -> ComponentPartition:
     # transitive closure of finite distance, which holds even without the
     # triangle inequality; identical rows would add no unions
+    if space.d.finite:  # every coordinate space short of an overflow
+        ids = np.zeros(space.n, dtype=np.int64)
+        ids.setflags(write=False)
+        return ComponentPartition(ids)
     rows = distinct_rows(table_blocks(space.d, np.isfinite), space.n)
     return _partition(space.n, (r.tolist() for r in rows.lists()))
 

@@ -257,6 +257,20 @@ def _cmd_sw(args):
     return _emit(args, "sw-test", args.space, [rep])
 
 
+def _default_radii(space: Space) -> tuple[tuple, tuple]:
+    """The radii of report-all's two ball ladders, descending and ascending.
+    Both close off with the carrier's own extent: singletons at the fine end
+    (half the least positive finite distance) so the last member
+    star-refines itself, the widest finite distance at the coarse end so the
+    top absorbs stars."""
+    low = space.d.above(0.0)
+    rmin = 0.5 * low if low < np.inf else 0.5
+    top = space.d.widest() if low < np.inf else 1.0
+    down = tuple(r for r in (3.0, 1.0, 1.0 / 3) if r > rmin) + (rmin,)
+    up = tuple(r for r in (1.0, 3.0, 9.0, 27.0) if r < top) + (max(top, 1.0),)
+    return down, up
+
+
 def _cmd_report_all(args):
     from .bounded import check_axioms
     from .duality import continuously_controlled_check
@@ -266,14 +280,7 @@ def _cmd_report_all(args):
     reports = []
     numbers = {}
     if space.d is not None:
-        # close both ladders off with the carrier's own extent: singletons at
-        # the fine end so the last member star-refines itself, the full
-        # diameter at the coarse end so the top absorbs stars
-        pos = space.d[np.isfinite(space.d) & (space.d > 0)]
-        rmin = 0.5 * float(pos.min()) if pos.size else 0.5
-        top = float(pos.max()) if pos.size else 1.0
-        down = tuple(r for r in (3.0, 1.0, 1.0 / 3) if r > rmin) + (rmin,)
-        up = tuple(r for r in (1.0, 3.0, 9.0, 27.0) if r < top) + (max(top, 1.0),)
+        down, up = _default_radii(space)
         reports.append(check_ss_base(metric_ss_base(space, down)))
         reports.append(check_ls_base(metric_ls_base(space, up)))
     if space.d is not None or space.filtration is not None:

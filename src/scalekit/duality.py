@@ -19,11 +19,11 @@ from .bounded import (BoundedStructure, desk_weakly_bounded, star_probes,
                       uniformly_bounded, witness_space)
 from .model import (InstanceError, entry_pairs, fmt_value, gap_table, ordered_grid,
                     widest_pair)
-from .oscillation import (SOQuery, _first, _pair_entry, _widest_in,
-                          build_scaled_refuter, element_diameters, heavy_pairs,
-                          is_slowly_oscillating)
+from .oscillation import (SOQuery, _first, _pair_entry, _widest_in, build_scaled_refuter,
+                          heavy_pairs, is_slowly_oscillating)
 from .reports import CheckReport, truncation_label
-from .scales import Cover, ScaleBase, base_report, first, star_family, star_set
+from .scales import (Cover, ScaleBase, base_report, element_diameters, first, star_family,
+                     star_set)
 
 
 @dataclass(eq=False)
@@ -290,7 +290,7 @@ def _extreme_pairs(cover: Cover, space):
     """Per element, the lexicographically first pair realizing its diameter."""
     out = []
     for k, idx in enumerate(cover.rows.lists()):
-        gap, i, j = widest_pair(space.d[np.ix_(idx, idx)])
+        gap, i, j = space.d.widest_pair(idx)
         if gap > 0:
             out.append((k, int(idx[i]), int(idx[j]), gap))
     return out

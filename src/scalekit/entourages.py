@@ -19,8 +19,7 @@ from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
-from .model import (BoolRows, InstanceError, Space, bool_product, parse_points,
-                    real_value, rows_of_blocks, table_blocks)
+from .model import BoolRows, InstanceError, Space, bool_product, parse_points, real_value
 from .reports import CheckReport
 from .scales import Cover, base_members, base_report, first
 
@@ -157,8 +156,7 @@ def metric_entourage(space: Space, r: float, closed: bool = True) -> Entourage:
     radius = real_value(r, "entourage radius")
     if not (math.isfinite(radius) and radius >= 0):
         raise InstanceError("entourage radius %r must be finite and nonnegative" % radius)
-    test = (lambda block: block <= radius) if closed else (lambda block: block < radius)
-    return Entourage(space, rows_of_blocks(table_blocks(space.d, test), space.n),
+    return Entourage(space, space.d.within(radius, closed),
                      name="E_%s%s" % (r, "" if closed else "<"))
 
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .entourages import Entourage
-from .model import COORD_METRICS, InstanceError, Space, check_group_table, parse_points
+from .model import COORD_KINDS, InstanceError, Space, check_group_table, parse_points
 from .scales import Cover
 
 if TYPE_CHECKING:
@@ -100,7 +100,7 @@ def _coords(block, n: int) -> tuple:
     if "coords" not in block:
         raise InstanceError("metric: kind %r needs coords" % block["kind"])
     raw = block["coords"]
-    width = 1 if block["kind"] == "line" else 2
+    width = COORD_KINDS[block["kind"]]
     what = "numbers" if width == 1 else "[a, b] number pairs"
     if not isinstance(raw, (list, tuple)) or (width == 2 and not all(
             isinstance(c, (list, tuple)) and len(c) == 2 for c in raw)):
@@ -124,7 +124,7 @@ def _parse_metric(block, points):
     if not isinstance(block, dict) or "kind" not in block:
         raise InstanceError("metric block needs a kind")
     kind = block["kind"]
-    if isinstance(kind, str) and kind in COORD_METRICS:
+    if isinstance(kind, str) and kind in COORD_KINDS:
         return None, kind, _coords(block, n)
     if kind == "table":
         if "distances" not in block:

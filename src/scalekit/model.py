@@ -1,10 +1,14 @@
 """Finite filtered spaces.
 
 Every verifier in this package runs on a ``Space``: a finite list of named
-points, optionally carrying a pseudometric table and a filtration (a strictly
+points, optionally carrying a pseudometric and a filtration (a strictly
 increasing chain of point sets standing in for an exhaustion by bounded sets).
-Spaces are immutable after construction; all derived objects reference points
-by load-order index so results are deterministic.
+The pseudometric is read through one accessor, ``Space.d`` (``Distances``):
+a table space keeps its distance table, while a line or grid space keeps
+only its coordinates and computes each slice of distances from them, so no
+n x n table is held for it.  Spaces are immutable after construction; all
+derived objects reference points by load-order index so results are
+deterministic.
 """
 from __future__ import annotations
 
@@ -132,17 +136,9 @@ def widest_pair(table: np.ndarray) -> tuple[float, int, int]:
     return (gap, i, j) if i < j else (gap, 0, 1)
 
 
-def _max_gap_table(coords: np.ndarray) -> np.ndarray:
-    """The largest coordinate gap for every pair of points, one axis at a
-    time, so that only two n x n tables are held."""
-    out = gap_table(coords[:, 0])
-    for axis in coords.T[1:]:
-        np.maximum(out, gap_table(axis), out=out)
-    return out
-
-
-# coordinate kind -> its metric on an array of coordinates (one row per point)
-COORD_METRICS = {"line": gap_table, "grid": _max_gap_table}
+# coordinate kind -> the number of coordinates of each point; a line
+# measures |x - y|, a grid the largest coordinate gap
+COORD_KINDS = {"line": 1, "grid": 2}
 
 
 # -- the relation kernel: bool relations as point lists --------------------
@@ -414,12 +410,13 @@ class BoolRows:
         return self.dense()
 
 
-def table_blocks(table: np.ndarray, test):
-    """``test`` (a vectorised predicate) on a 2-d table, one block of rows
-    of at most CHUNK_BYTES entries after another, so that no bool copy of
-    the whole table is held."""
-    step = max(1, CHUNK_BYTES // table.shape[1])
-    for lo in range(0, len(table), step):
+def table_blocks(table, test):
+    """``test`` (a vectorised predicate) on a 2-d table (an array or
+    ``Distances``), one block of rows of at most CHUNK_BYTES entries after
+    another, so that no bool copy of the whole table is held."""
+    m, n = table.shape
+    step = max(1, CHUNK_BYTES // n)
+    for lo in range(0, m, step):
         yield test(table[lo:lo + step])
 
 
@@ -616,6 +613,276 @@ def pair_stream(rows: BoolRows, values: np.ndarray):
         yield t, u, _gaps(v[t - lo] - v[u - lo], values.ndim > 1)
 
 
+# -- distances: a metric read a slice at a time ------------------------------
+#
+# A space's metric is read through one accessor, ``Space.d``.  A table metric
+# keeps its validated table.  A coordinate metric keeps only its coordinates,
+# one array per axis, and computes each slice it is asked for by the
+# expression of ``gap_table``: |x - y| on a line, the largest such gap over
+# the axes on a grid.  Float subtraction and abs are the same operations
+# whichever slice they are taken on, so every distance is the one a whole
+# table would hold.
+#
+# On a line the accessor also answers from the coordinates alone.  For a
+# fixed point c, y -> fl(y - c) is monotone, so the points within r of c
+# (d <= r or d < r) are one run of the coordinates sorted once: a band,
+# found by a searchsorted per side and fixed up under the same float
+# predicate, one distinct coordinate at a time.  On a grid, a point is
+# within r of another iff it is on every axis, so a relation d <= r (or
+# d < r) is the AND over the axes of one packed row per distinct
+# coordinate.
+
+# _LOW[k]: the low k bits of a word set
+_LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64).astype(WORD)
+
+
+class Distances:
+    """The distances of one space, as an n x n table read by slices:
+    ``d[i, j]`` with ints or index arrays, which broadcast against each
+    other (``np.ix_`` pairs among them), and ``d[rows]`` with an int, a
+    slice or an int array for rows of the table.  ``axes`` holds the
+    coordinates of a coordinate metric, one array per axis, and is None for
+    a table.  ``table()`` builds the whole table: tests compare against it,
+    nothing else needs it."""
+
+    def __init__(self, table=None, axes=None):
+        self._table = table
+        self.axes = axes
+        self.n = len(table) if axes is None else len(axes[0])
+        self.shape = (self.n, self.n)
+
+    @classmethod
+    def of_coords(cls, coords: np.ndarray) -> "Distances":
+        """The metric of coordinates, one row per point: |x - y| for a
+        1-d array, the largest coordinate gap for one column per axis."""
+        axes = (coords,) if coords.ndim == 1 else tuple(np.ascontiguousarray(coords.T))
+        for axis in axes:
+            axis.setflags(write=False)
+        return cls(axes=axes)
+
+    def __getitem__(self, key):
+        if self.axes is None:
+            return self._table[key]
+        if isinstance(key, tuple):
+            a, b = key
+            return self._gap(lambda axis: axis[a] - axis[b])
+        return self._gap(lambda axis: axis[key][..., None] - axis)
+
+    def _gap(self, pick):
+        """The largest |pick(axis)| over the axes."""
+        out = None
+        for axis in self.axes:
+            gap = pick(axis)
+            gap = np.abs(gap, out=gap) if isinstance(gap, np.ndarray) else abs(gap)
+            out = gap if out is None else np.maximum(out, gap)
+        return out
+
+    def table(self) -> np.ndarray:
+        """The whole table; for tests only."""
+        return self._table if self.axes is None else self[0:self.n]
+
+    @property
+    def banded(self) -> bool:
+        """Whether the metric is a line's, whose balls are bands."""
+        return self.axes is not None and len(self.axes) == 1
+
+    @cached_property
+    def finite(self) -> bool:
+        """Whether every distance is finite.  On coordinates the widest gap
+        on each axis is its spread, which may overflow."""
+        if self.axes is not None:
+            return all(np.isfinite(np.ptp(axis)) for axis in self.axes)
+        return all(table_blocks(self, lambda block: np.isfinite(block).all()))
+
+    @cached_property
+    def positive(self) -> bool:
+        """Whether some distance is positive and finite."""
+        return self.widest() > 0 if self.finite else self.above(0.0) < np.inf
+
+    def balls(self, r: float) -> BoolRows:
+        """The distinct open balls d(x, .) < r, each at its first center in
+        load order."""
+        if self.axes is None:
+            return distinct_rows(table_blocks(self, lambda block: block < r), self.n)
+        if not self.banded:
+            words = self._box_words(r, False)
+            return BoolRows.of_words(words[_first_rows(words)], self.n)
+        lo, hi = self._band(r, False)
+        order = self._sorted[1]
+        # the bands never move left, so the centers of one ball are one run
+        runs = np.ones(self.n, dtype=bool)
+        runs[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        runs = np.flatnonzero(runs)
+        # each ball at its first center in load order
+        keep = runs if order is None else runs[np.argsort(np.minimum.reduceat(order, runs))]
+        return self._band_rows(lo[keep], hi[keep])
+
+    def within(self, r: float, closed: bool) -> BoolRows:
+        """The relation d(x, y) <= r (``closed``) or < r, row x for each
+        point x."""
+        if self.axes is None:
+            test = (lambda block: block <= r) if closed else (lambda block: block < r)
+            return rows_of_blocks(table_blocks(self, test), self.n)
+        if not self.banded:
+            return BoolRows.of_words(self._box_words(r, closed), self.n)
+        lo, hi = self._band(r, closed)
+        rank = self._sorted[2]
+        if rank is not None:  # rows in load order
+            lo, hi = lo[rank], hi[rank]
+        return self._band_rows(lo, hi)
+
+    def _box_words(self, r: float, closed: bool) -> np.ndarray:
+        """On coordinates, the packed rows of d <= r (``closed``) or d < r,
+        one per point.  d is within r iff every axis gap is, so each axis
+        packs the rows of its distinct coordinates, a block of CHUNK_BYTES
+        entries at a time, and a point's row is the AND over the axes of
+        the rows of its coordinates."""
+        near = np.less_equal if closed else np.less
+        step = max(1, CHUNK_BYTES // self.n)
+        out = None
+        for axis, (values, inverse) in zip(self.axes, self._levels):
+            rows = np.concatenate([_pack(near(np.abs(values[k:k + step, None] - axis), r))
+                                   for k in range(0, values.size, step)])[inverse]
+            out = rows if out is None else np.bitwise_and(out, rows, out=out)
+        return out
+
+    @cached_property
+    def _levels(self) -> list:
+        """Per axis, its distinct coordinates and each point's index among
+        them."""
+        out = []
+        for axis in self.axes:
+            values = distinct_sorted(axis)
+            out.append((values, values.searchsorted(axis)))
+        return out
+
+    def above(self, lam: float) -> float:
+        """The least finite distance greater than ``lam`` (>= 0), or inf."""
+        if self.banded:
+            # the nearest points past the band of lam on either side
+            s, (lo, hi) = self._sorted[0], self._band(lam, True)
+            right = np.abs(s[np.minimum(hi, self.n - 1)] - s)
+            left = np.abs(s[np.maximum(lo - 1, 0)] - s)
+            right[hi == self.n] = left[lo == 0] = np.inf
+            return float(min(right.min(), left.min()))
+        return float(min(table_blocks(self, lambda block: block.min(
+            where=(block > lam) & (block < np.inf), initial=np.inf))))
+
+    def widest(self) -> float:
+        """The greatest finite distance (0 when none is)."""
+        if self.axes is not None and self.finite:
+            return float(max(np.ptp(axis) for axis in self.axes))
+        return float(max(table_blocks(self, lambda block: block.max(
+            where=block < np.inf, initial=0.0))))
+
+    def widest_pair(self, idx: np.ndarray) -> tuple[float, int, int]:
+        """``widest_pair`` of the table on the points ``idx``, the pair given
+        as positions in idx, read a block of rows of about CHUNK_BYTES
+        entries at a time."""
+        m = len(idx)
+        if m < 2:
+            return 0.0, 0, 0
+        step = max(1, CHUNK_BYTES // m)
+        gap, at = -np.inf, 0
+        for lo in range(0, m, step):
+            block = self[np.ix_(idx[lo:lo + step], idx)]
+            k = int(block.argmax())
+            if block.flat[k] > gap:  # the first maximum in row-major order
+                gap, at = block.flat[k], lo * m + k
+        i, j = divmod(at, m)
+        return (float(gap), i, j) if i < j else (float(gap), 0, 1)
+
+    def same(self, other: "Distances") -> bool:
+        """Whether two metrics hold the same table, compared a block of rows
+        at a time."""
+        if self.shape != other.shape:
+            return False
+        step = max(1, CHUNK_BYTES // self.n)
+        return all(np.array_equal(self[lo:lo + step], other[lo:lo + step])
+                   for lo in range(0, self.n, step))
+
+    # -- bands on a line -----------------------------------------------------
+
+    @cached_property
+    def _sorted(self) -> tuple:
+        """The coordinates in one stable ascending order, s; the order and
+        each point's position in it (both None when the coordinates ascend
+        already); and for each position the run of its coordinate, as
+        [start, end) positions."""
+        c = self.axes[0]
+        if (c[1:] >= c[:-1]).all():
+            order = rank = None
+            s = c
+        else:
+            order = np.argsort(c, kind="stable")
+            rank = np.empty(self.n, dtype=np.int64)
+            rank[order] = np.arange(self.n)
+            s = c[order]
+        return s, order, rank, s.searchsorted(s, "left"), s.searchsorted(s, "right")
+
+    @cached_property
+    def _probes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What ``_band`` tests its bounds with: s between two NaNs, which
+        are within no radius of any center, so that positions -1 and n need
+        no care; the centers four times over; and the outcome of a settled
+        test."""
+        s = self._sorted[0]
+        settled = np.zeros((4, self.n), dtype=bool)
+        settled[1::2] = True
+        return np.concatenate(([np.nan], s, [np.nan])), np.tile(s, 4), settled.ravel()
+
+    def _band(self, r: float, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+        """For the center at each sorted position, the positions [lo, hi)
+        of the points y with d <= r (``closed``) or d < r.  Both bounds
+        never decrease along the positions."""
+        s, _, _, start, end = self._sorted
+        near = np.less_equal if closed else np.less
+        if not near(0.0, r):  # no point is within r of itself
+            return start, start.copy()
+        padded, centers, settled = self._probes
+        # a first guess, widened to hold the center's own run, which is within r
+        hi = np.maximum(s.searchsorted(s + r, "right" if closed else "left"), end)
+        lo = np.minimum(s.searchsorted(s - r, "left" if closed else "right"), start)
+        while True:
+            # settled: hi and lo - 1 are not within r, hi - 1 and lo are
+            # (positions shifted by one into ``padded``)
+            ok = near(np.abs(padded[np.concatenate((hi + 1, hi, lo, lo + 1))] - centers), r)
+            moves = ok != settled
+            if not moves.any():
+                return lo, hi
+            # a bound moves one distinct coordinate at a time: out past a
+            # position within r, in past one that is not
+            out_hi, in_hi, out_lo, in_lo = moves.reshape(4, -1)
+            hi[out_hi] = s.searchsorted(s[hi[out_hi]], "right")
+            hi[in_hi] = s.searchsorted(s[hi[in_hi] - 1], "left")
+            lo[out_lo] = s.searchsorted(s[lo[out_lo] - 1], "left")
+            lo[in_lo] = s.searchsorted(s[lo[in_lo]], "right")
+
+    def _band_rows(self, lo: np.ndarray, hi: np.ndarray) -> BoolRows:
+        """The relation whose row i holds the points at sorted positions
+        lo[i] to hi[i]: as point lists, or as packed words where those are
+        smaller."""
+        n, order, rank = self.n, self._sorted[1], self._sorted[2]
+        sizes, width = hi - lo, -(-n // 64)
+        if 32 * int(sizes.sum()) <= 64 * width * len(lo):
+            starts = np.zeros(len(lo) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=starts[1:])
+            at = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, sizes)
+            if order is None:
+                return BoolRows(at, starts, n)
+            # each row's points, ascending: rows stay apart under the keys
+            shift = np.repeat(np.arange(len(lo), dtype=np.int64) * n, sizes)
+            return BoolRows(np.sort(order[at] + shift) - shift, starts, n)
+        if order is None:
+            # the bits of word w are those of points 64 w to 64 w + 63
+            w = np.arange(0, 64 * width, 64)
+            ends = [np.minimum(np.maximum(b[:, None] - w, 0), 64) for b in (hi, lo)]
+            return BoolRows.of_words(_LOW[ends[0]] & ~_LOW[ends[1]], n)
+        step = max(1, CHUNK_BYTES // n)
+        return rows_of_blocks(((rank >= lo[k:k + step, None]) & (rank < hi[k:k + step, None])
+                               for k in range(0, len(lo), step)), n)
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Strictly increasing chain K_1 c K_2 c ... of declared-bounded windows."""
@@ -642,8 +909,10 @@ class Filtration:
 
 class Space:
     """Finite point list with optional pseudometric and filtration.  A space
-    of a coordinate kind ("line", "grid") derives its metric from ``coords``
-    through ``COORD_METRICS``; any other space takes a distance table."""
+    of a coordinate kind ("line", "grid") keeps its coordinates and derives
+    its distances from them; any other space takes a distance table.  Both
+    are read through ``d`` (``Distances``), which is None without a
+    metric."""
 
     def __init__(self, points, metric=None, metric_kind=None, coords=None,
                  filtration=None, group_table=None):
@@ -657,25 +926,28 @@ class Space:
         self.metric_kind = metric_kind
         self.coords = coords
         self.group_table = group_table
-        if metric_kind in COORD_METRICS:
+        self.d = None
+        if metric_kind in COORD_KINDS:
             if metric is not None:
                 raise InstanceError("a %s space derives its metric from coords"
                                     % metric_kind)
-            coords_array = np.asarray(coords, dtype=float)
+            coords_array = np.array(coords, dtype=float)
+            width = COORD_KINDS[metric_kind]
+            if coords_array.shape != ((len(points),) if width == 1 else (len(points), width)):
+                raise InstanceError("%s coords must give one coordinate per point"
+                                    % metric_kind)
             if not np.isfinite(coords_array).all():
                 raise InstanceError("%s coordinates must be finite" % metric_kind)
-            # a fresh table, so it needs no copy; from finite coordinates it is
-            # symmetric, nonnegative and zero on the diagonal by construction
-            metric = COORD_METRICS[metric_kind](coords_array)
+            # finite coordinates give a symmetric, nonnegative metric that is
+            # zero on the diagonal and obeys the triangle inequality
+            self.d = Distances.of_coords(coords_array)
         elif metric is not None:
             metric = np.array(metric, dtype=float)
-        if metric is not None:
             if metric.shape != (len(points), len(points)):
                 raise InstanceError("metric table shape does not match point count")
-            if metric_kind not in COORD_METRICS:
-                self._check_pseudometric(metric)
+            self._check_pseudometric(metric)
             metric.setflags(write=False)
-        self.d = metric
+            self.d = Distances(metric)
         if filtration is not None:
             if isinstance(filtration, Filtration):
                 filtration = filtration.levels
@@ -684,14 +956,6 @@ class Space:
                 frozenset(parse_points(lv, len(points), error % (i + 1)).tolist())
                 for i, lv in enumerate(filtration)))
         self.filtration = filtration
-
-    @cached_property
-    def triangle_ok(self) -> bool | None:
-        """Whether the metric obeys the triangle inequality (None without
-        one); coordinate metrics do by construction."""
-        if self.d is None:
-            return None
-        return self.metric_kind in COORD_METRICS or self._triangle_holds(self.d)
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -721,16 +985,6 @@ class Space:
             i, j = map(int, np.argwhere(asym)[0])
             raise InstanceError("asymmetric metric at (%d,%d)" % (i, j))
 
-    @staticmethod
-    def _triangle_holds(d: np.ndarray) -> bool:
-        # exact check, one relaxation pass per intermediate point
-        n = d.shape[0]
-        for k in range(n):
-            through = d[:, [k]] + d[[k], :]
-            if np.any(d > through):
-                return False
-        return True
-
     # -- basic accessors ----------------------------------------------------
 
     @property
@@ -758,8 +1012,10 @@ class Space:
 
     def diam(self, subset) -> float:
         """Largest pairwise distance inside ``subset`` (0 for <= 1 point)."""
+        if self.d is None:
+            raise InstanceError("space carries no metric")
         idx = np.sort(parse_points(subset, self.n, "a diameter is taken of point indices"))
-        return widest_pair(self.d[np.ix_(idx, idx)])[0]
+        return self.d.widest_pair(idx)[0]
 
     def values(self) -> np.ndarray:
         """1-d coordinates for line-kind spaces (used by interval helpers)."""
@@ -777,7 +1033,7 @@ class Space:
         a, b = self.d, other.d
         if (a is None) != (b is None):
             return False
-        if a is not None and not np.array_equal(a, b):
+        if a is not None and not a.same(b):
             return False
         fa = None if self.filtration is None else self.filtration.levels
         fb = None if other.filtration is None else other.filtration.levels
@@ -793,8 +1049,8 @@ class Space:
             doc["metric"] = {"kind": "grid",
                              "coords": [[int(a), int(b)] for a, b in self.coords]}
         elif self.d is not None:
-            rows = [["inf" if math.isinf(v) else float(v) for v in row]
-                    for row in self.d]
+            rows = [["inf" if math.isinf(v) else float(v) for v in self.d[i]]
+                    for i in range(self.n)]
             doc["metric"] = {"kind": "table", "distances": rows}
         if self.filtration is not None:
             doc["filtration"] = [list(self.labels(lv)) for lv in self.filtration.levels]

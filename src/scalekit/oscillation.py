@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
 from .model import (InstanceError, fmt_value, gap_table, ordered_grid, pair_stream,
                     parse_points, real_value, widest_pair)
 from .reports import CheckReport, truncation_label
-from .scales import Cover, first, star_set
+from .scales import Cover, element_diameters, first, star_set
 
 FORMS = ("strict", "relaxed")
 
@@ -50,21 +51,6 @@ class SOQuery:
             if cov.space is not self.structure.space:
                 raise InstanceError("cover %s lives on a different space" % cov.name)
         self.eps_grid = ordered_grid(self.eps_grid, "eps grid", "strictly descending")
-
-
-def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
-    """Greatest value gap inside each element; values that are vectors (one
-    row per point) are compared in the sum norm."""
-    f = np.asarray(f, dtype=complex)
-    starts = cover.rows.starts
-    # per entry, its widest gap to a later point of its element; a chunk
-    # holds every pair of the entries it reaches
-    widest = np.zeros(starts[-1])
-    for t, _, gap in pair_stream(cover.rows, f):
-        first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        widest[t[first]] = np.maximum.reduceat(gap, first)
-    # cover elements are nonempty, so reduceat meets no empty segment
-    return np.maximum.reduceat(widest, starts[:-1])
 
 
 def _widest_in(f: np.ndarray, idx: np.ndarray) -> tuple[float, int, int]:
@@ -256,12 +242,17 @@ def equivalence_test(q: SOQuery) -> CheckReport:
 
 def _ball_bump(space, center: int, radius: float) -> np.ndarray:
     d = space.d
-    inside = d[:, center] < radius
-    outside = ~inside
-    if not outside.any():
+    inside = d[center] < radius  # the table is symmetric
+    outside = np.flatnonzero(~inside)
+    if not outside.size:
         raise InstanceError("ball at %s swallows the space" % space.points[center])
     f = np.zeros(space.n)
-    f[inside] = d[np.ix_(inside, outside)].min(axis=1)
+    # each point's distance to the complement, a block of rows at a time
+    inside = np.flatnonzero(inside)
+    step = max(1, model.CHUNK_BYTES // outside.size)
+    for lo in range(0, inside.size, step):
+        rows = inside[lo:lo + step]
+        f[rows] = d[np.ix_(rows, outside)].min(axis=1)
     return f
 
 

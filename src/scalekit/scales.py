@@ -18,8 +18,8 @@ from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
-from .model import (BoolRows, InstanceError, Space, bool_covered, bool_product,
-                    parse_points, product_words)
+from .model import (BoolRows, InstanceError, Space, bool_covered, bool_product, pair_stream,
+                    parse_points, positive_grid, product_words)
 from .reports import CheckReport, truncation_label
 
 
@@ -184,6 +184,40 @@ def trivial_extension(family: Cover, space: Space | None = None) -> Cover:
     space = space or family.space
     rows = BoolRows.stack([family.rows, BoolRows.identity(family.space.n)])
     return Cover(space, rows, name=(family.name or "family") + "+singletons")
+
+
+# -- value spread over elements ------------------------------------------------
+
+def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
+    """Greatest value gap inside each element; values that are vectors (one
+    row per point) are compared in the sum norm."""
+    f = np.asarray(f, dtype=complex)
+    starts = cover.rows.starts
+    # per entry, its widest gap to a later point of its element; a chunk
+    # holds every pair of the entries it reaches
+    widest = np.zeros(starts[-1])
+    for t, _, gap in pair_stream(cover.rows, f):
+        first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        widest[t[first]] = np.maximum.reduceat(gap, first)
+    # cover elements are nonempty, so reduceat meets no empty segment
+    return np.maximum.reduceat(widest, starts[:-1])
+
+
+def fine_scales(values, base: ScaleBase, eps_grid) -> tuple[list, float | None]:
+    """For each eps, the first base scale whose elements all spread at most
+    eps (``element_diameters``), as {"eps", "cover"} records.  Stops at the
+    first eps that no scale meets and returns it too; None when all are met.
+    """
+    covers = base_members(base, "a scale base needs at least one cover")
+    grid = positive_grid(eps_grid, "eps grid")
+    widest = [(cov.name, element_diameters(values, cov).max()) for cov in covers]
+    found = []
+    for e in grid:
+        hit = first(widest, lambda w: w <= e)
+        if hit is None:
+            return found, e
+        found.append({"eps": e, "cover": hit})
+    return found, None
 
 
 # -- base checks -----------------------------------------------------------------

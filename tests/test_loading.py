@@ -56,6 +56,20 @@ def test_check_ss_loads_no_algebra_layer(space):
     assert not loaded & UNREACHED
 
 
+def test_an_operator_payload_loads_no_function_algebra_layer():
+    # bundled line20 carries a shift operator, whose layer needs the fine
+    # scales of a base but none of the function-algebra checks
+    code = LOADED + ("import runpy\n"
+                     "sys.argv[0] = 'scalekit'\n"
+                     "runpy.run_module('scalekit.cli', run_name='__main__', alter_sys=True)\n")
+    proc = fresh(code, "mesh", "--space", "line20", "--cover", "fives", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "mesh"
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert {"algebra_noncomm", "metric", "scales"} <= loaded
+    assert not loaded & {"algebra_comm", "bounded", "oscillation"}
+
+
 def test_lazy_names_are_looked_up_on_every_access():
     assert "refines" not in vars(scalekit)
     original = scales.refines

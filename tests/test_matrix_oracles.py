@@ -52,6 +52,28 @@ from scalekit.translation import (GroupWindow, _closure_candidates, check_transl
 SEEDED = settings(deadline=None, derandomize=True, max_examples=60)
 
 
+# -- the dense distance table: the form line and grid spaces once stored -------
+
+def max_gap_table(coords: np.ndarray) -> np.ndarray:
+    """The largest coordinate gap for every pair of points, one axis at a
+    time: the grid metric as a whole table."""
+    out = model.gap_table(coords[:, 0])
+    for axis in coords.T[1:]:
+        np.maximum(out, model.gap_table(axis), out=out)
+    return out
+
+
+def dense_table(space) -> np.ndarray:
+    """The whole distance table of a space: built from the coordinates by
+    ``gap_table`` (a line) or ``max_gap_table`` (a grid), else the table the
+    space holds."""
+    if space.metric_kind == "line":
+        return model.gap_table(np.array(space.coords, dtype=float))
+    if space.metric_kind == "grid":
+        return max_gap_table(np.array(space.coords, dtype=float))
+    return space.d.table()
+
+
 # -- set-based oracles: the representations the matrices replaced -------------
 
 def oracle_cover(n, elements):
@@ -85,7 +107,7 @@ def distance_candidates(space):
     the radii the mesh and Lebesgue scans once stepped through.  Outcomes
     are constant between neighbouring distances, so the midpoints never
     shift a scan value."""
-    vals = np.unique(space.d)
+    vals = np.unique(dense_table(space))
     vals = vals[np.isfinite(vals) & (vals > 0)]
     out = []
     for i, v in enumerate(vals):
@@ -797,7 +819,7 @@ def oracle_partitions(b):
     generated = oracle_components(space.n, b.generators)
     if space.d is None:
         return generated, generated
-    rows = {np.isfinite(r).tobytes(): r for r in space.d}.values()
+    rows = {np.isfinite(r).tobytes(): r for r in dense_table(space)}.values()
     return generated, oracle_components(space.n, [np.flatnonzero(np.isfinite(r)).tolist()
                                                   for r in rows])
 
@@ -1178,7 +1200,8 @@ def oracle_diam(d, el):
 
 
 def oracle_sup_diameter(cover):
-    return max(oracle_diam(cover.space.d, el) for el in cover.elements)
+    d = dense_table(cover.space)
+    return max(oracle_diam(d, el) for el in cover.elements)
 
 
 def oracle_extreme_pairs(cover, space):
@@ -1187,7 +1210,7 @@ def oracle_extreme_pairs(cover, space):
         idx = np.fromiter(sorted(el), dtype=np.int64)
         if idx.size < 2:
             continue
-        sub = space.d[np.ix_(idx, idx)]
+        sub = dense_table(space)[np.ix_(idx, idx)]
         i, j = np.unravel_index(int(sub.argmax()), sub.shape)
         if sub[i, j] > 0:
             x, y = int(idx[i]), int(idx[j])
@@ -1323,7 +1346,7 @@ def oracle_sub_diam(space, el, removed):
     if len(keep) < 2:
         return 0.0
     idx = np.fromiter(keep, dtype=np.int64)
-    return float(space.d[np.ix_(idx, idx)].max())
+    return float(dense_table(space)[np.ix_(idx, idx)].max())
 
 
 def oracle_wright_c0(cover, space):
@@ -1364,7 +1387,7 @@ def oracle_mesh(cover):
     stars = tuple(oracle_star(e, elements) for e in elements)
 
     def passes(m):
-        return oracle_refines(stars, oracle_balls(space.d, m))
+        return oracle_refines(stars, oracle_balls(dense_table(space), m))
 
     if not cands:
         return 0.0
@@ -1430,7 +1453,7 @@ def test_metric_spreads_match_oracle(cover):
     assert sup_diameter(cover) == oracle_sup_diameter(cover)
     assert _extreme_pairs(cover, space) == oracle_extreme_pairs(cover, space)
     for el in cover.elements:
-        assert space.diam(el) == oracle_diam(space.d, el)
+        assert space.diam(el) == oracle_diam(dense_table(space), el)
 
 
 @SEEDED
@@ -1442,7 +1465,7 @@ def test_mesh_matches_candidate_scan(cover):
 def oracle_mesh_stars(cover):
     """The per-star generator the blocked scan replaced: one ``d[:, s]``
     gather per distinct star."""
-    d = cover.space.d
+    d = dense_table(cover.space)
     if not ((d > 0) & np.isfinite(d)).any():
         return 0.0
     stars = {s.tobytes(): s for s in star_family(cover, cover).rows.lists()}
@@ -1464,7 +1487,7 @@ def test_mesh_of_mixed_star_widths(chunk):
     # stars of 1 to 60 points in one block, some repeated, on a line with an
     # infinitely far point
     space = builder_line(59, 1.0)
-    d = space.d.copy()
+    d = dense_table(space)
     d[-1, :-1] = d[:-1, -1] = np.inf
     space = Space(space.points, metric=d)
     els = [frozenset(range(k, min(59, k + w))) for k, w in
@@ -1504,7 +1527,7 @@ def oracle_lebesgue(cover):
     elements = oracle_cover(space.n, cover.elements)
 
     def passes(lam):
-        balls = oracle_balls(space.d, lam)
+        balls = oracle_balls(dense_table(space), lam)
         return oracle_refines(tuple(oracle_star(b, balls) for b in balls), elements)
 
     if not cands or passes(cands[-1] * 2.0 + 1.0):
@@ -2036,8 +2059,8 @@ def test_ball_ladders_match_oracle(space, radii):
     fam = FunctionFamily(space, ("g",), np.arange(space.n, dtype=float).reshape(1, -1))
     op = OperatorMatrix(space, {(x, (x + 1) % space.n): 1.0 for x in range(space.n)},
                         name="t")
-    cases = [(metric_ss_base(space, down), space.d, down, "balls"),
-             (metric_ls_base(space, up), space.d, up, "balls"),
+    cases = [(metric_ss_base(space, down), dense_table(space), down, "balls"),
+             (metric_ls_base(space, up), dense_table(space), up, "balls"),
              (ss_base_from_family(fam, down), oracle_pseudometric(fam.values), down,
               "dF-balls"),
              (ss_from_algebra(op, down), column_pseudometric(op), down, "d_t-balls")]

@@ -54,26 +54,33 @@ def test_metric_zero_diagonal_required():
         Space(["a", "b"], metric=bad)
 
 
+def triangle_holds(d: np.ndarray) -> bool:
+    """The triangle inequality on a whole table, one relaxation pass per
+    intermediate point: O(n^3), an oracle for small tables."""
+    return all(not np.any(d > d[:, [k]] + d[[k], :]) for k in range(len(d)))
+
+
 def test_triangle_violation_recorded_not_fatal():
-    # pseudometric tables may bend the triangle rule; the flag records it
+    # pseudometric tables may bend the triangle rule; loading does not check it
     d = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=float)
     sp = Space(["a", "b", "c"], metric=d)
-    assert sp.triangle_ok is False
+    assert sp.distance(0, 2) == 5.0
+    assert not triangle_holds(sp.d.table())
     good = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
-    assert Space(["a", "b", "c"], metric=good).triangle_ok is True
+    assert triangle_holds(Space(["a", "b", "c"], metric=good).d.table())
 
 
-def test_triangle_flag_is_the_triangle_check():
+def test_coordinate_metrics_obey_the_triangle_inequality():
     from scalekit.instances import load_space, save_instance
     from scalekit.translation import z_window
-    built = [builder_line(6, 0.5), builder_grid(3), z_window(4)]
+    built = [builder_line(6, 0.5), builder_grid(3), z_window(4),
+             Space(list("abcd"), metric_kind="line", coords=(3.0, -1.5, 3.0, 0.1))]
     table = {"points": ["a", "b", "c"],
              "metric": {"kind": "table", "distances": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}}
-    loaded = [load_space(save_instance(sp))[0] for sp in built] + [load_space(table)[0]]
+    loaded = [load_space(save_instance(sp))[0] for sp in built]
     for sp in built + loaded:
-        assert sp.triangle_ok == Space._triangle_holds(sp.d)
-    assert loaded[-1].triangle_ok is False
-    assert builder_group_window([[0]]).triangle_ok is None
+        assert triangle_holds(sp.d.table())
+    assert not triangle_holds(load_space(table)[0].d.table())
 
 
 def test_coordinate_spaces_take_no_table():
@@ -90,7 +97,7 @@ def test_coordinate_spaces_skip_the_pseudometric_check(monkeypatch):
     assert builder_line(40, 0.5).d[0, 40] == 20.0
     assert builder_grid(5).d[0, 24] == 4.0
     doc = {"points": ["a", "b"], "metric": {"kind": "line", "coords": [0, 3]}}
-    assert load_space(doc)[0].d.tolist() == [[0, 3], [3, 0]]
+    assert load_space(doc)[0].d.table().tolist() == [[0, 3], [3, 0]]
     with pytest.raises(AssertionError, match="the pseudometric check ran"):
         Space(["a", "b"], metric=[[0, 1], [1, 0]])
 
@@ -103,6 +110,27 @@ def test_coordinate_spaces_skip_the_pseudometric_check(monkeypatch):
 def test_coordinate_spaces_need_finite_coordinates(build):
     with pytest.raises(InstanceError, match="coordinates must be finite"):
         build()
+
+
+@pytest.mark.parametrize("kind, coords", [
+    ("line", (0.0, 1.0, 2.0)),
+    ("line", ((0.0, 1.0), (1.0, 2.0))),
+    ("grid", (0, 1)),
+    ("grid", ((0, 0, 0), (1, 1, 1))),
+], ids=["line-count", "line-pairs", "grid-numbers", "grid-triples"])
+def test_coordinate_spaces_need_one_coordinate_per_point(kind, coords):
+    with pytest.raises(InstanceError, match="one coordinate per point"):
+        Space(["a", "b"], metric_kind=kind, coords=coords)
+
+
+def test_metric_readers_need_a_metric():
+    from scalekit.metric import sup_diameter
+    from scalekit.scales import Cover
+    bare = Space(["a", "b"])
+    with pytest.raises(InstanceError, match="no metric"):
+        bare.diam([0, 1])
+    with pytest.raises(InstanceError, match="no metric"):
+        sup_diameter(Cover(bare, [[0], [1]]))
 
 
 def test_infinite_distances_allowed():
@@ -264,13 +292,24 @@ def test_builders_take_integers_of_any_width():
     assert z_window(np.int16(2), np.int8(1)).filtration is not None
 
 
-def test_builder_line_holds_one_distance_table():
+def test_coordinate_checks_hold_no_distance_table():
+    # a 4001-point line and the checks of a size sweep on it: the peak stays
+    # below one byte per pair (16 MB), an eighth of one float table, so
+    # nothing builds n^2 distances, nor a dense bool relation
     import tracemalloc
+
+    import scalekit as sk
     tracemalloc.start()
     try:
-        space = builder_line(2000, 1.0)
+        space = builder_line(4000, 1.0)
+        blocks = sk.Cover(space, [range(k, min(k + 5, space.n)) for k in range(0, space.n, 5)])
+        sk.metric_ls_base(space, (1.0, 3.0, 9.0, 27.0))
+        assert sk.lebesgue_number(blocks) == 1.0
+        assert sk.mesh(blocks) == 2.0
+        assert [len(sk.metric_entourage(space, r)) for r in (1.0, 27.0)] == [
+            3 * space.n - 2, 55 * space.n - 27 * 28]
+        assert len(sk.from_metric(space).components().components) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the table, its absolute value and a copy of it once took three tables
-    assert peak < 1.3 * space.d.nbytes
+    assert peak < space.n ** 2
