@@ -19,8 +19,8 @@ from .bounded import (BoundedStructure, desk_weakly_bounded, star_probes,
                       uniformly_bounded, witness_space)
 from .model import (InstanceError, entry_pairs, fmt_value, gap_table, ordered_grid,
                     widest_pair)
-from .oscillation import (SOQuery, _first, _pair_entry, _widest_in, build_scaled_refuter,
-                          heavy_pairs, is_slowly_oscillating)
+from .oscillation import (SOQuery, Spread, _first, _pair_entry, _widest_in,
+                          build_scaled_refuter, is_slowly_oscillating)
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, ScaleBase, base_report, element_diameters, first, star_family,
                      star_set)
@@ -59,7 +59,8 @@ def ls_membership(q: LSQuery) -> CheckReport:
 
     Condition 1 stars each window below the top; condition 2 hunts, per
     function, eps and window, for an enlarging witness that kills every
-    oversized value gap.  Witnesses are scanned in the canonical order.
+    oversized value gap (``oscillation.Spread``).  Witnesses are scanned in
+    the canonical order.
     """
     space = q.structure.space
     hits, fail = _star_condition(q.cover, q.structure)
@@ -67,27 +68,24 @@ def ls_membership(q: LSQuery) -> CheckReport:
     def cells():
         yield {"condition": 1}, "stars", hits, None
         names, w = witness_space(q.structure)
-        # per window, the names and rows of the witnesses that hold it
+        # per window, the indices of the witnesses that hold it
         if space.filtration is not None:
-            holds = [("K%d" % (i + 1), w[:, space.depth <= i].all(axis=1))
+            holds = [("K%d" % (i + 1), np.flatnonzero(w[:, space.depth <= i].all(axis=1)))
                      for i in range(len(space.filtration))]
         else:
-            holds = [("empty", np.ones(len(names), dtype=bool))]
-        bases = [(bname, [nm for nm, h in zip(names, held) if h], w[held])
-                 for bname, held in holds]
+            holds = [("empty", np.arange(len(names)))]
         for fname, fvals in zip(q.catalogue.names, q.catalogue.values):
-            # the heavy pairs at the finest eps hold those at every eps
-            pool = heavy_pairs(fvals, q.cover, q.eps_grid[-1])
+            spread = Spread(fvals, q.cover, q.eps_grid[-1], w)
             for eps in q.eps_grid:
-                pairs = pool[pool["gap"] > eps]
-                xs, ys = pairs["x"], pairs["y"]
-                for bname, held_names, held in bases:
+                for bname, held in holds:
                     cell = {"condition": 2, "function": fname, "eps": eps,
                             "window": bname}
-                    hit = first(zip(held_names, held), lambda m: (m[xs] | m[ys]).all())
+                    hit = first(((names[i], i) for i in held),
+                                lambda i: spread.widest(i) <= eps)
                     surv = None
                     if hit is None:
-                        k = _first(~(held[:, xs] | held[:, ys]).any(axis=0))
+                        pairs, masks = spread.heavy(eps), w[held]
+                        k = _first(~(masks[:, pairs["x"]] | masks[:, pairs["y"]]).any(axis=0))
                         surv = None if k is None else _pair_entry(space, q.cover, pairs[k])
                     yield cell, "witness", hit, {**cell, "surviving": surv}
 

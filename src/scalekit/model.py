@@ -942,7 +942,10 @@ class Space:
             # zero on the diagonal and obeys the triangle inequality
             self.d = Distances.of_coords(coords_array)
         elif metric is not None:
-            metric = np.array(metric, dtype=float)
+            try:
+                metric = np.array(metric, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InstanceError("metric table must be a square table of numbers") from exc
             if metric.shape != (len(points), len(points)):
                 raise InstanceError("metric table shape does not match point count")
             self._check_pseudometric(metric)

@@ -5,13 +5,18 @@ asks for a weakly bounded set swallowing every element on which f still
 varies more than eps; the relaxed form only removes the witness pointwise,
 so an element may keep its far part.  On finite instances both collapse to
 containment tests over precomputed data: strict needs the union of the
-oversized elements inside the witness, relaxed needs every heavy pair to
-lose an endpoint.  Witnesses are scanned in the canonical order and the
-first success is reported, which keeps runs reproducible.
+oversized elements inside the witness, relaxed needs the values left
+outside the witness to spread at most eps inside each element.  Real
+values spread by their greatest less their least value, read in one pass
+over each element's points; complex ones through their heavy pairs, every
+one of which must lose an endpoint.  Witnesses are scanned in the
+canonical order and the first success is reported, which keeps runs
+reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +25,7 @@ from .bounded import BoundedStructure, desk_weakly_bounded, witness_space
 from .model import (InstanceError, fmt_value, gap_table, ordered_grid, pair_stream,
                     parse_points, real_value, widest_pair)
 from .reports import CheckReport, truncation_label
-from .scales import Cover, element_diameters, first, star_set
+from .scales import Cover, element_diameters, first, real_line, star_set
 
 FORMS = ("strict", "relaxed")
 
@@ -85,6 +90,57 @@ def heavy_pairs(f: np.ndarray, cover: Cover, eps: float) -> np.ndarray:
     return np.concatenate(parts)
 
 
+class Spread:
+    """How far f spreads inside the elements of a cover once a witness is
+    removed: ``widest(i)`` is the widest value gap between two points of one
+    element that both lie outside row i of the witness matrix ``w``, so that
+    witness i passes at eps iff ``widest(i) <= eps``.  A gap of at most
+    ``finest``, the finest eps asked, reads as 0, as does an element left
+    with fewer than two points.  Real values (``real_line``) give it as the
+    greatest less the least remaining value of each element wider than
+    ``finest``; other values read the heavy pairs at ``finest``, built
+    once."""
+
+    def __init__(self, f: np.ndarray, cover: Cover, finest: float, w: np.ndarray):
+        self.f, self.cover, self.finest, self.w = f, cover, finest, w
+        self.line = real_line(f)
+        self._widest: dict[int, float] = {}
+        if self.line is not None:
+            lo, hi = cover.value_range(self.line)
+            wide = cover.rows.take(np.flatnonzero(hi - lo > finest))
+            self._wide = wide.columns, wide.starts[:-1], self.line[wide.columns]
+
+    @cached_property
+    def pool(self) -> np.ndarray:
+        return heavy_pairs(self.f, self.cover, self.finest)
+
+    def widest(self, i: int) -> float:
+        if i not in self._widest:
+            self._widest[i] = self._outside(self.w[i])
+        return self._widest[i]
+
+    def _outside(self, mask: np.ndarray) -> float:
+        if self.line is None:
+            pool = self.pool
+            alive = ~(mask[pool["x"]] | mask[pool["y"]])
+            return float(pool["gap"][alive].max(initial=0.0))
+        columns, starts, values = self._wide
+        if not columns.size:
+            return 0.0
+        keep = ~mask[columns]
+        hi = np.maximum.reduceat(np.where(keep, values, -np.inf), starts)
+        lo = np.minimum.reduceat(np.where(keep, values, np.inf), starts)
+        # an element with no point left reads -inf, below the initial 0
+        gap = float((hi - lo).max(initial=0.0))
+        return gap if gap > self.finest else 0.0
+
+    def heavy(self, eps: float) -> np.ndarray:
+        """``heavy_pairs`` at eps, for the refutation of a failing cell."""
+        if self.line is None:
+            return self.pool[self.pool["gap"] > eps]
+        return heavy_pairs(self.f, self.cover, eps)
+
+
 def _first(flags) -> int | None:
     """Index of the first true entry of a bool vector, or None."""
     return int(np.argmax(flags)) if flags.any() else None
@@ -104,7 +160,9 @@ def is_slowly_oscillating(q: SOQuery, form: str = "strict") -> CheckReport:
     Passing cells record the first witness; a failing cell reports either a
     single refutation surviving every witness or one refutation per witness
     when no common one exists.  The strict form needs only the elements
-    wider than eps, never their pairs, until it fails.
+    wider than eps, and the relaxed form on real values only each element's
+    least and greatest value outside the witness; both list pairs only to
+    refute a failing cell.
     """
     return _search(q, form, {})
 
@@ -124,24 +182,23 @@ def _search(q: SOQuery, form: str, diams: dict) -> CheckReport:
         raise InstanceError("unknown form %r" % form)
     space = q.structure.space
     cells = witness_space(q.structure)
+    names, w = cells
     found = []
     for k, cov in enumerate(q.base):
         if form == "strict":
             diams_k = _diameters(q, k, diams)
-        else:  # the heavy pairs at the finest eps hold those at every eps
-            pool = heavy_pairs(q.f, cov, q.eps_grid[-1])
+        else:
+            spread = Spread(q.f, cov, q.eps_grid[-1], w)
         for eps in q.eps_grid:
             if form == "strict":
                 bad = np.flatnonzero(diams_k > eps)
                 bad_union = np.flatnonzero(cov.rows.union(bad))
-                test = lambda m: m[bad_union].all()
+                test = lambda i: w[i, bad_union].all()
                 refute = lambda: _strict_refutation(q, cov, eps, bad, cells)
             else:
-                pairs = pool[pool["gap"] > eps]
-                xs, ys = pairs["x"], pairs["y"]
-                test = lambda m: (m[xs] | m[ys]).all()
-                refute = lambda: _relaxed_refutation(q, cov, eps, pairs, cells)
-            hit = first(zip(*cells), test)
+                test = lambda i: spread.widest(i) <= eps
+                refute = lambda: _relaxed_refutation(q, cov, eps, spread.heavy(eps), cells)
+            hit = first(zip(names, range(len(names))), test)
             if hit is None:
                 return CheckReport("slowly_oscillating[%s,%s]" % (q.name, form), False,
                                    witnesses=tuple(found), counterexample=refute(),

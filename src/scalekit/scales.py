@@ -163,9 +163,13 @@ def star_family(u: Cover, v: Cover) -> Cover:
 
 
 def refines(u: Cover, v: Cover) -> bool:
-    """Every element of u is contained in some element of v."""
+    """Every element of u is contained in some element of v.  An element
+    larger than every element of v fits in none, which decides without the
+    relation product."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
+    if u.rows.sizes.max() > v.rows.sizes.max():
+        return False
     return bool_covered(u.rows, v.holders)
 
 
@@ -188,9 +192,27 @@ def trivial_extension(family: Cover, space: Space | None = None) -> Cover:
 
 # -- value spread over elements ------------------------------------------------
 
+def real_line(values) -> np.ndarray | None:
+    """The values as floats when each point carries one finite number with
+    zero imaginary part, else None.  On such values the widest gap inside a
+    set is its greatest value less its least, bit for bit: float
+    subtraction is monotone in each operand, and the abs of a complex gap
+    with zero imaginary part is that of its real part."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 1 or not np.isfinite(values).all() or values.imag.any():
+        return None
+    return values.real
+
+
 def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
     """Greatest value gap inside each element; values that are vectors (one
-    row per point) are compared in the sum norm."""
+    row per point) are compared in the sum norm.  Real values (``real_line``)
+    take it from each element's least and greatest value, other values from
+    the pairs inside each element."""
+    line = real_line(f)
+    if line is not None:
+        lo, hi = cover.value_range(line)
+        return hi - lo
     f = np.asarray(f, dtype=complex)
     starts = cover.rows.starts
     # per entry, its widest gap to a later point of its element; a chunk

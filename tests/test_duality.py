@@ -249,15 +249,22 @@ def test_reflectivity_unbounded_star_route():
 
 
 def test_ls_membership_builds_heavy_pairs_once_per_function(monkeypatch):
-    from scalekit import duality
+    from scalekit import oscillation
     calls = []
-    real = duality.heavy_pairs
+    real = oscillation.heavy_pairs
 
     def counted(f, cover, eps):
         calls.append(eps)
         return real(f, cover, eps)
 
-    monkeypatch.setattr(duality, "heavy_pairs", counted)
+    monkeypatch.setattr(oscillation, "heavy_pairs", counted)
+    # real values that pass are read from each element's extremes: no pairs
     rep = ls_membership(LSQuery(shrink_cover(), HL_B, HL_FAM, EPS_DEFAULT))
+    assert rep.status
+    assert calls == []
+    # a constant imaginary part leaves every gap as it is but needs the pairs,
+    # built at the finest eps once per function
+    turned = FunctionFamily(HL, HL_FAM.names, HL_FAM.values + 1j)
+    rep = ls_membership(LSQuery(shrink_cover(), HL_B, turned, EPS_DEFAULT))
     assert rep.status
     assert calls == [min(EPS_DEFAULT)] * len(HL_FAM.names)

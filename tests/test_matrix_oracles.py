@@ -316,10 +316,13 @@ def test_packed_and_blas_paths_are_byte_equal(case, chunk):
 
 def staircase(n, width, miss):
     """Covers u (width-point windows) and v (windows one point wider) on n
-    points, with u's window at ``miss`` widened past every element of v."""
+    points, with u's row at ``miss`` as large as the elements of v but in
+    none of them: width + 1 points spread over width + 2 by a one-point
+    hole, so that the size bound of ``refines`` leaves it to the kernel."""
     space = builder_line(n - 1, 1.0)
     u = [frozenset(range(k, k + width)) for k in range(n - width + 1)]
-    u[miss] = frozenset(range(max(0, miss - 2), min(n, miss + width + 2)))
+    lo = min(miss, n - width - 2)
+    u[miss] = frozenset(range(lo, lo + width + 2)) - {lo + 1}
     v = [frozenset(range(k, k + width + 1)) for k in range(n - width)]
     return Cover(space, u), Cover(space, v)
 
@@ -355,6 +358,21 @@ def test_refines_stops_at_first_uncontained_row(path, chunk, where):
     assert yields[-1] >= (rows if miss is None else miss + 1)
     if miss is not None and miss < rows - 1 and chunk < model.CHUNK_BYTES:
         assert yields[-1] < rows
+
+
+@pytest.mark.parametrize("where", [0, 10, 18])
+def test_refines_rejects_an_element_larger_than_every_target_without_the_kernel(where):
+    n, width = 90, 70
+    _, v = staircase(n, width, 0)
+    rows = [frozenset(range(k, k + width)) for k in range(n - width + 1)]
+    rows[where] = frozenset(range(where, where + width + 2))
+    u = Cover(v.space, rows)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_chunks", lambda *args: calls.append(args) or iter(()))
+        got = refines(u, v)
+    assert got is False and not oracle_refines(u.elements, v.elements)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])

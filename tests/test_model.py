@@ -48,6 +48,18 @@ def test_metric_must_be_square_and_symmetric():
         Space(["a", "b"], metric=bad)
 
 
+@pytest.mark.parametrize("metric", [
+    [[0, 1], [1, 0, 2]],
+    lambda: builder_line(1, 1.0).d,
+    [[0, "x"], ["x", 0]],
+], ids=["ragged", "another-space-accessor", "strings"])
+def test_metric_tables_that_are_not_numbers_are_refused(metric):
+    if callable(metric):
+        metric = metric()
+    with pytest.raises(InstanceError, match="square table of numbers"):
+        Space(["a", "b"], metric=metric)
+
+
 def test_metric_zero_diagonal_required():
     bad = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InstanceError):

@@ -251,7 +251,13 @@ def test_relaxed_form_builds_heavy_pairs_once_per_cover(monkeypatch):
         return real(f, cover, eps)
 
     monkeypatch.setattr(oscillation, "heavy_pairs", counted)
-    # "one" passes every cell, so each cover is reached
+    # "one" passes every cell, so each cover is reached; real values are read
+    # from each element's extremes and list no pairs
     rep = is_slowly_oscillating(query("one"), "relaxed")
+    assert rep.status and len(rep.witnesses) == len(BASE) * len(EPS)
+    assert calls == []
+    # complex values build the heavy pairs at the finest eps once per cover
+    turned = SOQuery(query("one").f * 1j, BASE, EPS, STRUCT)
+    rep = is_slowly_oscillating(turned, "relaxed")
     assert rep.status and len(rep.witnesses) == len(BASE) * len(EPS)
     assert calls == [(cov.name, EPS[-1]) for cov in BASE]
