@@ -67,26 +67,6 @@ class FunctionFamily:
         rows = {_row_key(row) for row in self.values}
         return all(_row_key(np.conj(row)) in rows for row in self.values)
 
-    def with_conjugates(self) -> "FunctionFamily":
-        """Adjoin missing conjugates (and the constant one) so the generated
-        algebra is honestly a *-algebra."""
-        names = list(self.names)
-        rows = [row for row in self.values]
-        keys = {_row_key(row) for row in rows}
-        one = np.ones(self.space.n, dtype=complex)
-        if _row_key(one) not in keys:
-            names.append("one")
-            rows.append(one)
-            keys.add(_row_key(one))
-        for nm, row in zip(self.names, self.values):
-            c = np.conj(row)
-            if _row_key(c) not in keys:
-                names.append("conj(%s)" % nm)
-                rows.append(c)
-                keys.add(_row_key(c))
-        return FunctionFamily(self.space, names, np.vstack(rows),
-                              constant_at_infinity=self.constant_at_infinity)
-
     def pseudometric(self) -> np.ndarray:
         """d_F(x, y) = max over the family of |f(x) - f(y)|."""
         if self._d is None:

@@ -57,10 +57,6 @@ class ComponentPartition:
         cuts = np.flatnonzero(np.diff(self.ids[order])) + 1
         return tuple(frozenset(part.tolist()) for part in np.split(order, cuts))
 
-    @property
-    def one_component(self) -> bool:
-        return not self.ids.any()
-
 
 def _partition(n: int, groups) -> ComponentPartition:
     """Union-find classes of the points once the points of each (nonempty)

@@ -3,12 +3,14 @@
 An entourage is a relation on the points, stored as point lists: row x
 lists, ascending, every y with (x, y) in the relation (``model.BoolRows``);
 the pair set, the holder lists (the relation inverted) and the matrix are
-derived from them.  One that the relation kernel writes (a composition, a
-metric entourage) keeps its packed words and reads its lists from them on
-first use.  Composition is a product in the relation kernel and inversion
-reads the holder lists.  Small-scale bases ask for symmetric members with a
-half-step (G o G inside E and F), large-scale bases ask for a member
-absorbing each composition.  The dictionary with covers sends a scale to
+derived from them.  One that the relation kernel writes (a composition)
+keeps its packed words and reads its lists from them on first use.
+Composition is a product in the relation kernel and inversion reads the
+holder lists, except on a line, where a metric entourage and what they make
+of it are runs of the sorted coordinates (``Entourage.runs``), composed,
+inverted and compared by their ends.  Small-scale bases ask for symmetric
+members with a half-step (G o G inside E and F), large-scale bases ask for
+a member absorbing each composition.  The dictionary with covers sends a scale to
 the union of its squares and an entourage to its slice cover.
 """
 from __future__ import annotations
@@ -19,7 +21,8 @@ from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
-from .model import BoolRows, InstanceError, Space, bool_product, parse_points, real_value
+from .model import (BoolRows, InstanceError, RunRows, Space, bool_product, parse_points,
+                    real_value, runs_composed, runs_subset)
 from .reports import CheckReport
 from .scales import Cover, base_members, base_report, first
 
@@ -60,6 +63,30 @@ class Entourage:
         """The n x n bool relation matrix, built on every call."""
         return self.rows.matrix
 
+    @property
+    def runs(self):
+        """On a line, the rows as runs of its sorted order when the
+        relation was built with them (a metric entourage, or what the run
+        calculus makes of one); else None."""
+        return self.rows.runs if self.rows.line is self.space.d else None
+
+    @cached_property
+    def _ordered(self):
+        """The runs by the sorted position of their row's point when
+        neither end decreases along the positions (``Distances.sorted_runs``);
+        else None."""
+        runs = self.runs
+        return None if runs is None else self.space.d.sorted_runs(runs)
+
+    @cached_property
+    def _band(self):
+        """``_ordered`` when each row's run also holds its own point, as a
+        metric entourage's do; else None."""
+        ordered = self._ordered
+        if ordered is None or not self.space.d.holds_diagonal(self.runs):
+            return None
+        return ordered
+
     @cached_property
     def holders(self) -> BoolRows:
         """The relation inverted: row y lists every x with (x, y) in it."""
@@ -88,15 +115,23 @@ class Entourage:
     __hash__ = object.__hash__
 
     def contains_diagonal(self) -> bool:
+        runs = self.runs
+        if runs is not None:
+            return self.space.d.holds_diagonal(runs)
         # entries are distinct, so n of them on the diagonal are all of it
         return int(np.count_nonzero(self.rows.columns == self.rows.owners())) == self.space.n
 
     def is_symmetric(self) -> bool:
+        if self._ordered is not None:
+            # a relation inside its inverse is symmetric
+            return runs_subset(self.runs, self.space.d.inverse_runs(self._ordered))
         return self.rows == self.holders
 
     def issubset(self, other: "Entourage") -> bool:
         if self.space is not other.space:
             raise InstanceError("entourages live on different spaces")
+        if (runs := self.runs) is not None and (within := other.runs) is not None:
+            return runs_subset(runs, within)
         return self.rows.issubset(other.rows)
 
     def intersection(self, other: "Entourage") -> "Entourage":
@@ -118,6 +153,10 @@ def diagonal(space: Space) -> Entourage:
 
 
 def invert(e: Entourage) -> Entourage:
+    """The inverse relation: from the ends of runs that never move left
+    (``Distances.inverse_runs``), else over e's holder lists."""
+    if e._ordered is not None:
+        return Entourage(e.space, RunRows(e.space.d, *e.space.d.inverse_runs(e._ordered)))
     # a fresh relation over e's holder lists, so that what it caches (its
     # packed words, say) is not kept with e
     holders = e.holders
@@ -125,9 +164,13 @@ def invert(e: Entourage) -> Entourage:
 
 
 def compose(e: Entourage, f: Entourage) -> Entourage:
-    """e o f = {(x, z): (x, y) in e and (y, z) in f for some y}."""
+    """e o f = {(x, z): (x, y) in e and (y, z) in f for some y}: from the
+    ends of e's runs when f is a band of a line (``model.runs_composed``),
+    else a product in the relation kernel."""
     if e.space is not f.space:
         raise InstanceError("entourages live on different spaces")
+    if (runs := e.runs) is not None and (band := f._band) is not None:
+        return Entourage(e.space, RunRows(e.space.d, *runs_composed(runs, band)))
     return Entourage(e.space, bool_product(e.rows, f.rows))
 
 

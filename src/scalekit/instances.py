@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .entourages import Entourage
 from .model import COORD_KINDS, InstanceError, Space, check_group_table, parse_points
 from .scales import Cover
 
@@ -218,7 +217,10 @@ def load_space(document) -> tuple:
             raise InstanceError("map %r: one target per point" % nm)
         cat.maps[nm] = np.array(_point_rows(space.index, [raw], lambda k: "map %r" % nm)[0],
                                 dtype=np.int64)
-    for nm, raw in _block(document, "entourages").items():
+    entourages = _block(document, "entourages")
+    if entourages:
+        from .entourages import Entourage
+    for nm, raw in entourages.items():
         rows = _listed(raw, "entourage %r" % nm)
         for k, pair in enumerate(rows):
             if len(_listed(pair, "entourage %r row %d" % (nm, k))) != 2:

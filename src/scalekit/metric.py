@@ -120,10 +120,15 @@ def mesh(cover: Cover) -> float:
     return worst
 
 
-def _extents(rows: model.BoolRows, axes) -> np.ndarray:
-    """Per row, the least and the greatest coordinate of its points on each
-    axis (columns lo_0, hi_0, lo_1, ...), gathered a block of rows of about
-    CHUNK_BYTES of coordinates at a time (one row at least)."""
+def _extents(cover: Cover, d: Distances) -> np.ndarray:
+    """Per element, the least and the greatest coordinate of its points on
+    each axis (columns lo_0, hi_0, lo_1, ...): on a line, the sorted
+    coordinates at the ends of an element that is a run; otherwise gathered
+    a block of elements of about CHUNK_BYTES of coordinates at a time (one
+    element at least)."""
+    runs, axes, rows = cover.runs, d.axes, cover.rows
+    if runs is not None:
+        return d.run_extents(runs)
     starts, columns = rows.starts, rows.columns
     out = np.empty((rows.m, 2 * len(axes)))
     lo = 0
@@ -144,7 +149,7 @@ def _coordinate_mesh(d: Distances, stars: Cover) -> float:
     """The mesh from the stars' extents: the least, over the centers x, of
     the largest |x - lo| or |x - hi| over the axes, at its largest over the
     stars, taken a block of CHUNK_BYTES of centers at a time."""
-    extents = _extents(stars.rows, d.axes)
+    extents = _extents(stars, d)
     step = max(1, model.CHUNK_BYTES // (8 * d.n))
     worst = 0.0
     for k in range(0, len(extents), step):
@@ -165,7 +170,7 @@ def sup_diameter(cover: Cover) -> float:
     if d is None:
         raise InstanceError("space carries no metric")
     if d.axes is not None:
-        ends = _extents(cover.rows, d.axes)
+        ends = _extents(cover, d)
         return float((ends[:, 1::2] - ends[:, 0::2]).max())
     return max((float(d[columns[t], columns[u]].max()) for t, u in entry_pairs(cover.rows)),
                default=0.0)

@@ -120,8 +120,10 @@ def _gaps(diffs: np.ndarray, vectors: bool) -> np.ndarray:
 
 def gap_table(values: np.ndarray) -> np.ndarray:
     """|v(x) - v(y)| for every pair of a point set's values; when each point
-    carries a vector (one row per point) the gap is the sum norm."""
-    return _gaps(values[:, None] - values[None, :], values.ndim > 1)
+    carries a vector (one row per point) the gap is the sum norm.  A gap past
+    the largest float is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return _gaps(values[:, None] - values[None, :], values.ndim > 1)
 
 
 def widest_pair(table: np.ndarray) -> tuple[float, int, int]:
@@ -156,7 +158,8 @@ COORD_KINDS = {"line": 1, "grid": 2}
 # multiplied again on the BLAS path is never listed, and its words take a
 # bit per entry where lists take 32.  Ball covers are made as packed words
 # too, and their repeated rows dropped by one stable sort of the rows as
-# byte strings.
+# byte strings; on a line they are runs of the sorted coordinates
+# (``RunRows``), which build each form only when it is read.
 #
 # Row i of a product of relations a (m x k) and b (k x n) reduces the rows
 # b[p] over the points p of row i of a: OR gives (a @ b) > 0, AND says for
@@ -236,7 +239,14 @@ class BoolRows:
     at the end).  The packed words are derived from the lists and kept
     once built.  A relation that the kernel writes as packed words (see
     ``of_words``) keeps them, with its row counts, and lists its entries
-    on first read."""
+    on first read.
+
+    On a line, ``runs`` are the rows as runs of the line's sorted order
+    when ``line`` is that line's ``Distances``: None there when some row is
+    not one run (see ``RunRows`` and ``Distances.runs_of``)."""
+
+    line = None
+    runs = None
 
     def __init__(self, columns, starts, n: int):
         self.columns = np.asarray(columns, dtype=np.int32)
@@ -408,6 +418,27 @@ class BoolRows:
     def matrix(self) -> np.ndarray:
         """The dense bool matrix, built on every call."""
         return self.dense()
+
+
+class RunRows(BoolRows):
+    """A relation on a line whose row i holds the points at positions lo[i]
+    to hi[i] - 1 of the line's sorted order: ``runs`` holds lo and hi
+    (``Runs``), and ``line`` is the line's ``Distances``.  Its point lists
+    and its packed words are each built from the runs, only when first
+    read."""
+
+    def __init__(self, line: "Distances", lo: np.ndarray, hi: np.ndarray):
+        self.m, self.n = len(lo), line.n
+        self.line, self.runs = line, Runs(lo, hi)
+        self.sizes = hi - lo
+
+    @cached_property
+    def _lists(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.line._run_lists(*self.runs)
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        return self.line._run_words(*self.runs)
 
 
 def table_blocks(table, test):
@@ -610,7 +641,9 @@ def pair_stream(rows: BoolRows, values: np.ndarray):
         # a chunk's entries run from its first t to its last u
         lo = t[0]
         v = values[columns[lo:u[-1] + 1]]
-        yield t, u, _gaps(v[t - lo] - v[u - lo], values.ndim > 1)
+        with np.errstate(over="ignore"):
+            gaps = _gaps(v[t - lo] - v[u - lo], values.ndim > 1)
+        yield t, u, gaps
 
 
 # -- distances: a metric read a slice at a time ------------------------------
@@ -627,7 +660,9 @@ def pair_stream(rows: BoolRows, values: np.ndarray):
 # fixed point c, y -> fl(y - c) is monotone, so the points within r of c
 # (d <= r or d < r) are one run of the coordinates sorted once: a band,
 # found by a searchsorted per side and fixed up under the same float
-# predicate, one distinct coordinate at a time.  On a grid, a point is
+# predicate, one distinct coordinate at a time.  Such relations keep their
+# runs (``Runs``), and the run calculus below takes stars, refinement,
+# composition and inversion from the runs' ends.  On a grid, a point is
 # within r of another iff it is on every axis, so a relation d <= r (or
 # d < r) is the AND over the axes of one packed row per distinct
 # coordinate.
@@ -715,7 +750,7 @@ class Distances:
         runs = np.flatnonzero(runs)
         # each ball at its first center in load order
         keep = runs if order is None else runs[np.argsort(np.minimum.reduceat(order, runs))]
-        return self._band_rows(lo[keep], hi[keep])
+        return RunRows(self, lo[keep], hi[keep])
 
     def within(self, r: float, closed: bool) -> BoolRows:
         """The relation d(x, y) <= r (``closed``) or < r, row x for each
@@ -729,7 +764,7 @@ class Distances:
         rank = self._sorted[2]
         if rank is not None:  # rows in load order
             lo, hi = lo[rank], hi[rank]
-        return self._band_rows(lo, hi)
+        return RunRows(self, lo, hi)
 
     def _box_words(self, r: float, closed: bool) -> np.ndarray:
         """On coordinates, the packed rows of d <= r (``closed``) or d < r,
@@ -858,29 +893,179 @@ class Distances:
             lo[out_lo] = s.searchsorted(s[lo[out_lo] - 1], "left")
             lo[in_lo] = s.searchsorted(s[lo[in_lo]], "right")
 
-    def _band_rows(self, lo: np.ndarray, hi: np.ndarray) -> BoolRows:
-        """The relation whose row i holds the points at sorted positions
-        lo[i] to hi[i]: as point lists, or as packed words where those are
-        smaller."""
-        n, order, rank = self.n, self._sorted[1], self._sorted[2]
-        sizes, width = hi - lo, -(-n // 64)
-        if 32 * int(sizes.sum()) <= 64 * width * len(lo):
-            starts = np.zeros(len(lo) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=starts[1:])
-            at = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, sizes)
-            if order is None:
-                return BoolRows(at, starts, n)
+    def _run_lists(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The point lists (columns, row starts) of the relation whose row i
+        holds the points at sorted positions lo[i] to hi[i] - 1."""
+        n, order, sizes = self.n, self._sorted[1], hi - lo
+        starts = np.zeros(len(lo) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        at = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, sizes)
+        if order is not None:
             # each row's points, ascending: rows stay apart under the keys
             shift = np.repeat(np.arange(len(lo), dtype=np.int64) * n, sizes)
-            return BoolRows(np.sort(order[at] + shift) - shift, starts, n)
-        if order is None:
+            at = np.sort(order[at] + shift) - shift
+        columns = at.astype(np.int32)
+        columns.setflags(write=False)
+        starts.setflags(write=False)
+        return columns, starts
+
+    def _run_words(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The packed rows of that relation."""
+        n, rank = self.n, self._sorted[2]
+        if rank is None:
             # the bits of word w are those of points 64 w to 64 w + 63
-            w = np.arange(0, 64 * width, 64)
+            w = np.arange(0, 64 * -(-n // 64), 64)
             ends = [np.minimum(np.maximum(b[:, None] - w, 0), 64) for b in (hi, lo)]
-            return BoolRows.of_words(_LOW[ends[0]] & ~_LOW[ends[1]], n)
+            words = _LOW[ends[0]] & ~_LOW[ends[1]]
+            words.setflags(write=False)
+            return words
         step = max(1, CHUNK_BYTES // n)
         return rows_of_blocks(((rank >= lo[k:k + step, None]) & (rank < hi[k:k + step, None])
-                               for k in range(0, len(lo), step)), n)
+                               for k in range(0, len(lo), step)), n).words
+
+    # -- runs on a line --------------------------------------------------------
+
+    def runs_of(self, rows: BoolRows):
+        """The rows of a relation on this line as runs of the sorted order, or
+        None when some row is not one run.  A relation's stated runs are
+        taken as they are; otherwise a row of point lists is one run iff its
+        least and greatest positions are as far apart as its size says.  The
+        runs found are kept with a relation that states none; a relation of
+        packed words alone, or with an empty row, is not scanned."""
+        if rows.line is self:
+            return rows.runs
+        if (not rows.m or not ("columns" in vars(rows) or "_lists" in vars(rows))
+                or not rows.sizes.all()):
+            return None
+        rank, begin = self._sorted[2], rows.starts[:-1]
+        at = rows.columns if rank is None else rank[rows.columns]
+        lo = np.minimum.reduceat(at, begin).astype(np.int64)
+        hi = np.maximum.reduceat(at, begin) + 1
+        runs = Runs(lo, hi) if np.array_equal(hi - lo, rows.sizes) else None
+        if rows.line is None:
+            rows.line, rows.runs = self, runs
+        return runs
+
+    def run_extents(self, runs) -> np.ndarray:
+        """The least and the greatest coordinate of each nonempty run, one
+        row per run: the sorted coordinates at its ends."""
+        s = self._sorted[0]
+        return np.column_stack((s[runs.lo], s[runs.hi - 1]))
+
+    def by_position(self, values: np.ndarray) -> np.ndarray:
+        """Values given per point in load order, listed by the points'
+        sorted positions instead."""
+        order = self._sorted[1]
+        return values if order is None else values[order]
+
+    def sorted_runs(self, runs):
+        """The runs of a relation with one row per point, listed by the
+        sorted position of the row's point instead of its load order, when
+        neither end ever decreases along the positions; else None."""
+        lo, hi = map(self.by_position, runs)
+        if (lo[1:] < lo[:-1]).any() or (hi[1:] < hi[:-1]).any():
+            return None
+        return lo, hi
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """Each point's position in the sorted order."""
+        rank = self._sorted[2]
+        return np.arange(self.n) if rank is None else rank
+
+    def holds_diagonal(self, runs) -> bool:
+        """Whether the run of each point's row holds the point itself."""
+        lo, hi = runs
+        return bool(((lo <= self._positions) & (self._positions < hi)).all())
+
+    def inverse_runs(self, ordered):
+        """The runs of the inverse of a relation with one row per point,
+        given its ``sorted_runs``: the rows whose runs hold position q sit at
+        the positions from the number of runs that end by q to the number
+        that start by q, since neither end decreases."""
+        lo, hi = ordered
+        return hi.searchsorted(self._positions, "right"), lo.searchsorted(self._positions, "right")
+
+
+class Runs:
+    """Rows as runs [lo, hi) of a line's sorted positions, int64 arrays;
+    unpacks as (lo, hi).  Runs are compared by their ends alone, through
+    two orders built once: ``reach`` gives the starts ascending and, for
+    each j, the greatest end among the first j runs in that order (-1 for
+    j = 0); ``least`` gives the ends ascending and, for each j, the least
+    start among the runs from the j-th on in that order (the largest int64
+    past the last)."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
+
+    def __iter__(self):
+        return iter((self.lo, self.hi))
+
+    @cached_property
+    def reach(self) -> tuple[np.ndarray, np.ndarray]:
+        by_start = np.argsort(self.lo, kind="stable")
+        most = np.empty(len(by_start) + 1, dtype=np.int64)
+        most[0] = -1
+        np.maximum.accumulate(self.hi[by_start], out=most[1:])
+        return self.lo[by_start], most
+
+    @cached_property
+    def least(self) -> tuple[np.ndarray, np.ndarray]:
+        by_end = np.argsort(self.hi, kind="stable")
+        first = np.empty(len(by_end) + 1, dtype=np.int64)
+        first[-1] = _FAR
+        first[:-1] = np.minimum.accumulate(self.lo[by_end][::-1])[::-1]
+        return self.hi[by_end], first
+
+
+_FAR = np.iinfo(np.int64).max
+
+
+def run_stars(u: Runs, v: Runs) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of st(U, v) for each nonempty run U = [a, b) of u, when the
+    elements of v are nonempty runs too.  A run [c, d) of v meets U iff
+    d > a and c < b, so the star is one run: the least start among the runs
+    that end past a (``least``) starts it when it lies before b, and the
+    greatest end among the runs that start before b (``reach``) ends it
+    when it lies past a."""
+    (a, b), (ends, first), (starts, most) = u, v.least, v.reach
+    return (np.minimum(a, first[ends.searchsorted(a, "right")]),
+            np.maximum(b, most[starts.searchsorted(b, "left")]))
+
+
+def runs_inside(u: Runs, v: Runs) -> bool:
+    """Whether each nonempty run of u lies inside some run of v: inside the
+    one that ends furthest among those that start at or before it."""
+    starts, most = v.reach
+    return bool((most[starts.searchsorted(u.lo, "right")] >= u.hi).all())
+
+
+def runs_span(runs: Runs, n: int) -> bool:
+    """Whether nonempty runs hold every one of n positions: sorted by
+    start, each begins where the ones before it reach, the first at 0, and
+    the last reach is n."""
+    starts, most = runs.reach
+    return bool(starts[0] == 0 and most[-1] == n and (starts[1:] <= most[1:-1]).all())
+
+
+def runs_composed(runs, band) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of e o f from the runs of e and ``band``, the
+    ``Distances.sorted_runs`` of f when each of them holds its own position.
+    Row x of e at [a, b) reaches the union of f's runs at positions a to
+    b - 1: one run, since neighbouring runs of f meet, from band_lo[a] to
+    band_hi[b - 1].  An empty row stays empty."""
+    (a, b), (lo, hi) = runs, band
+    held = a < b
+    return (np.where(held, lo.take(a, mode="clip"), a),
+            np.where(held, hi.take(b - 1, mode="clip"), a))
+
+
+def runs_subset(e, f) -> bool:
+    """Whether each row of one relation lies inside the same row of
+    another, both given as runs; an empty row lies inside anything."""
+    (a, b), (c, d) = e, f
+    return bool(((a >= b) | ((c <= a) & (b <= d))).all())
 
 
 @dataclass(frozen=True)
@@ -978,6 +1163,10 @@ class Space:
 
     @staticmethod
     def _check_pseudometric(d: np.ndarray) -> None:
+        # NaN, as which None reads, is unequal to itself: the symmetry test
+        # below would report it as an asymmetry
+        if np.isnan(d).any():
+            raise InstanceError("distances must not be NaN")
         if np.any(np.diag(d) != 0.0):
             k = int(np.flatnonzero(np.diag(d) != 0.0)[0])
             raise InstanceError("nonzero self-distance at point %d" % k)

@@ -107,7 +107,8 @@ class Spread:
         self._widest: dict[int, float] = {}
         if self.line is not None:
             lo, hi = cover.value_range(self.line)
-            wide = cover.rows.take(np.flatnonzero(hi - lo > finest))
+            with np.errstate(over="ignore"):  # a gap past the largest float is inf
+                wide = cover.rows.take(np.flatnonzero(hi - lo > finest))
             self._wide = wide.columns, wide.starts[:-1], self.line[wide.columns]
 
     @cached_property
@@ -131,7 +132,8 @@ class Spread:
         hi = np.maximum.reduceat(np.where(keep, values, -np.inf), starts)
         lo = np.minimum.reduceat(np.where(keep, values, np.inf), starts)
         # an element with no point left reads -inf, below the initial 0
-        gap = float((hi - lo).max(initial=0.0))
+        with np.errstate(over="ignore"):
+            gap = float((hi - lo).max(initial=0.0))
         return gap if gap > self.finest else 0.0
 
     def heavy(self, eps: float) -> np.ndarray:

@@ -3,7 +3,9 @@
 A scale is a cover of the whole space.  A cover is stored as point lists,
 one ascending list of point indices per element (``model.BoolRows``); the
 element sets, the holder lists of each point and the neighbourhood
-relation are derived from them.  Covers are compared through star
+relation are derived from them.  On a line, a cover whose elements are
+runs of the sorted coordinates (``Cover.runs``) takes its stars,
+refinements and span from the runs' ends.  Covers are compared through star
 refinement: ``u`` is a smaller scale than ``v`` when the family of stars
 st(U, u) refines ``v`` and the two covers differ as element sets.
 Small-scale bases are downward directed under star refinement, large-scale
@@ -18,8 +20,9 @@ from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
-from .model import (BoolRows, InstanceError, Space, bool_covered, bool_product, pair_stream,
-                    parse_points, positive_grid, product_words)
+from .model import (BoolRows, InstanceError, RunRows, Space, bool_covered, bool_product,
+                    pair_stream, parse_points, positive_grid, product_words, run_stars,
+                    runs_inside, runs_span)
 from .reports import CheckReport, truncation_label
 
 
@@ -111,10 +114,21 @@ class Cover:
         per_entry, starts = values[self.rows.columns], self.rows.starts[:-1]
         return np.minimum.reduceat(per_entry, starts), np.maximum.reduceat(per_entry, starts)
 
+    @property
+    def runs(self):
+        """On a line, the elements as runs of its sorted order
+        (``Distances.runs_of``); None elsewhere, or when some element is
+        not one run."""
+        d = self.space.d
+        return d.runs_of(self.rows) if d is not None and d.banded else None
+
     def element_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.elements)
 
     def is_scale(self) -> bool:
+        runs = self.runs
+        if runs is not None:
+            return runs_span(runs, self.space.n)
         return bool(np.bincount(self.rows.columns, minlength=self.space.n).all())
 
     def labels(self) -> list[list[str]]:
@@ -155,9 +169,13 @@ def star_set(subset, cover: Cover) -> frozenset[int]:
 
 
 def star_family(u: Cover, v: Cover) -> Cover:
-    """st(u, v): one element st(U, v) per element U of u, order preserved."""
+    """st(u, v): one element st(U, v) per element U of u, order preserved.
+    When the elements of both are runs of a line, so are the stars
+    (``run_stars``); otherwise they come from the relation kernel."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
+    if (runs := u.runs) is not None and (within := v.runs) is not None:
+        return Cover(u.space, RunRows(u.space.d, *run_stars(runs, within)))
     words = product_words(u.rows, v.neighbours) | u.rows.words
     return Cover(u.space, BoolRows.of_words(words, u.space.n))
 
@@ -165,11 +183,14 @@ def star_family(u: Cover, v: Cover) -> Cover:
 def refines(u: Cover, v: Cover) -> bool:
     """Every element of u is contained in some element of v.  An element
     larger than every element of v fits in none, which decides without the
-    relation product."""
+    relation product; so do the ends of elements that are runs of a line
+    (``runs_inside``)."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
     if u.rows.sizes.max() > v.rows.sizes.max():
         return False
+    if (runs := u.runs) is not None and (within := v.runs) is not None:
+        return runs_inside(runs, within)
     return bool_covered(u.rows, v.holders)
 
 
@@ -212,7 +233,8 @@ def element_diameters(f: np.ndarray, cover: Cover) -> np.ndarray:
     line = real_line(f)
     if line is not None:
         lo, hi = cover.value_range(line)
-        return hi - lo
+        with np.errstate(over="ignore"):  # a gap past the largest float is inf
+            return hi - lo
     f = np.asarray(f, dtype=complex)
     starts = cover.rows.starts
     # per entry, its widest gap to a later point of its element; a chunk

@@ -7,12 +7,12 @@ can tell a theorem from a boundary effect.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
 
-from .model import (BoolRows, Filtration, InstanceError, Space, check_group_table,
+from .model import (BoolRows, Filtration, InstanceError, RunRows, Space, check_group_table,
                     parse_points, whole_size)
 from .reports import CheckReport
 from .scales import Cover, base_report, first, refines, star_family
@@ -60,9 +60,19 @@ class GroupWindow:
         unit = self.table == self.identity
         self.inverse = np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
 
-    @property
-    def is_window(self) -> bool:
-        return self.values is not None
+    @cached_property
+    def positions(self) -> np.ndarray | None:
+        """For a window on a line whose sorted order ranks its values as
+        consecutive integers, each point's value less the least: its
+        position in that order, so that translating by a value moves it by
+        as many positions.  None for any other carrier."""
+        d = self.space.d
+        if self.values is None or d is None or not d.banded:
+            return None
+        positions = self.values - self.values.min()
+        if not np.array_equal(d.by_position(positions), np.arange(self.space.n)):
+            return None
+        return positions
 
     def mul(self, a: int, b: int) -> int | None:
         """Product index, or None when it leaves the window."""
@@ -126,11 +136,22 @@ def translation_scale(g: GroupWindow, f_subset) -> tuple[Cover, int]:
     """
     f = sorted(set(parse_points(f_subset, g.space.n, "translate subsets are lists "
                                  "of point indices").tolist()) | {g.identity})
+    n, at = g.space.n, g.positions
+    name = "translates[%s]" % ",".join(g.space.points[i] for i in f)
+    if at is not None:
+        # how far the factors of F move a point, at the least and the most
+        moves = at[f] - at[g.identity]
+        low, high = moves.min(), moves.max()
+        if high - low == len(f) - 1:
+            # F is an interval of the window, and so is each gF, clipped at its ends
+            lo, hi = np.maximum(at + low, 0), np.minimum(at + high + 1, n)
+            return (Cover(g.space, RunRows(g.space.d, lo, hi), name=name),
+                    int(n * len(f) - (hi - lo).sum()))
     prods = g.table[:, f]
     kept = prods >= 0
-    n = g.space.n
     rows = BoolRows.of_pairs(np.nonzero(kept)[0], prods[kept], n, n)
-    name = "translates[%s]" % ",".join(g.space.points[i] for i in f)
+    if g.space.d is not None and g.space.d.banded:
+        rows.line = g.space.d  # stated to be no runs, so that stars do not scan them
     return Cover(g.space, rows, name=name), int(kept.size - kept.sum())
 
 

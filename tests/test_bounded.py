@@ -104,7 +104,7 @@ def test_from_filtration_and_from_metric():
     assert set(bf.generators) == set(tn.filtration.levels)
     bm = bounded.from_metric(line(5))
     # one finite-distance class on a connected line
-    assert bm.components().one_component
+    assert len(bm.components().components) == 1
 
 
 def test_weakly_bounded_literal_is_cheap_true():

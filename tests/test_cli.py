@@ -236,3 +236,28 @@ def test_version_is_the_package_version(capsys):
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == scalekit.__version__
+
+
+HUGE = {"points": ["a", "b", "c"], "metric": {"kind": "line", "coords": [0, 1, 2]},
+        "filtration": [["a"], ["a", "b"]],
+        "functions": {"huge": [1.7e308, -1.7e308, 1.7e308]}}
+
+
+@pytest.mark.parametrize("form, code, status", [("strict", 1, "fail"),
+                                                ("relaxed", 0, "pass")])
+def test_gaps_past_the_largest_float_read_inf_without_a_warning(tmp_path, form, code, status):
+    # a fresh interpreter, where numpy's warnings reach stderr as they would
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(HUGE), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "scalekit.cli", "so", "--space", str(doc),
+                           "--function", "huge", "--form", form, "--json"],
+                          capture_output=True, text=True, env=env)
+    assert proc.stderr == ""
+    assert proc.returncode == code
+    report = json.loads(proc.stdout)["reports"][0]
+    assert report["status"] == status
+    if form == "strict":
+        assert report["counterexample"]["gap"] == "inf"

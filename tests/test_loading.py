@@ -56,6 +56,26 @@ def test_check_ss_loads_no_algebra_layer(space):
     assert not loaded & UNREACHED
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-ss", "--space", "grid5"),
+    ("check-ls", "--space", "halfline"),
+    ("lebesgue", "--space", "truncnat", "--cover", "fives"),
+    ("mesh", "--space", "instances/grid6.json", "--cover", "dominoes-v"),
+], ids=lambda argv: "%s-%s" % (argv[0], argv[2]))
+def test_ball_and_cover_checks_load_no_entourage_layer(argv):
+    # instances loads the entourage layer only for a document that carries
+    # entourages, which no bundled instance does
+    code = LOADED + ("import runpy\n"
+                     "sys.argv[0] = 'scalekit'\n"
+                     "runpy.run_module('scalekit.cli', run_name='__main__', alter_sys=True)\n")
+    proc = fresh(code, *argv, "--json")
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)["command"] == argv[0]
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert {"instances", "scales"} <= loaded
+    assert "entourages" not in loaded
+
+
 def test_an_operator_payload_loads_no_function_algebra_layer():
     # bundled line20 carries a shift operator, whose layer needs the fine
     # scales of a base but none of the function-algebra checks

@@ -114,6 +114,13 @@ def test_coordinate_spaces_skip_the_pseudometric_check(monkeypatch):
         Space(["a", "b"], metric=[[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("entry", [None, float("nan")], ids=["none", "nan"])
+def test_metric_tables_refuse_nan_before_the_symmetry_test(entry):
+    for table in ([[0, entry], [entry, 0]], [[0, 1], [entry, 0]], [[entry, 1], [1, 0]]):
+        with pytest.raises(InstanceError, match="^distances must not be NaN$"):
+            Space(["a", "b"], metric=table)
+
+
 @pytest.mark.parametrize("build", [
     lambda: builder_line(2, 1e308),
     lambda: Space(["a", "b"], metric_kind="line", coords=(0.0, float("nan"))),

@@ -29,7 +29,7 @@ def test_group_window_identity_and_inverse():
     assert g.mul(1, 3) == 0
     assert g.inv(3) == 1
     assert g.identity == 0
-    assert not g.is_window
+    assert g.values is None
 
 
 def test_translation_scale_z4_frozen():
@@ -75,7 +75,7 @@ def test_translation_s3_cosets_repeat():
 def test_z_window_clips():
     sp = z_window(10)
     g = window_group(sp)
-    assert g.is_window
+    assert g.values is not None
     hi = list(sp.points).index("10")
     assert g.mul(hi, hi) is None
 
