@@ -19,7 +19,7 @@ import numpy as np
 from .entourages import Entourage, compose
 from .metric import ball_ladder, sup_diameter
 from .model import (WORD, BoolRows, InstanceError, Space, distinct_sorted, fmt_value,
-                    packed_union, parse_points, unpack_rows)
+                    packed_union, parse_points, unpack_rows, whole_size)
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, PartitionOfUnity, ScaleBase, fine_scales, first, pou_support,
                      refines, smaller_or_equal, star_family)
@@ -266,6 +266,10 @@ class StarFamily:
                    for op in self.ops)
 
     def with_adjoints(self) -> "StarFamily":
+        """The family with each member's adjoint appended when no member
+        has its entries.  The result is adjoint closed, which it states:
+        every member's adjoint is a member or appended, and an appended
+        adjoint's adjoint is its member."""
         names = list(self.names)
         ops = list(self.ops)
         for nm, op in zip(self.names, self.ops):
@@ -273,7 +277,9 @@ class StarFamily:
             if not any(adj.same_entries(q) for q in ops):
                 names.append("%s*" % nm)
                 ops.append(adj)
-        return StarFamily(self.space, tuple(names), tuple(ops))
+        out = StarFamily(self.space, tuple(names), tuple(ops))
+        out.adjoint_closed = True
+        return out
 
 
 def _step_relation(fam: StarFamily, level: float = 1.0):
@@ -284,6 +290,14 @@ def _step_relation(fam: StarFamily, level: float = 1.0):
     keys = distinct_sorted(np.concatenate([op.x[s] * n + op.y[s]
                                            for op, s in zip(fam.ops, strong)]))
     return keys // n, keys % n
+
+
+def _chain_budget(n_max) -> int:
+    """A chain budget as a plain int of at least one point."""
+    n_max = whole_size(n_max, "chain budget")
+    if n_max < 1:
+        raise InstanceError("chain budget must be at least one point")
+    return n_max
 
 
 def f_bounded(cover: Cover, fam: StarFamily, n_max: int) -> CheckReport:
@@ -297,8 +311,7 @@ def f_bounded(cover: Cover, fam: StarFamily, n_max: int) -> CheckReport:
     points, in packed words; all rows take their breadth-first hops
     together, each hop ORing the step rows of the frontier's points.
     """
-    if n_max < 1:
-        raise InstanceError("chain budget must be at least one point")
+    n_max = _chain_budget(n_max)
     space = cover.space
     notes = ()
     if not fam.adjoint_closed:
@@ -403,6 +416,7 @@ def ls_from_algebra(cover: Cover, gens: StarFamily, degree: int,
     Chain-boundedness grows with the family, so the full monomial family at
     the cap decides everything the cap can see.
     """
+    degree, n_max = whole_size(degree, "degree cap"), _chain_budget(n_max)
     if degree < 1:
         raise InstanceError("degree cap must be at least one")
     full = _monomials(gens, degree)
@@ -554,7 +568,7 @@ def roe_comparison_tests(cover: Cover, r: float, n_max: int = 3,
     (n - 1) * r.  The operator norm and the covering multiplicity come along
     for the record.
     """
-    space = cover.space
+    space, n_max = cover.space, _chain_budget(n_max)
     if space.d is None:
         raise InstanceError("comparison needs a metric")
     top = sup_diameter(cover)

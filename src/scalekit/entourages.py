@@ -6,9 +6,10 @@ the pair set, the holder lists (the relation inverted) and the matrix are
 derived from them.  One that the relation kernel writes (a composition)
 keeps its packed words and reads its lists from them on first use.
 Composition is a product in the relation kernel and inversion reads the
-holder lists, except on a line, where a metric entourage and what they make
-of it are runs of the sorted coordinates (``Entourage.runs``), composed,
-inverted and compared by their ends.  Small-scale bases ask for symmetric
+holder lists, except on a line or a whole product grid, where a metric
+entourage and what they make of it are boxes of the sorted coordinates
+(``Entourage.runs``), composed, inverted and compared by their ends, axis
+by axis.  Small-scale bases ask for symmetric
 members with a half-step (G o G inside E and F), large-scale bases ask for
 a member absorbing each composition.  The dictionary with covers sends a scale to
 the union of its squares and an entourage to its slice cover.
@@ -65,16 +66,17 @@ class Entourage:
 
     @property
     def runs(self):
-        """On a line, the rows as runs of its sorted order when the
-        relation was built with them (a metric entourage, or what the run
-        calculus makes of one); else None."""
+        """On a line or a whole product grid, the rows as boxes of its
+        sorted coordinates when the relation was built with them (a metric
+        entourage, or what the run calculus makes of one); else None."""
         return self.rows.runs if self.rows.line is self.space.d else None
 
     @cached_property
     def _ordered(self):
-        """The runs by the sorted position of their row's point when
-        neither end decreases along the positions (``Distances.sorted_runs``);
-        else None."""
+        """The runs on each axis as functions of the position of their
+        row's point there, when they depend on it alone and neither end
+        decreases along the positions (``Distances.sorted_runs``); else
+        None."""
         runs = self.runs
         return None if runs is None else self.space.d.sorted_runs(runs)
 
@@ -153,8 +155,8 @@ def diagonal(space: Space) -> Entourage:
 
 
 def invert(e: Entourage) -> Entourage:
-    """The inverse relation: from the ends of runs that never move left
-    (``Distances.inverse_runs``), else over e's holder lists."""
+    """The inverse relation: from the ends of boxes whose runs never move
+    left (``Distances.inverse_runs``), else over e's holder lists."""
     if e._ordered is not None:
         return Entourage(e.space, RunRows(e.space.d, *e.space.d.inverse_runs(e._ordered)))
     # a fresh relation over e's holder lists, so that what it caches (its
@@ -165,7 +167,7 @@ def invert(e: Entourage) -> Entourage:
 
 def compose(e: Entourage, f: Entourage) -> Entourage:
     """e o f = {(x, z): (x, y) in e and (y, z) in f for some y}: from the
-    ends of e's runs when f is a band of a line (``model.runs_composed``),
+    ends of e's boxes when f is a band on each axis (``model.runs_composed``),
     else a product in the relation kernel."""
     if e.space is not f.space:
         raise InstanceError("entourages live on different spaces")

@@ -84,7 +84,9 @@ def mesh(cover: Cover) -> float:
 
     On coordinates, the widest distance from x to S is reached at an
     extreme coordinate of S on each axis, so each star's extent is measured
-    against every center, in blocks of CHUNK_BYTES.  On a table,
+    against the centers: on a line or a whole product grid, axis by axis
+    at the best center alone (``_axis_reach``), elsewhere against every
+    center, in blocks of CHUNK_BYTES.  On a table,
     which is symmetric, a star's columns are its rows.  The stars are taken
     widest first, in blocks of as many as fit one gather of CHUNK_BYTES of
     rows at the width of the block's first (one star at least); a narrower
@@ -145,11 +147,41 @@ def _extents(cover: Cover, d: Distances) -> np.ndarray:
     return out
 
 
+def _axis_reach(line: Distances, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each extent [lo, hi] on one axis line, the least over its sorted
+    coordinates s of max(|x - lo|, |x - hi|).  Along s, fl(x - lo) never
+    falls and fl(hi - x) never rises, so the x with fl(x - lo) >= fl(hi - x)
+    are the last ones: the first of them is found by a searchsorted at the
+    midpoint, moved one distinct coordinate at a time while the float test
+    disagrees (as in ``Distances._band``).  Before it the max is
+    fl(hi - x), which never rises, and from it on fl(x - lo), which never
+    falls, so the least is one of the two at it and just before it."""
+    s, padded = line._sorted[0], line._probes[0]
+    # in s between two NaNs, on which the test and its negation both fail,
+    # the coordinates at ``at`` and after it are settled when the test
+    # fails on the first and holds on the second
+    at = s.searchsorted(lo / 2 + hi / 2)
+    while True:
+        x, y = padded[at], padded[at + 1]
+        before, after = hi - x, y - lo
+        back, on = x - lo >= before, after < hi - y
+        if not (back | on).any():
+            return np.fmin(before, after)
+        at[back] = s.searchsorted(x[back], "left")
+        at[on] = s.searchsorted(y[on], "right")
+
+
 def _coordinate_mesh(d: Distances, stars: Cover) -> float:
     """The mesh from the stars' extents: the least, over the centers x, of
     the largest |x - lo| or |x - hi| over the axes, at its largest over the
-    stars, taken a block of CHUNK_BYTES of centers at a time."""
+    stars.  On a line or a whole product grid every tuple of axis
+    coordinates is a center, so the least is taken on each axis alone and
+    the mesh is the largest of those; elsewhere it is taken a block of
+    CHUNK_BYTES of centers at a time."""
     extents = _extents(stars, d)
+    if d.product is not None:
+        return max(float(_axis_reach(line, extents[:, 2 * a], extents[:, 2 * a + 1]).max())
+                   for a, line in enumerate(d.product[0]))
     step = max(1, model.CHUNK_BYTES // (8 * d.n))
     worst = 0.0
     for k in range(0, len(extents), step):

@@ -158,8 +158,8 @@ COORD_KINDS = {"line": 1, "grid": 2}
 # multiplied again on the BLAS path is never listed, and its words take a
 # bit per entry where lists take 32.  Ball covers are made as packed words
 # too, and their repeated rows dropped by one stable sort of the rows as
-# byte strings; on a line they are runs of the sorted coordinates
-# (``RunRows``), which build each form only when it is read.
+# byte strings; on a line or a whole product grid they are boxes of the
+# sorted coordinates (``RunRows``), which build each form only when read.
 #
 # Row i of a product of relations a (m x k) and b (k x n) reduces the rows
 # b[p] over the points p of row i of a: OR gives (a @ b) > 0, AND says for
@@ -241,9 +241,9 @@ class BoolRows:
     ``of_words``) keeps them, with its row counts, and lists its entries
     on first read.
 
-    On a line, ``runs`` are the rows as runs of the line's sorted order
-    when ``line`` is that line's ``Distances``: None there when some row is
-    not one run (see ``RunRows`` and ``Distances.runs_of``)."""
+    On a line or a whole product grid, ``runs`` are the rows as boxes
+    (``Runs``) when ``line`` is that space's ``Distances``: None there when
+    some row is not one box (see ``RunRows`` and ``Distances.runs_of``)."""
 
     line = None
     runs = None
@@ -421,16 +421,19 @@ class BoolRows:
 
 
 class RunRows(BoolRows):
-    """A relation on a line whose row i holds the points at positions lo[i]
-    to hi[i] - 1 of the line's sorted order: ``runs`` holds lo and hi
-    (``Runs``), and ``line`` is the line's ``Distances``.  Its point lists
+    """A relation of boxes: on each axis line a of a space's product
+    (``Distances.product``), row i holds the positions lo[a, i] to
+    hi[a, i] - 1, and the row is the points whose positions lie in every
+    such run; on a line, one axis, it is a run of the sorted order, and
+    lo and hi may be given as 1-d arrays.  ``runs`` holds lo and hi
+    (``Runs``), and ``line`` is the space's ``Distances``.  Its point lists
     and its packed words are each built from the runs, only when first
     read."""
 
     def __init__(self, line: "Distances", lo: np.ndarray, hi: np.ndarray):
-        self.m, self.n = len(lo), line.n
         self.line, self.runs = line, Runs(lo, hi)
-        self.sizes = hi - lo
+        self.m, self.n = self.runs.lo.shape[1], line.n
+        self.sizes = self.runs.sizes
 
     @cached_property
     def _lists(self) -> tuple[np.ndarray, np.ndarray]:
@@ -660,12 +663,16 @@ def pair_stream(rows: BoolRows, values: np.ndarray):
 # fixed point c, y -> fl(y - c) is monotone, so the points within r of c
 # (d <= r or d < r) are one run of the coordinates sorted once: a band,
 # found by a searchsorted per side and fixed up under the same float
-# predicate, one distinct coordinate at a time.  Such relations keep their
-# runs (``Runs``), and the run calculus below takes stars, refinement,
-# composition and inversion from the runs' ends.  On a grid, a point is
-# within r of another iff it is on every axis, so a relation d <= r (or
-# d < r) is the AND over the axes of one packed row per distinct
-# coordinate.
+# predicate, one distinct coordinate at a time.  On a grid, a point is
+# within r of another iff it is on every axis.  A grid that holds each
+# tuple of its axes' distinct coordinates once is the product of its axes,
+# each a line of those coordinates (``Distances.product``; a line is the
+# product of itself), and the points within r of a center are a box: the
+# product of its axis bands.  Such relations keep their boxes (``Runs``),
+# and the run calculus below takes stars, refinement, composition and
+# inversion from their ends, axis by axis.  On any other grid a relation
+# d <= r (or d < r) is the AND over the axes of one packed row per
+# distinct coordinate.
 
 # _LOW[k]: the low k bits of a word set
 _LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64).astype(WORD)
@@ -739,18 +746,36 @@ class Distances:
         load order."""
         if self.axes is None:
             return distinct_rows(table_blocks(self, lambda block: block < r), self.n)
-        if not self.banded:
+        if self.product is None:
             words = self._box_words(r, False)
             return BoolRows.of_words(words[_first_rows(words)], self.n)
-        lo, hi = self._band(r, False)
-        order = self._sorted[1]
-        # the bands never move left, so the centers of one ball are one run
-        runs = np.ones(self.n, dtype=bool)
-        runs[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        runs = np.flatnonzero(runs)
-        # each ball at its first center in load order
-        keep = runs if order is None else runs[np.argsort(np.minimum.reduceat(order, runs))]
-        return RunRows(self, lo[keep], hi[keep])
+        lines, offsets, _, points = self.product
+        bands = _bands(lines, r, False)
+        starts = []
+        for lo, hi in bands:
+            # the bands never move left, so the centers of one lie together
+            new = np.ones(lo.size, dtype=bool)
+            new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            starts.append(np.flatnonzero(new))
+        # the balls are the tuples of bands, the first line slowest, which is
+        # the load order of their first centers when the points are in
+        # product order; else those centers are the least points over the
+        # blocks of each tuple's positions
+        if len(lines) == 1 and points is None:
+            centers = starts[0]
+        else:
+            shape = tuple(at.size for at in starts)
+            if points is None:
+                order = np.arange(math.prod(shape))
+            else:
+                first = points.reshape([line.n for line in lines])
+                for a, at in enumerate(starts):
+                    first = np.minimum.reduceat(first, at, axis=a)
+                order = np.argsort(first, axis=None)
+            centers = np.array([at[q] + offset for at, q, offset
+                                in zip(starts, np.unravel_index(order, shape), offsets)])
+        lo, hi = zip(*bands)
+        return RunRows(self, _joined(lo, offsets)[centers], _joined(hi, offsets)[centers])
 
     def within(self, r: float, closed: bool) -> BoolRows:
         """The relation d(x, y) <= r (``closed``) or < r, row x for each
@@ -758,12 +783,13 @@ class Distances:
         if self.axes is None:
             test = (lambda block: block <= r) if closed else (lambda block: block < r)
             return rows_of_blocks(table_blocks(self, test), self.n)
-        if not self.banded:
+        if self.product is None:
             return BoolRows.of_words(self._box_words(r, closed), self.n)
-        lo, hi = self._band(r, closed)
-        rank = self._sorted[2]
-        if rank is not None:  # rows in load order
-            lo, hi = lo[rank], hi[rank]
+        lines, offsets, places, points = self.product
+        lo, hi = zip(*_bands(lines, r, closed))
+        lo, hi = _joined(lo, offsets), _joined(hi, offsets)
+        if len(lines) > 1 or points is not None:  # rows in load order
+            lo, hi = lo[places], hi[places]
         return RunRows(self, lo, hi)
 
     def _box_words(self, r: float, closed: bool) -> np.ndarray:
@@ -791,8 +817,53 @@ class Distances:
             out.append((values, values.searchsorted(axis)))
         return out
 
+    @property
+    def product(self):
+        """The space as a product of lines, or None: a line is the product
+        of itself alone, and a grid is one when it holds each tuple of its
+        axes' distinct coordinates once, each axis then the line of those
+        coordinates.  The positions of the lines are laid end to end, so
+        that a run on one line sorts apart from the runs on every other.
+        Given as the lines; where each line's positions begin, with their
+        total at the end; each point's position on each line, a (lines, n)
+        array; and the point at each tuple of positions, the first line
+        slowest (None when that is load order).  Decided on first use."""
+        product = self._product
+        if product is None or product[0] is not None:
+            return product
+        # a line is not kept in its own cache, which would make a cycle
+        return ((self,),) + product[1:]
+
+    @cached_property
+    def _product(self):
+        """``product``, with None for a line's own lines."""
+        if self.axes is None:
+            return None
+        if self.banded:
+            return None, np.array([0, self.n]), self._positions[None], self._sorted[1]
+        values, places = zip(*self._levels)
+        shape = tuple(v.size for v in values)
+        if math.prod(shape) != self.n:
+            return None
+        points = np.full(self.n, -1)
+        points[np.ravel_multi_index(places, shape)] = np.arange(self.n)
+        if (points < 0).any():  # a tuple held twice leaves another out
+            return None
+        if (points[1:] > points[:-1]).all():
+            points = None
+        offsets = np.cumsum((0,) + shape)
+        # axes of the same coordinates share one line, and so its bands
+        lines = {}
+        for v in values:
+            lines.setdefault(v.tobytes(), v)
+        lines = {key: Distances.of_coords(v) for key, v in lines.items()}
+        return (tuple(lines[v.tobytes()] for v in values), offsets,
+                np.stack(places) + offsets[:-1, None], points)
+
     def above(self, lam: float) -> float:
-        """The least finite distance greater than ``lam`` (>= 0), or inf."""
+        """The least finite distance greater than ``lam`` (>= 0), or inf.  A
+        whole product grid realizes exactly its axes' gaps, so it asks each
+        axis line."""
         if self.banded:
             # the nearest points past the band of lam on either side
             s, (lo, hi) = self._sorted[0], self._band(lam, True)
@@ -800,6 +871,8 @@ class Distances:
             left = np.abs(s[np.maximum(lo - 1, 0)] - s)
             right[hi == self.n] = left[lo == 0] = np.inf
             return float(min(right.min(), left.min()))
+        if self.product is not None:
+            return min(line.above(lam) for line in self.product[0])
         return float(min(table_blocks(self, lambda block: block.min(
             where=(block > lam) & (block < np.inf), initial=np.inf))))
 
@@ -894,16 +967,26 @@ class Distances:
             lo[in_lo] = s.searchsorted(s[lo[in_lo]], "right")
 
     def _run_lists(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The point lists (columns, row starts) of the relation whose row i
-        holds the points at sorted positions lo[i] to hi[i] - 1."""
-        n, order, sizes = self.n, self._sorted[1], hi - lo
-        starts = np.zeros(len(lo) + 1, dtype=np.int64)
+        """The point lists (columns, row starts) of the relation of boxes
+        ``lo``, ``hi`` (see ``RunRows``): each row's tuples of positions are
+        counted out with the last line fastest, and read as points."""
+        lines, offsets, _, points = self.product
+        widths = hi - lo
+        sizes = widths.prod(axis=0)
+        starts = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
-        at = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, sizes)
-        if order is not None:
+        # each entry's place in its row's count, and the tuple it starts at
+        rank = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)
+        scale = np.cumprod([1] + [line.n for line in lines[:0:-1]])[::-1]
+        at = np.repeat(scale @ (lo - offsets[:-1, None]), sizes)
+        for a in range(len(lines) - 1, 0, -1):
+            rank, q = np.divmod(rank, np.repeat(widths[a], sizes))
+            at += q * scale[a]
+        at += rank * scale[0]
+        if points is not None:
             # each row's points, ascending: rows stay apart under the keys
-            shift = np.repeat(np.arange(len(lo), dtype=np.int64) * n, sizes)
-            at = np.sort(order[at] + shift) - shift
+            shift = np.repeat(np.arange(len(sizes), dtype=np.int64) * self.n, sizes)
+            at = np.sort(points[at] + shift) - shift
         columns = at.astype(np.int32)
         columns.setflags(write=False)
         starts.setflags(write=False)
@@ -911,46 +994,58 @@ class Distances:
 
     def _run_words(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The packed rows of that relation."""
-        n, rank = self.n, self._sorted[2]
-        if rank is None:
+        n, (lines, _, places, points) = self.n, self.product
+        if len(lines) == 1 and points is None:
             # the bits of word w are those of points 64 w to 64 w + 63
             w = np.arange(0, 64 * -(-n // 64), 64)
-            ends = [np.minimum(np.maximum(b[:, None] - w, 0), 64) for b in (hi, lo)]
+            ends = [np.minimum(np.maximum(b[0, :, None] - w, 0), 64) for b in (hi, lo)]
             words = _LOW[ends[0]] & ~_LOW[ends[1]]
             words.setflags(write=False)
             return words
         step = max(1, CHUNK_BYTES // n)
-        return rows_of_blocks(((rank >= lo[k:k + step, None]) & (rank < hi[k:k + step, None])
-                               for k in range(0, len(lo), step)), n).words
 
-    # -- runs on a line --------------------------------------------------------
+        def block(k):
+            inside = True
+            for place, first, end in zip(places, lo[:, k:k + step], hi[:, k:k + step]):
+                inside = inside & (place >= first[:, None]) & (place < end[:, None])
+            return inside
+
+        return rows_of_blocks(map(block, range(0, lo.shape[1], step)), n).words
+
+    # -- runs on the lines of a product ----------------------------------------
 
     def runs_of(self, rows: BoolRows):
-        """The rows of a relation on this line as runs of the sorted order, or
-        None when some row is not one run.  A relation's stated runs are
-        taken as they are; otherwise a row of point lists is one run iff its
-        least and greatest positions are as far apart as its size says.  The
-        runs found are kept with a relation that states none; a relation of
+        """The rows of a relation on this space as boxes, or None when the
+        space is no product (``product``) or some row is not one box.  A
+        relation's stated runs are taken as they are; otherwise a row of
+        point lists is one box iff the box of its least and greatest
+        positions on each line holds as many points as the row.  The runs
+        found are kept with a relation that states none; a relation of
         packed words alone, or with an empty row, is not scanned."""
         if rows.line is self:
             return rows.runs
-        if (not rows.m or not ("columns" in vars(rows) or "_lists" in vars(rows))
+        if (self.product is None or not rows.m
+                or not ("columns" in vars(rows) or "_lists" in vars(rows))
                 or not rows.sizes.all()):
             return None
-        rank, begin = self._sorted[2], rows.starts[:-1]
-        at = rows.columns if rank is None else rank[rows.columns]
-        lo = np.minimum.reduceat(at, begin).astype(np.int64)
-        hi = np.maximum.reduceat(at, begin) + 1
-        runs = Runs(lo, hi) if np.array_equal(hi - lo, rows.sizes) else None
+        at, begin = self.product[2][:, rows.columns], rows.starts[:-1]
+        lo = np.minimum.reduceat(at, begin, axis=1)
+        hi = np.maximum.reduceat(at, begin, axis=1) + 1
+        runs = Runs(lo, hi)
+        if not np.array_equal(runs.sizes, rows.sizes):
+            runs = None
         if rows.line is None:
             rows.line, rows.runs = self, runs
         return runs
 
     def run_extents(self, runs) -> np.ndarray:
-        """The least and the greatest coordinate of each nonempty run, one
-        row per run: the sorted coordinates at its ends."""
-        s = self._sorted[0]
-        return np.column_stack((s[runs.lo], s[runs.hi - 1]))
+        """The least and the greatest coordinate of each nonempty box on
+        each line, one row per box (columns lo_0, hi_0, lo_1, ...): the
+        sorted coordinates of the lines at the ends of its runs."""
+        coords = _joined([line._sorted[0] for line in self.product[0]])
+        out = np.empty((runs.lo.shape[1], 2 * len(runs.lo)))
+        out[:, 0::2], out[:, 1::2] = coords[runs.lo].T, coords[runs.hi - 1].T
+        return out
 
     def by_position(self, values: np.ndarray) -> np.ndarray:
         """Values given per point in load order, listed by the points'
@@ -959,10 +1054,20 @@ class Distances:
         return values if order is None else values[order]
 
     def sorted_runs(self, runs):
-        """The runs of a relation with one row per point, listed by the
-        sorted position of the row's point instead of its load order, when
-        neither end ever decreases along the positions; else None."""
-        lo, hi = map(self.by_position, runs)
+        """The ends of the runs of a relation with one row per point as
+        functions of the position of the row's point on each line, (lo, hi)
+        with one entry per position of every line.  None unless each row's
+        run on each line depends on its point's position there alone and
+        neither end ever decreases along the positions; as the lines lie end
+        to end, that is one test over all positions."""
+        total, places = self.product[1][-1], self.product[2]
+        if len(places) == 1:  # a line: each point has a position of its own
+            lo, hi = self.by_position(runs.lo[0]), self.by_position(runs.hi[0])
+        else:
+            lo, hi = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
+            lo[places], hi[places] = runs
+            if not (np.array_equal(lo[places], runs.lo) and np.array_equal(hi[places], runs.hi)):
+                return None
         if (lo[1:] < lo[:-1]).any() or (hi[1:] < hi[:-1]).any():
             return None
         return lo, hi
@@ -974,87 +1079,142 @@ class Distances:
         return np.arange(self.n) if rank is None else rank
 
     def holds_diagonal(self, runs) -> bool:
-        """Whether the run of each point's row holds the point itself."""
-        lo, hi = runs
-        return bool(((lo <= self._positions) & (self._positions < hi)).all())
+        """Whether the box of each point's row holds the point itself."""
+        places = self.product[2]
+        return bool(((runs.lo <= places) & (places < runs.hi)).all())
 
     def inverse_runs(self, ordered):
-        """The runs of the inverse of a relation with one row per point,
-        given its ``sorted_runs``: the rows whose runs hold position q sit at
+        """The boxes of the inverse of a relation with one row per point,
+        given its ``sorted_runs``: a point relates to another iff it does on
+        every line, and on a line the rows whose runs hold position q sit at
         the positions from the number of runs that end by q to the number
         that start by q, since neither end decreases."""
         lo, hi = ordered
-        return hi.searchsorted(self._positions, "right"), lo.searchsorted(self._positions, "right")
+        places = self.product[2]
+        return hi.searchsorted(places, "right"), lo.searchsorted(places, "right")
+
+
+def _bands(lines, r: float, closed: bool) -> list:
+    """``Distances._band`` of each line, worked out once per distinct line."""
+    bands = {line: line._band(r, closed) for line in dict.fromkeys(lines)}
+    return [bands[line] for line in lines]
+
+
+def _joined(parts: list, offsets=None) -> np.ndarray:
+    """Arrays, one per line of a product, end to end, each shifted by where
+    its line's positions begin when ``offsets`` are given; one line's array
+    is taken as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    if offsets is not None:
+        parts = [part + at for part, at in zip(parts, offsets)]
+    return np.concatenate(parts)
 
 
 class Runs:
-    """Rows as runs [lo, hi) of a line's sorted positions, int64 arrays;
-    unpacks as (lo, hi).  Runs are compared by their ends alone, through
-    two orders built once: ``reach`` gives the starts ascending and, for
-    each j, the greatest end among the first j runs in that order (-1 for
-    j = 0); ``least`` gives the ends ascending and, for each j, the least
-    start among the runs from the j-th on in that order (the largest int64
-    past the last)."""
+    """Rows as boxes of a product's positions (``Distances.product``): on
+    each line a, row i holds the run [lo[a, i], hi[a, i]), with hi >= lo,
+    and the row is the points whose positions lie in every one of its runs,
+    so that it is empty when any run is.  lo and hi are (lines, rows) int64
+    arrays (a 1-d array is one line's); unpacks as (lo, hi).  Runs are
+    compared by their ends alone, through two orders built once: ``reach``
+    gives the starts ascending and, for each j, the greatest end among the
+    first j runs in that order (-1 for j = 0); ``least`` gives the ends
+    ascending and, for each j, the least start among the runs from the j-th
+    on in that order (the largest int64 past the last).  The lines'
+    positions lie end to end, so a run of one line meets and holds none of
+    another's, and both orders serve every line at once."""
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = (lo, hi) if lo.ndim == 2 else (lo[None], hi[None])
 
     def __iter__(self):
         return iter((self.lo, self.hi))
 
+    @property
+    def sizes(self) -> np.ndarray:
+        """The number of points of each row."""
+        widths = self.hi - self.lo
+        return widths[0] if len(widths) == 1 else widths.prod(axis=0)
+
     @cached_property
     def reach(self) -> tuple[np.ndarray, np.ndarray]:
-        by_start = np.argsort(self.lo, kind="stable")
+        lo = self.lo.ravel()
+        by_start = np.argsort(lo, kind="stable")
         most = np.empty(len(by_start) + 1, dtype=np.int64)
         most[0] = -1
-        np.maximum.accumulate(self.hi[by_start], out=most[1:])
-        return self.lo[by_start], most
+        np.maximum.accumulate(self.hi.ravel()[by_start], out=most[1:])
+        return lo[by_start], most
 
     @cached_property
     def least(self) -> tuple[np.ndarray, np.ndarray]:
-        by_end = np.argsort(self.hi, kind="stable")
+        hi = self.hi.ravel()
+        by_end = np.argsort(hi, kind="stable")
         first = np.empty(len(by_end) + 1, dtype=np.int64)
         first[-1] = _FAR
-        first[:-1] = np.minimum.accumulate(self.lo[by_end][::-1])[::-1]
-        return self.hi[by_end], first
+        first[:-1] = np.minimum.accumulate(self.lo.ravel()[by_end][::-1])[::-1]
+        return hi[by_end], first
+
+    @cached_property
+    def product(self) -> bool:
+        """Whether the set of rows is the product of the sets of runs on
+        each line: always on one line; on more, when the distinct rows,
+        which are among those tuples, are as many."""
+        if len(self.lo) == 1:
+            return True
+        key, count = 0, 1
+        for lo, hi in zip(*self):
+            runs = lo * (hi.max() + 1) + hi
+            kinds = distinct_sorted(runs)
+            key, count = key * kinds.size + kinds.searchsorted(runs), count * kinds.size
+        return distinct_sorted(key).size == count
 
 
 _FAR = np.iinfo(np.int64).max
 
 
 def run_stars(u: Runs, v: Runs) -> tuple[np.ndarray, np.ndarray]:
-    """The runs of st(U, v) for each nonempty run U = [a, b) of u, when the
-    elements of v are nonempty runs too.  A run [c, d) of v meets U iff
-    d > a and c < b, so the star is one run: the least start among the runs
-    that end past a (``least``) starts it when it lies before b, and the
-    greatest end among the runs that start before b (``reach``) ends it
-    when it lies past a."""
+    """The boxes of st(U, v) for each nonempty box U of u, when the rows of
+    v are nonempty boxes that make the product of their runs on each line
+    (``Runs.product``) and, on two lines or more, cover the space.  A box
+    of v meets U iff its run meets U's on every line, so the union of those
+    that do is the product of their unions on each line, which hold U's
+    runs as v covers the space.  On a line, a run [c, d) meets U = [a, b)
+    iff d > a and c < b, so the star is one run: the least start among the
+    runs that end past a (``least``) starts it when it lies before b, and
+    the greatest end among the runs that start before b (``reach``) ends
+    it when it lies past a."""
     (a, b), (ends, first), (starts, most) = u, v.least, v.reach
     return (np.minimum(a, first[ends.searchsorted(a, "right")]),
             np.maximum(b, most[starts.searchsorted(b, "left")]))
 
 
 def runs_inside(u: Runs, v: Runs) -> bool:
-    """Whether each nonempty run of u lies inside some run of v: inside the
-    one that ends furthest among those that start at or before it."""
+    """Whether each nonempty box of u lies inside some box of v, when v is
+    the product of its runs on each line: whether each run of u lies
+    inside the one of v on its line that ends furthest among those that
+    start at or before it."""
     starts, most = v.reach
     return bool((most[starts.searchsorted(u.lo, "right")] >= u.hi).all())
 
 
-def runs_span(runs: Runs, n: int) -> bool:
-    """Whether nonempty runs hold every one of n positions: sorted by
-    start, each begins where the ones before it reach, the first at 0, and
-    the last reach is n."""
+def runs_span(runs: Runs, total: int) -> bool:
+    """Whether the product of nonempty runs on each line holds every point,
+    given the lines' total number of positions: whether, sorted by start,
+    each run begins where the ones before it reach, the first at 0, and
+    the last reach is the total."""
     starts, most = runs.reach
-    return bool(starts[0] == 0 and most[-1] == n and (starts[1:] <= most[1:-1]).all())
+    return bool(starts[0] == 0 and most[-1] == total and (starts[1:] <= most[1:-1]).all())
 
 
 def runs_composed(runs, band) -> tuple[np.ndarray, np.ndarray]:
-    """The runs of e o f from the runs of e and ``band``, the
-    ``Distances.sorted_runs`` of f when each of them holds its own position.
-    Row x of e at [a, b) reaches the union of f's runs at positions a to
-    b - 1: one run, since neighbouring runs of f meet, from band_lo[a] to
-    band_hi[b - 1].  An empty row stays empty."""
+    """The boxes of e o f from the boxes of e and ``band``, the
+    ``Distances.sorted_runs`` of f when each of them holds its own
+    position: row y of f is then the product over the lines of runs that
+    depend on y's position there alone, so a box of e reaches the product
+    of their unions.  On a line, the union over positions a to b - 1 is
+    one run, since neighbouring runs of f meet, from band_lo[a] to
+    band_hi[b - 1].  An empty run stays empty."""
     (a, b), (lo, hi) = runs, band
     held = a < b
     return (np.where(held, lo.take(a, mode="clip"), a),
@@ -1063,9 +1223,15 @@ def runs_composed(runs, band) -> tuple[np.ndarray, np.ndarray]:
 
 def runs_subset(e, f) -> bool:
     """Whether each row of one relation lies inside the same row of
-    another, both given as runs; an empty row lies inside anything."""
+    another, both given as boxes: an empty row lies inside anything, and a
+    box inside another iff it is on every line."""
     (a, b), (c, d) = e, f
-    return bool(((a >= b) | ((c <= a) & (b <= d))).all())
+    empty, inside = a >= b, (c <= a) & (b <= d)
+    if len(a) > 1:
+        if not empty.any():  # then every line at once
+            return bool(inside.all())
+        empty, inside = empty.any(axis=0), inside.all(axis=0)
+    return bool((empty | inside).all())
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 A scale is a cover of the whole space.  A cover is stored as point lists,
 one ascending list of point indices per element (``model.BoolRows``); the
 element sets, the holder lists of each point and the neighbourhood
-relation are derived from them.  On a line, a cover whose elements are
-runs of the sorted coordinates (``Cover.runs``) takes its stars,
-refinements and span from the runs' ends.  Covers are compared through star
+relation are derived from them.  On a line, or on a grid that is the whole
+product of its axes, a cover whose elements are boxes of the sorted
+coordinates (``Cover.runs``) takes its stars, refinements and span from
+the boxes' ends, axis by axis, when the rule is exact for its operands.
+Covers are compared through star
 refinement: ``u`` is a smaller scale than ``v`` when the family of stars
 st(U, u) refines ``v`` and the two covers differ as element sets.
 Small-scale bases are downward directed under star refinement, large-scale
@@ -116,19 +118,27 @@ class Cover:
 
     @property
     def runs(self):
-        """On a line, the elements as runs of its sorted order
-        (``Distances.runs_of``); None elsewhere, or when some element is
-        not one run."""
+        """On a line or a whole product grid, the elements as boxes of its
+        sorted coordinates (``Distances.runs_of``); None elsewhere, or when
+        some element is not one box."""
         d = self.space.d
-        return d.runs_of(self.rows) if d is not None and d.banded else None
+        return None if d is None else d.runs_of(self.rows)
+
+    @property
+    def product_runs(self):
+        """``runs`` when the set of elements is the product of its runs on
+        each axis (``model.Runs.product``), as every family on a line is;
+        else None."""
+        runs = self.runs
+        return runs if runs is not None and runs.product else None
 
     def element_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.elements)
 
     def is_scale(self) -> bool:
-        runs = self.runs
+        runs = self.product_runs
         if runs is not None:
-            return runs_span(runs, self.space.n)
+            return runs_span(runs, self.space.d.product[1][-1])
         return bool(np.bincount(self.rows.columns, minlength=self.space.n).all())
 
     def labels(self) -> list[list[str]]:
@@ -170,11 +180,14 @@ def star_set(subset, cover: Cover) -> frozenset[int]:
 
 def star_family(u: Cover, v: Cover) -> Cover:
     """st(u, v): one element st(U, v) per element U of u, order preserved.
-    When the elements of both are runs of a line, so are the stars
-    (``run_stars``); otherwise they come from the relation kernel."""
+    When the elements of u are boxes and those of v are boxes that make a
+    product (``Cover.product_runs``), and on two axes or more cover the
+    space, the stars are boxes too (``run_stars``); otherwise they come
+    from the relation kernel."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
-    if (runs := u.runs) is not None and (within := v.runs) is not None:
+    if ((runs := u.runs) is not None and (within := v.product_runs) is not None
+            and (len(within.lo) == 1 or v.is_scale())):
         return Cover(u.space, RunRows(u.space.d, *run_stars(runs, within)))
     words = product_words(u.rows, v.neighbours) | u.rows.words
     return Cover(u.space, BoolRows.of_words(words, u.space.n))
@@ -183,13 +196,13 @@ def star_family(u: Cover, v: Cover) -> Cover:
 def refines(u: Cover, v: Cover) -> bool:
     """Every element of u is contained in some element of v.  An element
     larger than every element of v fits in none, which decides without the
-    relation product; so do the ends of elements that are runs of a line
-    (``runs_inside``)."""
+    relation product; so do the ends of elements that are boxes, when
+    those of v make a product (``runs_inside``)."""
     if u.space is not v.space:
         raise InstanceError("covers live on different spaces")
     if u.rows.sizes.max() > v.rows.sizes.max():
         return False
-    if (runs := u.runs) is not None and (within := v.runs) is not None:
+    if (runs := u.runs) is not None and (within := v.product_runs) is not None:
         return runs_inside(runs, within)
     return bool_covered(u.rows, v.holders)
 

@@ -86,12 +86,6 @@ class GroupWindow:
         return None if p < 0 else p
 
 
-def from_table_space(space: Space) -> GroupWindow:
-    if space.group_table is None:
-        raise InstanceError("space carries no multiplication table")
-    return GroupWindow(space, table=space.group_table)
-
-
 def z_window(n_half: int, level_step: int | None = None) -> Space:
     """Integers [-n_half, n_half] with the usual metric; optional symmetric
     filtration windows [-k*step, k*step]."""

@@ -147,6 +147,54 @@ def test_star_family_adjoints():
     assert grown.with_adjoints() is grown or len(grown.with_adjoints().ops) == len(grown.ops)
 
 
+@pytest.mark.parametrize("members", [
+    ("shift",), ("shift", "sym"), ("sym",), ("shift", "shift*"), ("shift", "sym", "diag")])
+def test_with_adjoints_states_what_a_recount_finds(members):
+    ops = {"shift": shift(), "shift*": shift().adjoint(),
+           "sym": OperatorMatrix(LINE, {(0, 1): 2j, (1, 0): -2j, (3, 3): 1.0}, name="sym"),
+           "diag": OperatorMatrix(LINE, {(2, 2): 1.0}, name="diag")}
+    fam = StarFamily(LINE, members, [ops[m] for m in members])
+    grown = fam.with_adjoints()
+    # the stated value, set without working it out, and a fresh count
+    assert grown.__dict__["adjoint_closed"] is True
+    assert StarFamily.adjoint_closed.func(grown) is True
+    assert StarFamily(LINE, grown.names, grown.ops).adjoint_closed
+    assert fam.adjoint_closed == (len(grown.ops) == len(fam.ops))
+
+
+def test_f_bounded_takes_no_adjoint_of_a_family_with_adjoints(monkeypatch):
+    fam = StarFamily(LINE, ("shift",), (shift(),)).with_adjoints()
+    monkeypatch.setattr(OperatorMatrix, "adjoint", None)
+    assert f_bounded(ball_cover(LINE, 2.0), fam, 3).notes == ()
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 2.5, True, "3", None, 0, -1])
+def test_chain_budgets_and_degree_caps_are_parsed(budget):
+    u = Cover(LINE, tuple(interval(LINE, k, k + 1) for k in range(LINE.n - 1)))
+    fam = StarFamily(LINE, ("shift",), (shift(),)).with_adjoints()
+    with pytest.raises(InstanceError, match="chain budget"):
+        f_bounded(u, fam, budget)
+    with pytest.raises(InstanceError, match="chain budget"):
+        ls_from_algebra(u, fam, degree=1, n_max=budget)
+    with pytest.raises(InstanceError, match="chain budget"):
+        roe_comparison_tests(u, r=1.0, n_max=budget)
+    if budget not in (0, -1):
+        with pytest.raises(InstanceError, match="degree cap"):
+            ls_from_algebra(u, fam, degree=budget, n_max=3)
+
+
+def test_a_numpy_budget_is_a_plain_int_in_the_witness():
+    u = Cover(LINE, tuple(interval(LINE, k, k + 1) for k in range(LINE.n - 1)))
+    fam = StarFamily(LINE, ("shift",), (shift(),)).with_adjoints()
+    rep = f_bounded(u, fam, np.int64(3))
+    assert type(rep.witnesses[0]["budget"]) is int
+    assert rep.to_payload() == f_bounded(u, fam, 3).to_payload()
+    low = f_bounded(u, fam, np.int64(1))
+    assert type(low.counterexample["budget"]) is int
+    assert ls_from_algebra(u, fam, degree=np.int64(2), n_max=np.int64(3)).witnesses[0][
+        "degree_cap"] == 2
+
+
 def test_adjoint_closure_is_worked_out_once(monkeypatch):
     fam = StarFamily(LINE, ("shift",), (shift(),)).with_adjoints()
     cover = ball_cover(LINE, 2.0)

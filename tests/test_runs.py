@@ -123,8 +123,8 @@ def test_a_cover_from_point_lists_finds_its_runs_once():
     # sorted order e, b, d, a, c: {b, d} and {a, c} are runs, {b, a} is not
     runs = Cover(space, [[1, 3], [0, 2], [4]])
     assert runs.rows.line is None
-    lo, hi = runs.runs
-    assert lo.tolist() == [1, 3, 0] and hi.tolist() == [3, 5, 1]
+    lo, hi = runs.runs  # one row of ends per axis, and a line has one
+    assert lo.tolist() == [[1, 3, 0]] and hi.tolist() == [[3, 5, 1]]
     assert runs.rows.line is space.d and runs.runs.lo is lo
     assert Cover(space, [[1, 0], [2, 3, 4]]).runs is None
     # packed words alone are not scanned

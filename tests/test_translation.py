@@ -3,9 +3,15 @@ import pytest
 
 from scalekit.metric import ball_cover
 from scalekit.model import InstanceError, builder_group_window
-from scalekit.translation import (GroupWindow, check_translation_ls,
-                                  from_table_space, translation_scale,
+from scalekit.translation import (GroupWindow, check_translation_ls, translation_scale,
                                   window_group, z_window)
+
+
+def from_table_space(space) -> GroupWindow:
+    """The group of a space that carries a multiplication table."""
+    if space.group_table is None:
+        raise InstanceError("space carries no multiplication table")
+    return GroupWindow(space, table=space.group_table)
 
 
 def cyclic(n):
