@@ -34,8 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (BoolRows, InstanceError, Space, distinct_rows, parse_points,
-                    table_blocks)
+from .model import (BoolRows, InstanceError, Space, distinct_first, distinct_rows,
+                    distinct_sorted, parse_points, table_blocks)
 from .reports import CheckReport, truncation_label
 from .scales import Cover, base_members, base_report, first, refines, star_set
 
@@ -76,7 +76,7 @@ def _partition(n: int, groups) -> ComponentPartition:
             parent[find(x)] = root
     roots = np.fromiter((find(x) for x in range(n)), dtype=np.int64, count=n)
     # the first point of each class in load order is its minimal point
-    _, lowest, ids = np.unique(roots, return_index=True, return_inverse=True)
+    _, lowest, ids = distinct_first(roots)
     ids = np.argsort(np.argsort(lowest))[ids]
     ids.setflags(write=False)
     return ComponentPartition(ids)
@@ -204,11 +204,11 @@ def desk_weakly_bounded(subset, b: BoundedStructure) -> tuple[bool, dict]:
     component.
     """
     space = b.space
-    idx = np.unique(parse_points(subset, space.n, _SUBSET))
+    idx = distinct_sorted(parse_points(subset, space.n, _SUBSET))
     if space.filtration is None:
         return True, {"mode": "literal", "verdict": True}
     ids = b.ideal_components().ids[idx]
-    far = np.unique(ids[space.depth[idx] == len(space.filtration)])
+    far = distinct_sorted(ids[space.depth[idx] == len(space.filtration)])
     bad = far[np.bincount(ids)[far] > 1]
     return not bad.size, {"mode": "truncation", "bad_ideal_components": bad.tolist()}
 
@@ -241,7 +241,7 @@ def witness_space(b: BoundedStructure) -> tuple[tuple[str, ...], np.ndarray]:
     filtered = space.filtration is not None
     ids = (b.ideal_components() if filtered else b.components()).ids
     # each component's minimal point is its first in load order
-    lowest = np.unique(ids, return_index=True)[1]
+    lowest = distinct_first(ids)[1]
     members = ids == np.arange(lowest.size)[:, None]
     empty = np.zeros((1, space.n), dtype=bool)
     if not filtered:

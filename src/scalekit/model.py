@@ -222,6 +222,20 @@ def distinct_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def distinct_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``np.unique`` returns with the first indices and the inverse,
+    without the numpy.ma import that it makes on first use: the distinct
+    values ascending, the index of each one's first occurrence, and each
+    key's index among them, from one stable sort."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return keys[new], order[new], inverse
+
+
 def _point_lists(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The columns (int32) and row starts of the entries of a 2-d bool
     matrix."""

@@ -129,6 +129,32 @@ def test_support_entourage_tau_threshold():
     assert (2, 3) in e and (0, 1) not in e
 
 
+@pytest.mark.parametrize("tau", [float("nan"), -0.5, "x", True, None])
+def test_support_thresholds_are_parsed(tau):
+    with pytest.raises(InstanceError, match="threshold"):
+        support_entourage(shift(), tau)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-6, "x", True])
+def test_norm_tolerances_are_parsed(tol):
+    with pytest.raises(InstanceError, match="tolerance"):
+        operator_norm(shift(), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, "x", True])
+def test_norm_iteration_caps_are_parsed(max_iter):
+    with pytest.raises(InstanceError, match="iteration cap"):
+        operator_norm(shift(), max_iter=max_iter)
+
+
+def test_norm_and_threshold_keep_their_values_at_the_edges():
+    a = shift()
+    assert operator_norm(a, tol=0.0, max_iter=np.int64(1)) > 0
+    assert operator_norm(a, tol=np.float64(1e-6)) == operator_norm(a)
+    assert support_entourage(a, np.inf).pairs == support_entourage(a, 1.0).pairs
+    assert len(support_entourage(a, np.float32(0.0))) == len(support_entourage(a))
+
+
 def test_orientation_of_products():
     a = shift()
     b = shift()

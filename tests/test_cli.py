@@ -261,3 +261,11 @@ def test_gaps_past_the_largest_float_read_inf_without_a_warning(tmp_path, form, 
     assert report["status"] == status
     if form == "strict":
         assert report["counterexample"]["gap"] == "inf"
+
+
+@pytest.mark.parametrize("tau", ["nan", "-1"])
+def test_an_operator_threshold_that_is_no_nonnegative_number_exits_two(capsys, tau):
+    code, out, err = run(capsys, "op", "--space", "line20", "--operator", "shift",
+                         "--tau", tau, "--json")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: threshold")

@@ -90,6 +90,24 @@ def test_an_operator_payload_loads_no_function_algebra_layer():
     assert not loaded & {"algebra_comm", "bounded", "oscillation"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounded", "--space", "truncnat"),
+    ("lsmem", "--space", "halfline", "--cover", "unit"),
+], ids=lambda argv: "%s-%s" % (argv[0], argv[2]))
+def test_component_partitions_load_no_masked_arrays(argv):
+    # np.unique imports numpy.ma on its first call, about 1 MB and several
+    # milliseconds of a command line call
+    code = ("import atexit, sys\n"
+            "atexit.register(lambda: print('numpy.ma' in sys.modules, file=sys.stderr))\n"
+            "import runpy\n"
+            "sys.argv[0] = 'scalekit'\n"
+            "runpy.run_module('scalekit.cli', run_name='__main__', alter_sys=True)\n")
+    proc = fresh(code, *argv, "--json")
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)["command"] == argv[0]
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
 def test_lazy_names_are_looked_up_on_every_access():
     assert "refines" not in vars(scalekit)
     original = scales.refines

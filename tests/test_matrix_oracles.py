@@ -38,7 +38,8 @@ from scalekit.metric import (ball_cover, lebesgue_number, mesh, metric_ls_base,
                              metric_ss_base, sup_diameter)
 from scalekit import model
 from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_covered,
-                            bool_product, builder_line, distinct_sorted, fmt_value)
+                            bool_product, builder_line, distinct_first, distinct_sorted,
+                            fmt_value)
 from scalekit.oscillation import (SOQuery, _ball_bump, build_bump_refuter,
                                   build_scaled_refuter, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
@@ -2875,6 +2876,16 @@ def test_step_relation_keys_match_unique(n, seed, density, one_way):
     assert distinct_sorted(keys).tobytes() == want.tobytes()
     sx, sy = _step_relation(fam)
     assert (sx.tobytes(), sy.tobytes()) == ((want // n).tobytes(), (want % n).tobytes())
+
+
+@SEEDED
+@given(st.lists(st.integers(-5, 40), max_size=300))
+def test_distinct_first_matches_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    want = np.unique(keys, return_index=True, return_inverse=True)
+    got = distinct_first(keys)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [a.dtype for a in got] == [a.dtype for a in want]
 
 
 @pytest.mark.parametrize("seed", range(6))
