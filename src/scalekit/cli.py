@@ -2,7 +2,8 @@
 
 Every subcommand loads one instance (a bundled name or a JSON path), runs
 one family of checks, and exits 0 when everything passed, 1 when some check
-produced a counterexample, 2 when the request or the instance was bad.
+produced a counterexample, 2 when the request or the instance was bad, and
+141 when the reader closed stdout before the output was written.
 JSON output is byte-stable for fixed inputs: keys are sorted and nothing
 time- or machine-dependent is emitted.  Each subcommand imports its checks
 when it runs, so that a call loads only the modules it reaches.
@@ -405,12 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            args = parser.parse_args(argv)
+            return args.fn(args)
+        finally:  # also after --help and --version, which exit
+            sys.stdout.flush()
     except InstanceError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at the
+        # null device, so that the interpreter's last flush raises nothing,
+        # and leave with the status of a process that SIGPIPE ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -154,47 +154,31 @@ COORD_KINDS = {"line": 1, "grid": 2}
 # results as packed words, which such a relation keeps, with its row
 # counts, and lists on first read: the row starts are the running total of
 # the counts, and the columns come from the set bits, unpacked a block of
-# rows at a time as a bool view.  A dense result that is only tested or
-# multiplied again on the BLAS path is never listed, and its words take a
-# bit per entry where lists take 32.  Ball covers are made as packed words
-# too, and their repeated rows dropped by one stable sort of the rows as
-# byte strings; on a line or a whole product grid they are boxes of the
-# sorted coordinates (``RunRows``), which build each form only when read.
+# rows at a time as a bool view.  A result that is only tested or
+# multiplied again is never listed, and its words take a bit per entry
+# where lists take 32.  Ball covers are made as packed words too, and
+# their repeated rows dropped by one stable sort of the rows as byte
+# strings; on a line or a whole product grid they are boxes of the sorted
+# coordinates (``RunRows``), which build each form only when read.
 #
 # Row i of a product of relations a (m x k) and b (k x n) reduces the rows
 # b[p] over the points p of row i of a: OR gives (a @ b) > 0, AND says for
-# each j that every point of row i is related to j.  Two paths compute it.
-# The packed path takes each row of b as ceil(n / 64) uint64 words, gathers
-# them for the points of a and reduces them with reduceat: time ~ nnz(a) *
-# ceil(n / 64), which wins on sparse bands such as ball covers.  The BLAS
-# path counts in a float32 product, exact up to 2**24 points, of operands
-# unpacked from packed rows: time ~ m * k * n, which wins on dense or small
-# operands.  Both work through a in chunks of at most CHUNK_BYTES of
-# gathered words or float32 rows (one row or entry at least), so that their
-# working memory stays flat; the packed path writes its result as packed
-# words, the BLAS path as a bool matrix.  When all of a fits in one chunk,
-# as on most small carriers, the packed path's reduction of a's rows is its
-# result whenever no row is empty.
-# Each path is a generator that yields its result so far after every chunk,
-# with the number of leading rows that are final, so that a caller that
-# only asks whether every row holds a true entry can stop at the first
-# chunk that completes a row that does not.
+# each j that every point of row i is related to j.  The kernel takes each
+# row of b as ceil(n / 64) uint64 words, gathers them for the points of a
+# and reduces them with reduceat: time ~ nnz(a) * ceil(n / 64).  It works
+# through a in chunks of at most CHUNK_BYTES of gathered words (one entry
+# at least), so that its working memory stays flat, and writes its result
+# as packed words.  When all of a fits in one chunk, as on most small
+# carriers, the reduction of a's rows is the result whenever no row is
+# empty.  The kernel is a generator that yields its result so far after
+# every chunk, with the number of leading rows that are final, so that a
+# caller that only asks whether every row holds a true entry can stop at
+# the first chunk that completes a row that does not.
 
 CHUNK_BYTES = 1 << 19
 # pairs in one chunk of the pair stream below (more only when one entry has
 # more pairs than this)
 PAIR_CHUNK = 1 << 16
-# Seconds per call, per gathered word and per multiply-add, fitted to both
-# paths timed on fresh operands (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31
-# on one thread): m = k = n from 8 to 2001, as bands of half-width 1 to 1000
-# and at random densities 0.02 to 0.7, plus n x n by n x k with k of 10 and
-# 100.  On those 80 cases the estimate takes the slower path 3 times, by at
-# most 15%, and loses 1.7 ms of 0.76 s.  Each path also touches every entry
-# of its operands and result about once, at a similar cost per entry, so
-# that term is left out.
-PACKED_CALL_S = 6.0e-5
-PACKED_WORD_S = 3.6e-9
-BLAS_MAC_S = 2.55e-11
 WORD = np.dtype("<u8")
 
 
@@ -422,16 +406,10 @@ class BoolRows:
         words.setflags(write=False)
         return words
 
-    def dense(self, dtype=bool, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Rows lo to hi as a dense array, 1 at each entry, unpacked from
-        the words."""
-        return np.unpackbits(self.words[lo:hi].view(np.uint8), axis=1, count=self.n,
-                             bitorder="little").astype(dtype)
-
     @property
     def matrix(self) -> np.ndarray:
-        """The dense bool matrix, built on every call."""
-        return self.dense()
+        """The dense bool matrix, unpacked from the words on every call."""
+        return unpack_rows(self.words, self.n)
 
 
 class RunRows(BoolRows):
@@ -501,15 +479,6 @@ def distinct_rows(blocks, n: int) -> BoolRows:
     return BoolRows.of_words(words[_first_rows(words)], n)
 
 
-def _packed_cheaper(a: BoolRows, b: BoolRows) -> bool:
-    """Whether the packed path is estimated faster than BLAS."""
-    (m, k), n = a.shape, b.n
-    blas = BLAS_MAC_S * m * k * n
-    # below the packed path's fixed cost there is nothing to count
-    return (blas > PACKED_CALL_S
-            and PACKED_CALL_S + PACKED_WORD_S * a.nnz * -(-n // 64) < blas)
-
-
 def _identity_rows(m: int, width: int, ufunc, n: int) -> np.ndarray:
     """m packed rows of ``ufunc``'s identity over n columns: no bit for OR;
     for AND, where an empty row holds for every column, the n bits of the
@@ -524,7 +493,7 @@ def _identity_rows(m: int, width: int, ufunc, n: int) -> np.ndarray:
 
 def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,
                  ufunc, n: int):
-    """The packed path: reduce with ``ufunc`` (bitwise OR or AND) the rows
+    """The relation kernel: reduce with ``ufunc`` (bitwise OR or AND) the rows
     of ``words`` (packed rows of n bits) that each point list selects; the
     list of row i is columns[starts[i]:starts[i + 1]].  Yields the packed
     result after each chunk, with the number of leading rows that are
@@ -557,35 +526,14 @@ def _reduce_rows(columns: np.ndarray, starts: np.ndarray, words: np.ndarray,
     yield (_identity_rows(m, width, ufunc, n) if out is None else out), m
 
 
-def _counted(a: BoolRows, b: BoolRows, ufunc):
-    """The BLAS path: count each row's related points in a float32 product;
-    OR asks for one, AND for all of them.  Yields the result, a bool
-    matrix, after each chunk of rows, with the number of rows done."""
-    (m, k), n = a.shape, b.n
-    b32 = b.dense(np.float32)
-    out = np.empty((m, n), dtype=bool)
-    step = max(1, CHUNK_BYTES // (4 * max(k, n, 1)))
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        a32 = a.dense(np.float32, lo, hi)
-        counts = a32 @ b32
-        if ufunc is np.bitwise_and:
-            np.equal(counts, a32.sum(axis=1)[:, None], out=out[lo:hi])
-        else:
-            np.greater(counts, 0, out=out[lo:hi])
-        yield out, hi
-    yield out, m
-
-
 def _chunks(a: BoolRows, b: BoolRows, ufunc):
-    """The chunks of the reduction along the cheaper path."""
-    if _packed_cheaper(a, b):
-        return _reduce_rows(a.columns, a.starts, b.words, ufunc, b.n)
-    return _counted(a, b, ufunc)
+    """The chunks of the reduction of the rows of ``b`` over each row of
+    ``a``."""
+    return _reduce_rows(a.columns, a.starts, b.words, ufunc, b.n)
 
 
 def _final(chunks) -> np.ndarray:
-    """The whole result of a path, in the path's own form."""
+    """The whole packed result of the kernel's chunks."""
     for out, _ in chunks:
         pass
     return out
@@ -593,14 +541,13 @@ def _final(chunks) -> np.ndarray:
 
 def packed_union(columns: np.ndarray, starts: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Row i ORs the packed rows words[columns[starts[i]:starts[i + 1]]]: the
-    packed path fed from point lists, its result left packed."""
+    kernel fed from point lists, its result left packed."""
     return _final(_reduce_rows(columns, starts, words, np.bitwise_or, 0))
 
 
 def product_words(a: BoolRows, b: BoolRows) -> np.ndarray:
     """(a @ b) > 0 as packed rows (see ``BoolRows.words``)."""
-    out = _final(_chunks(a, b, np.bitwise_or))
-    return out if out.dtype == WORD else _pack(out)
+    return _final(_chunks(a, b, np.bitwise_or))
 
 
 def bool_product(a: BoolRows, b: BoolRows) -> BoolRows:

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalekit import model
+from scalekit.cli import main
 from scalekit.entourages import (Entourage, check_coarse_axioms, check_uniform_axioms, compose,
                                  invert, metric_entourage)
 from scalekit.metric import (_coordinate_mesh, ball_cover, lebesgue_number, mesh,
@@ -361,16 +362,16 @@ def test_grid_meshes_match_the_scan(monkeypatch):
 
 # -- the sweep battery on a grid takes no kernel product -------------------------
 
+def refuse(*args):
+    raise AssertionError("the relation kernel took a product")
+
+
 def test_grid_relation_checks_take_no_kernel_product(monkeypatch):
     space = builder_grid(12)
     blocks: dict = {}
     for i, (a, b) in enumerate(space.coords):
         blocks.setdefault((a // 5, b // 5), []).append(i)
     cover = Cover(space, [blocks[k] for k in sorted(blocks)])
-
-    def refuse(*args):
-        raise AssertionError("the relation kernel took a product")
-
     monkeypatch.setattr(model, "_chunks", refuse)
     assert check_ls_base(metric_ls_base(space, (1.0, 3.0, 9.0, 27.0))).status
     assert check_ss_base(metric_ss_base(space, (3.0, 1.0, 1.0 / 3))).status
@@ -378,3 +379,26 @@ def test_grid_relation_checks_take_no_kernel_product(monkeypatch):
     assert check_coarse_axioms([metric_entourage(space, r) for r in (1.0, 3.0, 9.0, 27.0)]).status
     with pytest.raises(AssertionError, match="kernel"):
         refines(Cover(space, [[0, 13]]), cover)
+
+
+# -- the report battery on the bundled carriers: only truncnat, whose catalogue
+# holds covers that are not runs of its points, takes kernel products --------
+
+@pytest.mark.parametrize("name", ["line20", "grid5", "grid6", "halfline"])
+def test_report_battery_takes_no_kernel_product(monkeypatch, capsys, name):
+    monkeypatch.setattr(model, "_chunks", refuse)
+    assert main(["report-all", "--space", name, "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_report_battery_on_truncnat_takes_kernel_products(monkeypatch, capsys):
+    calls = []
+    chunks = model._chunks
+
+    def counted(*args):
+        calls.append(args)
+        return chunks(*args)
+
+    monkeypatch.setattr(model, "_chunks", counted)
+    assert main(["report-all", "--space", "truncnat", "--json"]) == 1
+    assert calls

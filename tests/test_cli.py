@@ -238,6 +238,14 @@ def test_version_is_the_package_version(capsys):
         assert tomllib.load(fh)["project"]["version"] == scalekit.__version__
 
 
+def source_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 HUGE = {"points": ["a", "b", "c"], "metric": {"kind": "line", "coords": [0, 1, 2]},
         "filtration": [["a"], ["a", "b"]],
         "functions": {"huge": [1.7e308, -1.7e308, 1.7e308]}}
@@ -249,12 +257,9 @@ def test_gaps_past_the_largest_float_read_inf_without_a_warning(tmp_path, form, 
     # a fresh interpreter, where numpy's warnings reach stderr as they would
     doc = tmp_path / "huge.json"
     doc.write_text(json.dumps(HUGE), encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "scalekit.cli", "so", "--space", str(doc),
                            "--function", "huge", "--form", form, "--json"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=source_env())
     assert proc.stderr == ""
     assert proc.returncode == code
     report = json.loads(proc.stdout)["reports"][0]
@@ -269,3 +274,31 @@ def test_an_operator_threshold_that_is_no_nonnegative_number_exits_two(capsys, t
                          "--tau", tau, "--json")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: threshold")
+
+
+REPORT = ["report-all", "--space", "halfline", "--json"]
+
+
+# a run whose output all fitted in the pipe before it closed ends as usual,
+# and argparse itself drops a failed write of --help
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, head, codes", [(REPORT, 0, {141}), (REPORT, 100, {0, 141}),
+                                               (["--help"], 0, {0, 141})],
+                         ids=["report-0", "report-100", "help-0"])
+def test_a_closed_stdout_ends_the_run_without_a_traceback(buffered, argv, head, codes):
+    # the reader takes ``head`` bytes and closes the pipe, as ``| head -c``
+    # does; with none read, the pipe closes before the run writes at all.
+    # Unbuffered, the write itself fails; buffered, the flush does.
+    env = source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "scalekit.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(head)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait()
+    assert err == ""  # no traceback, nor the interpreter's last flush
+    assert code in codes

@@ -6,8 +6,8 @@ comes from one kernel; these properties pit every matrix, array or kernel
 operation against the set-, dict- or loop-based version it replaced, on
 seeded random carriers of 1 to 12 points (a few to 150 for operators), with
 duplicate cover elements allowed, and the window checks also on the bundled
-truncated carriers.  The two paths of the relation kernel, packed words and BLAS
-counts, are pitted against each other on wider random bool matrices."""
+truncated carriers.  The relation kernel, which reduces packed words, is
+pitted against an int64 product on wider random bool matrices."""
 import re
 from functools import lru_cache, reduce
 
@@ -266,7 +266,7 @@ def test_entourage_of_scale_matches_oracle(case):
     assert entourage_of_scale(u).pairs == oracle_entourage_of_scale(u.elements)
 
 
-# -- the relation kernel: the packed path against the BLAS path -----------------
+# -- the relation kernel: packed words against an int64 product ----------------
 
 @st.composite
 def bool_operands(draw):
@@ -294,9 +294,9 @@ def oracle_relation(a, b, every):
 
 @SEEDED
 @given(bool_operands(), st.sampled_from([model.CHUNK_BYTES, 1]))
-def test_packed_and_blas_paths_are_byte_equal(case, chunk):
-    # a one-byte chunk bound gathers one entry, or counts one row, at a time,
-    # so that a packed row is reduced across chunks
+def test_packed_kernel_matches_int64_oracle(case, chunk):
+    # a one-byte chunk bound gathers one entry at a time, so that a packed
+    # row is reduced across chunks
     a, b = case
     ra, rb = BoolRows.of_matrix(a), BoolRows.of_matrix(b)
     n = b.shape[1]
@@ -304,13 +304,10 @@ def test_packed_and_blas_paths_are_byte_equal(case, chunk):
         mp.setattr(model, "CHUNK_BYTES", chunk)
         for every, ufunc in ((False, np.bitwise_or), (True, np.bitwise_and)):
             want = oracle_relation(a, b, every)
-            for chunks in (model._reduce_rows(ra.columns, ra.starts, rb.words, ufunc, n),
-                           model._counted(ra, rb, ufunc)):
-                got = model._final(chunks)
-                if got.dtype == model.WORD:
-                    got = model.unpack_rows(got, n)
-                assert got.dtype == bool and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+            got = model._final(model._chunks(ra, rb, ufunc))
+            assert got.dtype == model.WORD
+            assert got.tobytes() == model._pack(want).tobytes()
+            assert model.unpack_rows(got, n).tobytes() == want.tobytes()
     assert bool_product(ra, rb).matrix.tobytes() == oracle_relation(a, b, False).tobytes()
     assert bool_covered(ra, rb) == bool(oracle_relation(a, b, True).any(axis=1).all())
 
@@ -330,12 +327,11 @@ def staircase(n, width, miss):
     return Cover(space, u), Cover(space, v)
 
 
-@pytest.mark.parametrize("path", [True, False], ids=["packed", "blas"])
 @pytest.mark.parametrize("chunk", [1, 24, model.CHUNK_BYTES])
 @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
-def test_refines_stops_at_first_uncontained_row(path, chunk, where):
-    # a one-byte bound takes one entry (or row) per chunk and three words take
-    # three, so u's rows of 70 points are reduced across many chunks
+def test_refines_stops_at_first_uncontained_row(chunk, where):
+    # a one-byte bound takes one entry per chunk and three words take three,
+    # so u's rows of 70 points are reduced across many chunks
     n, width = 90, 70
     rows = n - width + 1
     miss = {"first": 0, "middle": rows // 2, "last": rows - 1, "none": None}[where]
@@ -352,7 +348,6 @@ def test_refines_stops_at_first_uncontained_row(path, chunk, where):
     chunks = model._chunks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "CHUNK_BYTES", chunk)
-        mp.setattr(model, "_packed_cheaper", lambda a, b: path)
         mp.setattr(model, "_chunks", counted)
         got = refines(u, v)
     assert got == oracle_refines(u.elements, v.elements) == (miss is None)
@@ -394,16 +389,6 @@ def band(n, width):
     return m
 
 
-def test_path_choice_follows_size_and_density():
-    def rows(m):
-        return BoolRows.of_matrix(m)
-
-    assert model._packed_cheaper(rows(band(1001, 27)), rows(band(1001, 27)))
-    assert not model._packed_cheaper(rows(band(36, 2)), rows(band(36, 2)))
-    dense = np.random.default_rng(0).random((881, 881)) < 0.75
-    assert not model._packed_cheaper(rows(dense), rows(dense))
-
-
 def test_compose_of_bands_memory_stays_flat():
     import tracemalloc
     space = Space([str(i) for i in range(3000)])
@@ -415,8 +400,10 @@ def test_compose_of_bands_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert np.array_equal(got.matrix, band(3000, 6))
-    # a float32 product holds three 36 MB matrices at this size
-    assert peak < 40 * 2 ** 20
+    # the packed result is 3000 rows of 47 words (1.1 MB) and a chunk of
+    # gathered words at most CHUNK_BYTES, where one dense n x n bool matrix
+    # would take 9 MB at this size
+    assert peak < 8 * 2 ** 20
 
 
 # -- point lists: each list-form operation against the dense matrix code it
@@ -509,25 +496,17 @@ def entourage_matrices(draw):
             random_relation(draw, rng, n, n))
 
 
-# a path forced on every product (None: the cost estimate's), and a chunk
-# bound that splits every operand into many blocks
-PATHS = st.sampled_from([None, True, False])
+# the chunk bound, and one that splits every operand into many blocks
 CHUNKS = st.sampled_from([model.CHUNK_BYTES, 64])
 
 
-def forced(mp, path, chunk):
-    mp.setattr(model, "CHUNK_BYTES", chunk)
-    if path is not None:
-        mp.setattr(model, "_packed_cheaper", lambda a, b: path)
-
-
 @SEEDED
-@given(list_operands(), PATHS, CHUNKS)
-def test_list_kernel_matches_dense_oracles(case, path, chunk):
+@given(list_operands(), CHUNKS)
+def test_list_kernel_matches_dense_oracles(case, chunk):
     a, b = case
     ra, rb = BoolRows.of_matrix(a), BoolRows.of_matrix(b)
     with pytest.MonkeyPatch.context() as mp:
-        forced(mp, path, chunk)
+        mp.setattr(model, "CHUNK_BYTES", chunk)
         product, covered = bool_product(ra, rb), bool_covered(ra, rb)
         holders = ra.transpose()
         words = BoolRows(ra.columns, ra.starts, ra.n).words
@@ -544,13 +523,13 @@ def test_list_kernel_matches_dense_oracles(case, path, chunk):
 
 
 @SEEDED
-@given(cover_matrices(), PATHS, CHUNKS)
-def test_list_covers_match_dense_oracles(case, path, chunk):
+@given(cover_matrices(), CHUNKS)
+def test_list_covers_match_dense_oracles(case, chunk):
     space, a, b, rng = case
     u, v = Cover(space, a), Cover(space, b)
     idx = np.flatnonzero(rng.random(space.n) < 0.3)
     with pytest.MonkeyPatch.context() as mp:
-        forced(mp, path, chunk)
+        mp.setattr(model, "CHUNK_BYTES", chunk)
         star = star_family(u, v)
         assert v.neighbours.matrix.tobytes() == dense_neighbours(b).tobytes()
         assert refines(u, v) == dense_covered(a, np.ascontiguousarray(b.T))
@@ -562,12 +541,12 @@ def test_list_covers_match_dense_oracles(case, path, chunk):
 
 
 @SEEDED
-@given(entourage_matrices(), PATHS, CHUNKS)
-def test_list_entourages_match_dense_oracles(case, path, chunk):
+@given(entourage_matrices(), CHUNKS)
+def test_list_entourages_match_dense_oracles(case, chunk):
     space, a, b = case
     e, f = Entourage(space, a), Entourage(space, b)
     with pytest.MonkeyPatch.context() as mp:
-        forced(mp, path, chunk)
+        mp.setattr(model, "CHUNK_BYTES", chunk)
         composed = compose(e, f)
     assert composed.matrix.tobytes() == dense_product(a, b).tobytes()
     assert invert(e).matrix.tobytes() == np.ascontiguousarray(a.T).tobytes()
@@ -715,10 +694,9 @@ def test_word_listing_matches_point_lists(m, n, density, seed, chunk):
     assert starts.tobytes() == want_starts.tobytes()
 
 
-@pytest.mark.parametrize("path", [True, False], ids=["packed", "blas"])
 @pytest.mark.parametrize("n", [64, 65])
 @pytest.mark.parametrize("empty", [0, 3, 5])
-def test_empty_row_is_covered_with_a_zero_tail(path, n, empty):
+def test_empty_row_is_covered_with_a_zero_tail(n, empty):
     rng = np.random.default_rng(n + empty)
     a = rng.random((6, 20)) < 0.2
     b = np.ones((20, n), dtype=bool)
@@ -730,9 +708,7 @@ def test_empty_row_is_covered_with_a_zero_tail(path, n, empty):
     # the empty row holds every column and no bit past the last
     assert got.tobytes() == model._pack(want).tobytes()
     assert got[empty].tobytes() == model._pack(np.ones((1, n), dtype=bool)).tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_packed_cheaper", lambda a, b: path)
-        assert bool_covered(ra, rb) == dense_covered(a, b) == bool(want.any(axis=1).all())
+    assert bool_covered(ra, rb) == dense_covered(a, b) == bool(want.any(axis=1).all())
 
 
 @SEEDED
