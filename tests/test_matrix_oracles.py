@@ -7,7 +7,8 @@ operation against the set-, dict- or loop-based version it replaced, on
 seeded random carriers of 1 to 12 points (a few to 150 for operators), with
 duplicate cover elements allowed, and the window checks also on the bundled
 truncated carriers.  The relation kernel, which reduces packed words, is
-pitted against an int64 product on wider random bool matrices."""
+pitted against int64 and float32 (BLAS) count products on wider random bool
+matrices."""
 import re
 from functools import lru_cache, reduce
 
@@ -312,6 +313,20 @@ def test_packed_kernel_matches_int64_oracle(case, chunk):
     assert bool_covered(ra, rb) == bool(oracle_relation(a, b, True).any(axis=1).all())
 
 
+# each kernel case is checked twice over: "packed" holds the kernel's words
+# to the packed words of an exact int64 count product, and "blas" holds the
+# unpacked result to a float32 BLAS count product, the arithmetic of the dense
+# path the kernel replaced
+FORMS = ["packed", "blas"]
+
+
+def reference_covered(form, a, b):
+    """Every row of a inside some column of b, from the reference of ``form``."""
+    if form == "packed":
+        return bool(model._pack(oracle_relation(a, b, True)).any(axis=1).all())
+    return bool(((a.astype(np.float32) @ (~b).astype(np.float32)) == 0).any(axis=1).all())
+
+
 def staircase(n, width, miss):
     """Covers u (width-point windows) and v (windows one point wider) on n
     points, with u's row at ``miss`` as large as the elements of v but in
@@ -327,9 +342,10 @@ def staircase(n, width, miss):
     return Cover(space, u), Cover(space, v)
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("chunk", [1, 24, model.CHUNK_BYTES])
 @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
-def test_refines_stops_at_first_uncontained_row(chunk, where):
+def test_refines_stops_at_first_uncontained_row(form, chunk, where):
     # a one-byte bound takes one entry per chunk and three words take three,
     # so u's rows of 70 points are reduced across many chunks
     n, width = 90, 70
@@ -351,6 +367,7 @@ def test_refines_stops_at_first_uncontained_row(chunk, where):
         mp.setattr(model, "_chunks", counted)
         got = refines(u, v)
     assert got == oracle_refines(u.elements, v.elements) == (miss is None)
+    assert got == reference_covered(form, u.rows.matrix, v.holders.matrix)
     # the scan reaches the uncontained row, and with small chunks it ends
     # before the rows after it are reduced
     assert yields[-1] >= (rows if miss is None else miss + 1)
@@ -694,9 +711,10 @@ def test_word_listing_matches_point_lists(m, n, density, seed, chunk):
     assert starts.tobytes() == want_starts.tobytes()
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", [64, 65])
 @pytest.mark.parametrize("empty", [0, 3, 5])
-def test_empty_row_is_covered_with_a_zero_tail(n, empty):
+def test_empty_row_is_covered_with_a_zero_tail(form, n, empty):
     rng = np.random.default_rng(n + empty)
     a = rng.random((6, 20)) < 0.2
     b = np.ones((20, n), dtype=bool)
@@ -708,7 +726,11 @@ def test_empty_row_is_covered_with_a_zero_tail(n, empty):
     # the empty row holds every column and no bit past the last
     assert got.tobytes() == model._pack(want).tobytes()
     assert got[empty].tobytes() == model._pack(np.ones((1, n), dtype=bool)).tobytes()
+    if form == "blas":
+        counts = a.astype(np.float32) @ (~b).astype(np.float32)
+        assert model.unpack_rows(got, n).tobytes() == (counts == 0).tobytes()
     assert bool_covered(ra, rb) == dense_covered(a, b) == bool(want.any(axis=1).all())
+    assert bool_covered(ra, rb) == reference_covered(form, a, b)
 
 
 @SEEDED
