@@ -295,11 +295,11 @@ class StarFamily:
         return out
 
 
-def _step_relation(fam: StarFamily, level: float = 1.0):
-    """Directed one-step reachability, entries of modulus at least level in
+def _step_relation(fam: StarFamily):
+    """Directed one-step reachability, entries of modulus at least one in
     some member: the distinct steps (x, y), sorted."""
     n = fam.space.n
-    strong = [np.abs(op.val) >= level for op in fam.ops]
+    strong = [np.abs(op.val) >= 1.0 for op in fam.ops]
     keys = distinct_sorted(np.concatenate([op.x[s] * n + op.y[s]
                                            for op, s in zip(fam.ops, strong)]))
     return keys // n, keys % n

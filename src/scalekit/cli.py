@@ -1,12 +1,16 @@
 """Command line front end.
 
-Every subcommand loads one instance (a bundled name or a JSON path), runs
-one family of checks, and exits 0 when everything passed, 1 when some check
+Every call goes through one pipeline in ``main``: parse the arguments, load
+the instance (a bundled name or a JSON path, with ``--levels`` imposed) in
+``_load``, run the subcommand's checks, and write what they returned in
+``_emit``, under the subcommand's own name.  A subcommand is a function
+``_cmd_*(args, space, cat)`` that returns its reports and named numbers; it
+imports its checks when it runs, so that a call loads only the modules it
+reaches.  The call exits 0 when everything passed, 1 when some check
 produced a counterexample, 2 when the request or the instance was bad, and
-141 when the reader closed stdout before the output was written.
-JSON output is byte-stable for fixed inputs: keys are sorted and nothing
-time- or machine-dependent is emitted.  Each subcommand imports its checks
-when it runs, so that a call loads only the modules it reaches.
+141 when the reader closed stdout before the output was written.  JSON
+output is byte-stable for fixed inputs: keys are sorted and nothing time- or
+machine-dependent is emitted.
 """
 from __future__ import annotations
 
@@ -23,6 +27,9 @@ from .model import InstanceError, Space, fmt_value
 from .reports import CheckReport
 
 DEFAULT_EPS = "1,0.5,0.25"
+# the radii of a small-scale (descending) and a large-scale (ascending) base
+DEFAULT_SS_RADII = "3,1,0.333333"
+DEFAULT_LS_RADII = "1,3,9,27"
 
 
 def _floats(raw: str):
@@ -48,7 +55,7 @@ def _load(args):
         space, cat = instances.bundled(name)
     else:
         space, cat = instances.load_path(name)
-    if getattr(args, "levels", None):
+    if args.levels:
         # impose the windows on the document, so that the one loader binds
         # every payload to the windowed carrier
         tops = _floats(args.levels)
@@ -80,17 +87,17 @@ def _cover(cat, name):
     return cat.covers[name]
 
 
-def _emit(args, command, space_label, reports, numbers=None) -> int:
+def _emit(args, reports, numbers) -> int:
     ok = all(r.status for r in reports)
     if args.json:
-        payload = {"command": command, "space": space_label,
+        payload = {"command": args.command, "space": args.space,
                    "reports": [r.to_payload() for r in reports]}
         if numbers:
             payload["values"] = {k: ("inf" if v == float("inf") else v)
                                  for k, v in numbers.items()}
         print(json.dumps(payload, sort_keys=True, default=str))
     else:
-        for k, v in (numbers or {}).items():
+        for k, v in numbers.items():
             print("%s = %s" % (k, fmt_value(v)))
         for r in reports:
             line = "[%s] %s" % ("PASS" if r.status else "FAIL", r.name)
@@ -105,78 +112,59 @@ def _emit(args, command, space_label, reports, numbers=None) -> int:
     return 0 if ok else 1
 
 
-def _cmd_check_ss(args):
+def _cmd_check_ss(args, space, cat):
     from .metric import metric_ss_base
     from .scales import check_ss_base
-    space, cat = _load(args)
-    base = metric_ss_base(space, _floats(args.radii))
-    rep = check_ss_base(base)
-    return _emit(args, "check-ss", args.space, [rep])
+    return [check_ss_base(metric_ss_base(space, _floats(args.radii)))], {}
 
 
-def _cmd_check_ls(args):
+def _cmd_check_ls(args, space, cat):
     from .metric import metric_ls_base
     from .scales import check_ls_base
-    space, cat = _load(args)
-    base = metric_ls_base(space, _floats(args.radii))
-    rep = check_ls_base(base)
-    return _emit(args, "check-ls", args.space, [rep])
+    return [check_ls_base(metric_ls_base(space, _floats(args.radii)))], {}
 
 
-def _cmd_lebesgue(args):
+def _cmd_lebesgue(args, space, cat):
     from .metric import lebesgue_number
-    space, cat = _load(args)
-    val = lebesgue_number(_cover(cat, args.cover))
-    return _emit(args, "lebesgue", args.space, [], {"lebesgue": val})
+    return [], {"lebesgue": lebesgue_number(_cover(cat, args.cover))}
 
 
-def _cmd_mesh(args):
+def _cmd_mesh(args, space, cat):
     from .metric import mesh
-    space, cat = _load(args)
-    val = mesh(_cover(cat, args.cover))
-    return _emit(args, "mesh", args.space, [], {"mesh": val})
+    return [], {"mesh": mesh(_cover(cat, args.cover))}
 
 
-def _cmd_so(args):
+def _cmd_so(args, space, cat):
     from .metric import metric_ls_base
     from .oscillation import SOQuery, is_slowly_oscillating
-    space, cat = _load(args)
     if args.function not in cat.functions:
         raise InstanceError("no function named %r" % args.function)
     base = metric_ls_base(space, _floats(args.radii))
     q = SOQuery(cat.functions[args.function], base.covers, _floats(args.eps),
                 _structure(space), name=args.function)
-    rep = is_slowly_oscillating(q, form=args.form)
-    return _emit(args, "so", args.space, [rep])
+    return [is_slowly_oscillating(q, form=args.form)], {}
 
 
-def _cmd_lsmem(args):
+def _cmd_lsmem(args, space, cat):
     from .duality import LSQuery, ls_membership
-    space, cat = _load(args)
     names = tuple(args.functions.split(",")) if args.functions else None
     fam = cat.family(space, names)
     q = LSQuery(_cover(cat, args.cover), _structure(space), fam, _floats(args.eps))
-    rep = ls_membership(q)
-    return _emit(args, "lsmem", args.space, [rep])
+    return [ls_membership(q)], {}
 
 
-def _cmd_c0(args):
+def _cmd_c0(args, space, cat):
     from .duality import wright_c0_check
-    space, cat = _load(args)
-    rep = wright_c0_check(_cover(cat, args.cover), space)
-    return _emit(args, "c0", args.space, [rep])
+    return [wright_c0_check(_cover(cat, args.cover), space)], {}
 
 
-def _cmd_ccs(args):
+def _cmd_ccs(args, space, cat):
     from .duality import continuously_controlled_check
-    space, cat = _load(args)
-    rep = continuously_controlled_check(_cover(cat, args.cover), _structure(space))
-    return _emit(args, "ccs", args.space, [rep])
+    return [continuously_controlled_check(_cover(cat, args.cover), _structure(space))], {}
 
 
-def _cmd_t75(args):
+def _cmd_t75(args, space, cat):
     from .duality import theorem75_agreement
-    space, cat = _load(args)
     tagged = cat.tags.get("constant_at_infinity", ())
     names = tuple(args.functions.split(",")) if args.functions else tuple(tagged)
     if not names:
@@ -188,52 +176,40 @@ def _cmd_t75(args):
     if not covers:
         raise InstanceError("instance has no covers to compare")
     named = [(nm, _cover(cat, nm)) for nm in covers]
-    rep = theorem75_agreement(named, _structure(space), fam, _floats(args.eps))
-    return _emit(args, "t75", args.space, [rep])
+    return [theorem75_agreement(named, _structure(space), fam, _floats(args.eps))], {}
 
 
-def _cmd_bounded(args):
+def _cmd_bounded(args, space, cat):
     from .bounded import check_axioms, desk_weakly_bounded
-    space, cat = _load(args)
     b = _structure(space)
     reports = [check_axioms(b)]
-    extra = {}
     if args.subset:
-        subset = space.subset(args.subset.split(","))
-        ok, detail = desk_weakly_bounded(subset, b)
-        reports.append(CheckReport("desk_weakly_bounded", ok,
-                                   witnesses=(detail,),
-                                   truncation=reports[0].truncation))
+        probes = [("desk_weakly_bounded", space.subset(args.subset.split(",")))]
     else:
         rng = np.random.default_rng(_seed())
+        probes = []
         for k in range(3):
             size = int(rng.integers(1, max(2, space.n // 4)))
-            subset = frozenset(int(i) for i in
-                               rng.choice(space.n, size=size, replace=False))
-            ok, detail = desk_weakly_bounded(subset, b)
-            reports.append(CheckReport("desk_weakly_bounded[sample%d]" % k, ok,
-                                       witnesses=(detail,),
-                                       truncation=reports[0].truncation))
-    return _emit(args, "bounded", args.space, reports, extra)
+            probes.append(("desk_weakly_bounded[sample%d]" % k, frozenset(
+                int(i) for i in rng.choice(space.n, size=size, replace=False))))
+    for name, subset in probes:
+        ok, detail = desk_weakly_bounded(subset, b)
+        reports.append(CheckReport(name, ok, witnesses=(detail,),
+                                   truncation=reports[0].truncation))
+    return reports, {}
 
 
-def _cmd_entourage(args):
+def _cmd_entourage(args, space, cat):
     from .entourages import check_coarse_axioms, check_uniform_axioms, metric_entourage
-    space, cat = _load(args)
-    if args.radii is None:
-        args.radii = "3,1,0.333333" if args.axioms == "uniform" else "1,3,9,27"
-    radii = _floats(args.radii)
-    base = [metric_entourage(space, r) for r in radii]
-    if args.axioms == "uniform":
-        rep = check_uniform_axioms(base)
-    else:
-        rep = check_coarse_axioms(base)
-    return _emit(args, "entourage", args.space, [rep])
+    radii = args.radii
+    if radii is None:  # an empty --radii is a bad request, not the default
+        radii = DEFAULT_SS_RADII if args.axioms == "uniform" else DEFAULT_LS_RADII
+    check = check_uniform_axioms if args.axioms == "uniform" else check_coarse_axioms
+    return [check([metric_entourage(space, r) for r in _floats(radii)])], {}
 
 
-def _cmd_op(args):
+def _cmd_op(args, space, cat):
     from .algebra_noncomm import StarFamily, f_bounded, operator_norm, support_entourage
-    space, cat = _load(args)
     if args.operator not in cat.operators:
         raise InstanceError("no operator named %r" % args.operator)
     op = cat.operators[args.operator]
@@ -244,18 +220,15 @@ def _cmd_op(args):
     if args.cover:
         fam = StarFamily(space, (op.name,), (op,)).with_adjoints()
         reports.append(f_bounded(_cover(cat, args.cover), fam, args.nmax))
-    return _emit(args, "op", args.space, reports, numbers)
+    return reports, numbers
 
 
-def _cmd_sw(args):
+def _cmd_sw(args, space, cat):
     from .algebra_comm import stone_weierstrass_desk_test
-    space, cat = _load(args)
     fam = cat.family(space, tuple(args.functions.split(",")))
     if args.probe not in cat.functions:
         raise InstanceError("no function named %r" % args.probe)
-    rep = stone_weierstrass_desk_test(fam, cat.functions[args.probe],
-                                      name=args.probe)
-    return _emit(args, "sw-test", args.space, [rep])
+    return [stone_weierstrass_desk_test(fam, cat.functions[args.probe], name=args.probe)], {}
 
 
 def _default_radii(space: Space) -> tuple[tuple, tuple]:
@@ -272,12 +245,11 @@ def _default_radii(space: Space) -> tuple[tuple, tuple]:
     return down, up
 
 
-def _cmd_report_all(args):
+def _cmd_report_all(args, space, cat):
     from .bounded import check_axioms
     from .duality import continuously_controlled_check
     from .metric import lebesgue_number, mesh, metric_ls_base, metric_ss_base
     from .scales import check_ls_base, check_ss_base
-    space, cat = _load(args)
     reports = []
     numbers = {}
     if space.d is not None:
@@ -285,19 +257,19 @@ def _cmd_report_all(args):
         reports.append(check_ss_base(metric_ss_base(space, down)))
         reports.append(check_ls_base(metric_ls_base(space, up)))
     if space.d is not None or space.filtration is not None:
-        reports.append(check_axioms(_structure(space)))
+        b = _structure(space)
+        reports.append(check_axioms(b))
     for nm in sorted(cat.covers):
         cov = cat.covers[nm]
         if space.d is not None and cov.is_scale():
             numbers["lebesgue[%s]" % nm] = lebesgue_number(cov)
             numbers["mesh[%s]" % nm] = mesh(cov)
         if space.filtration is not None:
-            b = _structure(space)
             rep = continuously_controlled_check(cov, b)
             reports.append(CheckReport("ccs[%s]" % nm, rep.status,
                                        counterexample=rep.counterexample,
                                        truncation=rep.truncation))
-    return _emit(args, "report-all", args.space, reports, numbers)
+    return reports, numbers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,27 +279,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version="scalekit %s" % __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, eps=False, levels=True):
+    def common(sp, eps=False):
         sp.add_argument("--space", required=True,
                         help="bundled name (%s) or JSON path"
                              % ", ".join(instances.BUNDLED_NAMES))
         sp.add_argument("--json", action="store_true",
                         help="machine readable output")
-        if levels:
-            sp.add_argument("--levels", default=None,
-                            help="comma list of window tops to impose")
+        sp.add_argument("--levels", default=None,
+                        help="comma list of window tops to impose")
         if eps:
             sp.add_argument("--eps", default=DEFAULT_EPS,
                             help="descending eps grid (default %s)" % DEFAULT_EPS)
 
     sp = sub.add_parser("check-ss", help="small-scale base axioms for ball covers")
     common(sp)
-    sp.add_argument("--radii", default="3,1,0.333333", help="descending radii")
+    sp.add_argument("--radii", default=DEFAULT_SS_RADII, help="descending radii")
     sp.set_defaults(fn=_cmd_check_ss)
 
     sp = sub.add_parser("check-ls", help="large-scale base axioms for ball covers")
     common(sp)
-    sp.add_argument("--radii", default="1,3,9,27", help="ascending radii")
+    sp.add_argument("--radii", default=DEFAULT_LS_RADII, help="ascending radii")
     sp.set_defaults(fn=_cmd_check_ls)
 
     sp = sub.add_parser("lebesgue", help="largest ball scale a cover absorbs")
@@ -381,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--axioms", choices=("uniform", "coarse"), required=True)
     sp.add_argument("--radii", default=None,
-                    help="default: 3,1,0.333333 uniform / 1,3,9,27 coarse")
+                    help="default: %s uniform / %s coarse"
+                         % (DEFAULT_SS_RADII, DEFAULT_LS_RADII))
     sp.set_defaults(fn=_cmd_entourage)
 
     sp = sub.add_parser("op", help="operator support and chain boundedness")
@@ -409,7 +381,9 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
-            return args.fn(args)
+            space, cat = _load(args)
+            reports, numbers = args.fn(args, space, cat)
+            return _emit(args, reports, numbers)
         finally:  # also after --help and --version, which exit
             sys.stdout.flush()
     except InstanceError as exc:

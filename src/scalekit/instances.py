@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import COORD_KINDS, InstanceError, Space, check_group_table, parse_points
+from .model import COORD_KINDS, InstanceError, Space, parse_points
 from .scales import Cover
 
 if TYPE_CHECKING:
@@ -185,9 +185,7 @@ def load_space(document) -> tuple:
         block = document["group"]
         if not isinstance(block, dict) or "table" not in block:
             raise InstanceError("group block needs a table")
-        group_table, _ = check_group_table(block["table"])
-        if len(group_table) != len(points):
-            raise InstanceError("group table needs one row per point")
+        group_table = block["table"]  # Space checks it
     space = Space(points, metric=metric, metric_kind=kind, coords=coords,
                   filtration=filtration, group_table=group_table)
     cat = InstanceCatalogue()

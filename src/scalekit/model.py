@@ -1220,11 +1220,12 @@ class Filtration:
 
 
 class Space:
-    """Finite point list with optional pseudometric and filtration.  A space
-    of a coordinate kind ("line", "grid") keeps its coordinates and derives
-    its distances from them; any other space takes a distance table.  Both
-    are read through ``d`` (``Distances``), which is None without a
-    metric."""
+    """Finite point list with optional pseudometric, filtration and
+    multiplication table.  A space of a coordinate kind ("line", "grid")
+    keeps its coordinates and derives its distances from them; any other
+    space takes a distance table.  Both are read through ``d``
+    (``Distances``), which is None without a metric.  A group table is kept
+    as checked by ``check_group_table``, one row per point."""
 
     def __init__(self, points, metric=None, metric_kind=None, coords=None,
                  filtration=None, group_table=None):
@@ -1237,6 +1238,10 @@ class Space:
         self.index = {p: i for i, p in enumerate(points)}
         self.metric_kind = metric_kind
         self.coords = coords
+        if group_table is not None:
+            group_table, _ = check_group_table(group_table)
+            if len(group_table) != len(points):
+                raise InstanceError("group table needs one row per point")
         self.group_table = group_table
         self.d = None
         if metric_kind in COORD_KINDS:
@@ -1365,6 +1370,10 @@ class Space:
         if self.metric_kind == "line":
             doc["metric"] = {"kind": "line", "coords": [float(c) for c in self.coords]}
         elif self.metric_kind == "grid":
+            # a document holds integer grid coordinates only
+            if np.mod(self.coords, 1).any():
+                raise InstanceError("a grid with coordinates that are not integers "
+                                    "cannot be saved")
             doc["metric"] = {"kind": "grid",
                              "coords": [[int(a), int(b)] for a, b in self.coords]}
         elif self.d is not None:
@@ -1432,16 +1441,12 @@ def check_group_table(table) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def builder_group_window(table, names=None) -> Space:
-    """Space carrying a finite multiplication table (no metric); see
-    ``check_group_table`` for what the table must satisfy."""
-    table, _ = check_group_table(table)
-    n = len(table)
+    """Space carrying a finite multiplication table (no metric), its points
+    named g0, g1, ... unless ``names`` are given; see ``check_group_table``
+    for what the table must satisfy."""
     if names is None:
-        names = ["g%d" % i for i in range(n)]
+        try:
+            names = ["g%d" % i for i in range(len(table))]
+        except TypeError as exc:
+            raise InstanceError("multiplication table must be rows of point indices") from exc
     return Space(names, group_table=table)
-
-
-def load_space(document):
-    """Parse an instance document; see ``instances.load_space``."""
-    from . import instances
-    return instances.load_space(document)

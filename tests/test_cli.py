@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from scalekit.cli import main
+from scalekit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -93,6 +94,36 @@ def test_json_output_is_machine_readable(capsys):
     doc = json.loads(out)
     assert doc["command"] == "mesh"
     assert doc["space"] == "line20"
+
+
+# a minimal valid call of each subcommand on the bundled instances
+EVERY_COMMAND = [
+    ["check-ss", "--space", "grid5"],
+    ["check-ls", "--space", "grid5"],
+    ["lebesgue", "--space", "line20", "--cover", "fives"],
+    ["mesh", "--space", "line20", "--cover", "fives"],
+    ["so", "--space", "halfline", "--function", "step50"],
+    ["lsmem", "--space", "halfline", "--cover", "unit"],
+    ["c0", "--space", "truncnat", "--cover", "tens"],
+    ["ccs", "--space", "truncnat", "--cover", "tens"],
+    ["t75", "--space", "truncnat"],
+    ["bounded", "--space", "line20", "--levels", "5,10,20", "--subset", "0,1"],
+    ["entourage", "--space", "grid5", "--axioms", "uniform"],
+    ["op", "--space", "line20", "--operator", "shift"],
+    ["sw-test", "--space", "line20", "--functions", "one,parity", "--probe", "step"],
+    ["report-all", "--space", "grid5"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_every_subcommand_names_itself_in_its_json(capsys, argv):
+    # the list reaches every subcommand, so that a new one is held to this too
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(a[0] for a in EVERY_COMMAND) == sorted(sub.choices)
+    code, out, err = run(capsys, *argv, "--json")
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["command"] == argv[0]
 
 
 def test_json_output_is_byte_stable(capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,24 @@ def test_group_window_rejects_ragged_table():
         builder_group_window([[0, 1], [1]])
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0]], "one row per point"),
+    ("xy", "rows of point indices"),
+])
+def test_space_checks_its_group_table(table, message):
+    # the table a space keeps must load back from its own document
+    with pytest.raises(InstanceError, match=message):
+        Space(["a", "b"], group_table=table)
+    with pytest.raises(InstanceError, match=message):
+        builder_group_window(table, names=["a", "b"])
+
+
+def test_space_keeps_its_group_table_as_checked_tuples():
+    sp = Space(["a", "b"], group_table=np.array([[0, 1], [1, 0]]))
+    assert sp.group_table == ((0, 1), (1, 0))
+    assert type(sp.group_table[0][0]) is int
+
+
 def test_values_parses_labels():
     sp = builder_line(4, 0.5)
     assert np.allclose(sp.values(), np.arange(5) * 0.5)
@@ -244,9 +264,25 @@ def test_space_equality():
 def test_to_document_round_trip():
     sp = builder_line(6, 1.0)
     doc = sp.to_document()
-    from scalekit.model import load_space
+    from scalekit.instances import load_space
     sp2, _ = load_space(doc)
     assert sp2 == sp
+
+
+def test_an_integer_grid_is_saved_as_integers():
+    from scalekit.instances import load_space
+    sp = Space(["p", "q"], metric_kind="grid", coords=((0.0, 0), (3, 1.0)))
+    doc = sp.to_document()
+    assert json.dumps(doc) == ('{"points": ["p", "q"], "metric": {"kind": "grid", '
+                               '"coords": [[0, 0], [3, 1]]}}')
+    assert load_space(doc)[0] == sp
+
+
+def test_a_grid_off_the_integers_is_not_saved():
+    # its document would round the coordinates and load back another metric
+    sp = Space(["p", "q"], metric_kind="grid", coords=((0.2, 0), (0.7, 0)))
+    with pytest.raises(InstanceError, match="not integers"):
+        sp.to_document()
 
 
 @pytest.mark.parametrize("table, message", [
