@@ -12,31 +12,29 @@ from itertools import product
 
 import numpy as np
 
-from .model import (BoolRows, Filtration, InstanceError, RunRows, Space, check_group_table,
-                    parse_points, whole_size)
+from .model import (BoolRows, Filtration, InstanceError, RunRows, Space, parse_points,
+                    whole_size)
 from .reports import CheckReport
 from .scales import Cover, base_report, first, refines, star_family
 
 
 # the sum of two window values must not wrap around in int64
 _WINDOW_BOUND = 2 ** 62
+_SUBSETS = "translate subsets are lists of point indices"
 
 
 class GroupWindow:
     """Multiplication oracle over a carrier: a whole finite group, or a
-    symmetric integer window with clipped addition.  Both are one partial
-    product table, ``table[a, b]`` the index of a*b or -1 when the product
-    leaves the window, and an inverse vector with the same convention."""
+    symmetric integer window with clipped addition.  ``products`` is the one
+    product rule.  A finite group reads the group table its space carries
+    (checked when the space was built); a window looks up each sum among its
+    values, sorted once.  A product that leaves the window is -1, and so is
+    an inverse that leaves it in ``inverse``, each point's inverse."""
 
-    def __init__(self, space: Space, table=None, values=None):
+    def __init__(self, space: Space, values=None):
         self.space = space
         self.values = None
-        if table is not None:
-            table, self.identity = check_group_table(table)
-            if len(table) != space.n:
-                raise InstanceError("multiplication table shape mismatch")
-            self.table = np.asarray(table, dtype=np.int64)
-        elif values is not None:
+        if values is not None:
             exact = "window values must lie within +-2**62, where their sums stay exact"
             v = parse_points(values, None, lambda k, outside: (
                 exact if outside else "window values must be integers"))
@@ -44,21 +42,36 @@ class GroupWindow:
                 raise InstanceError(exact)
             if v.shape != (space.n,):
                 raise InstanceError("window values shape mismatch")
-            order = np.argsort(v, kind="stable")
-            ranked = v[order]
-            if (ranked[1:] == ranked[:-1]).any():
+            self._order = np.argsort(v, kind="stable")
+            self._ranked = v[self._order]
+            if (self._ranked[1:] == self._ranked[:-1]).any():
                 raise InstanceError("window values must be distinct")
-            if 0 not in ranked:
+            if 0 not in self._ranked:
                 raise InstanceError("window must contain 0")
             self.values = v
-            sums = v[:, None] + v[None, :]
-            at = np.searchsorted(ranked, sums).clip(max=space.n - 1)
-            self.table = np.where(ranked[at] == sums, order[at], -1)
             self.identity = int(np.flatnonzero(v == 0)[0])
+            self.inverse = self._lookup(-v)
+        elif space.group_table is not None:
+            self._table = np.array(space.group_table, dtype=np.int64)
+            fixes = (self._table == np.arange(space.n)).all(axis=1)
+            self.identity = int(np.flatnonzero(fixes)[0])
+            self.inverse = (self._table == self.identity).argmax(axis=1)
         else:
             raise InstanceError("need a multiplication table or window values")
-        unit = self.table == self.identity
-        self.inverse = np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
+
+    def _lookup(self, sums: np.ndarray) -> np.ndarray:
+        """The index of the point holding each sum, or -1 where no point does."""
+        at = np.searchsorted(self._ranked, sums)
+        return np.where(self._ranked.take(at, mode="clip") == sums,
+                        self._order.take(at, mode="clip"), -1)
+
+    def products(self, a, b) -> np.ndarray:
+        """The |a| x |b| int64 array of the indices of a[i]*b[j], -1 where a
+        product leaves the window; ``a`` and ``b`` are point indices."""
+        a, b = (parse_points(x, self.space.n, "factors must be point indices") for x in (a, b))
+        if self.values is None:
+            return self._table[np.ix_(a, b)]
+        return self._lookup(self.values[a][:, None] + self.values[b])
 
     @cached_property
     def positions(self) -> np.ndarray | None:
@@ -76,8 +89,7 @@ class GroupWindow:
 
     def mul(self, a: int, b: int) -> int | None:
         """Product index, or None when it leaves the window."""
-        a, b = parse_points((a, b), self.space.n, "factors must be point indices")
-        p = int(self.table[a, b])
+        p = int(self.products((a,), (b,))[0, 0])
         return None if p < 0 else p
 
     def inv(self, a: int) -> int | None:
@@ -128,8 +140,7 @@ def translation_scale(g: GroupWindow, f_subset) -> tuple[Cover, int]:
 
     Returns the cover and the number of clipped products (0 on full groups).
     """
-    f = sorted(set(parse_points(f_subset, g.space.n, "translate subsets are lists "
-                                 "of point indices").tolist()) | {g.identity})
+    f = sorted(set(parse_points(f_subset, g.space.n, _SUBSETS).tolist()) | {g.identity})
     n, at = g.space.n, g.positions
     name = "translates[%s]" % ",".join(g.space.points[i] for i in f)
     if at is not None:
@@ -141,7 +152,7 @@ def translation_scale(g: GroupWindow, f_subset) -> tuple[Cover, int]:
             lo, hi = np.maximum(at + low, 0), np.minimum(at + high + 1, n)
             return (Cover(g.space, RunRows(g.space.d, lo, hi), name=name),
                     int(n * len(f) - (hi - lo).sum()))
-    prods = g.table[:, f]
+    prods = g.products(np.arange(n), f)
     kept = prods >= 0
     rows = BoolRows.of_pairs(np.nonzero(kept)[0], prods[kept], n, n)
     if g.space.d is not None and g.space.d.banded:
@@ -153,7 +164,6 @@ def _closure_candidates(g: GroupWindow, subsets):
     """Products of up to three factors from the subsets and their inverses,
     plus pairwise unions; deterministic order, clip counts carried."""
     e = g.identity
-    base: list[tuple[str, frozenset[int], int]] = []
     seen: set[frozenset[int]] = set()
 
     def push(name, s, clips, bucket):
@@ -173,7 +183,7 @@ def _closure_candidates(g: GroupWindow, subsets):
         nxt = []
         for name_a, sa, ca in level:
             for name_b, sb, cb in depth1:
-                prod, c = _image(g.table[np.ix_(sorted(sa), sorted(sb))])
+                prod, c = _image(g.products(sorted(sa), sorted(sb)))
                 push("%s*%s" % (name_a, name_b), prod | {e}, ca + cb + c, nxt)
         out.extend(nxt)
         level = nxt
@@ -186,8 +196,14 @@ def _closure_candidates(g: GroupWindow, subsets):
 
 def check_translation_ls(g: GroupWindow, f_list) -> CheckReport:
     """Large-scale base condition for translate covers: each starred pair is
-    absorbed by a translate cover of some set in the depth-3 closure."""
+    absorbed by a translate cover of some set in the depth-3 closure.
+    ``f_list`` and each subset in it are read once."""
     space = g.space
+    try:
+        f_list = iter(f_list)
+    except TypeError as exc:
+        raise InstanceError(_SUBSETS) from exc
+    f_list = tuple(parse_points(f, space.n, _SUBSETS).tolist() for f in f_list)
     covers = []
     clipped_total = 0
     for f in f_list:

@@ -249,6 +249,7 @@ SITES = {
     "slice_at": lambda p: [slice_at(PTS_E, x) for x in p],
     "GroupWindow.mul": lambda p: (PTS_G.mul(p[0], p[1]), PTS_G.mul(p[2], 0)),
     "GroupWindow.inv": lambda p: [PTS_G.inv(x) for x in p],
+    "GroupWindow.products": lambda p: (PTS_G.products(p, [0]), PTS_G.products([0], p)),
 }
 VALID = {"build_bump_refuter": [0, 2, 4], "build_scaled_refuter": [0, 2, 4],
          "GroupWindow": [-1, 0, 1]}

@@ -39,8 +39,8 @@ from scalekit.metric import (ball_cover, lebesgue_number, mesh, metric_ls_base,
                              metric_ss_base, sup_diameter)
 from scalekit import model
 from scalekit.model import (BoolRows, Filtration, InstanceError, Space, bool_covered,
-                            bool_product, builder_line, distinct_first, distinct_sorted,
-                            fmt_value)
+                            bool_product, builder_group_window, builder_line, distinct_first,
+                            distinct_sorted, fmt_value)
 from scalekit.oscillation import (SOQuery, _ball_bump, build_bump_refuter,
                                   build_scaled_refuter, element_diameters, equivalence_test,
                                   heavy_pairs, is_slowly_oscillating)
@@ -2254,8 +2254,8 @@ def group_windows(draw):
     for a in range(n):
         for b in range(n):
             table[perm[a]][perm[b]] = perm[base[a][b]]
-    space = Space(["g%d" % i for i in range(n)])
-    return space, GroupWindow(space, table=table), OracleGroupWindow(table=table)
+    space = builder_group_window(table)
+    return space, GroupWindow(space), OracleGroupWindow(table=table)
 
 
 def subset_lists(n, max_size=3):
@@ -2272,10 +2272,13 @@ def cover_state(cov):
 def test_group_window_products_match_oracle(case):
     space, g, og = case
     assert g.identity == og.identity
+    prods = g.products(range(space.n), range(space.n))
+    assert prods.dtype == np.int64 and prods.shape == (space.n, space.n)
     for a in range(space.n):
         assert g.inv(a) == og.inv(a)
         for b in range(space.n):
             assert g.mul(a, b) == og.mul(a, b)
+            assert prods[a, b] == (-1 if og.mul(a, b) is None else og.mul(a, b))
 
 
 @SEEDED

@@ -233,12 +233,14 @@ def test_translates_match_the_group_table(case):
     space, subsets = case
     g = window_group(space)
     plain = window_group(Space(space.points))
+    values = g.values.tolist()
+    index = {v: i for i, v in enumerate(values)}
     for f in subsets:
         cover, clipped = translation_scale(g, f)
         f = sorted(set(f) | {g.identity})
-        prods = g.table[:, f]
-        assert cover.elements == tuple(frozenset(p[p >= 0].tolist()) for p in prods)
-        assert clipped == int((prods < 0).sum())
+        prods = [[index.get(a + values[b], -1) for b in f] for a in values]
+        assert cover.elements == tuple(frozenset(p for p in row if p >= 0) for row in prods)
+        assert clipped == sum(p < 0 for row in prods for p in row)
         interval = np.ptp(g.values[f]) == len(f) - 1
         assert isinstance(cover.rows, RunRows) == bool(g.positions is not None and interval)
         assert cover.rows.line is space.d

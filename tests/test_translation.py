@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,6 @@ from scalekit.metric import ball_cover
 from scalekit.model import InstanceError, builder_group_window
 from scalekit.translation import (GroupWindow, check_translation_ls, translation_scale,
                                   window_group, z_window)
-
-
-def from_table_space(space) -> GroupWindow:
-    """The group of a space that carries a multiplication table."""
-    if space.group_table is None:
-        raise InstanceError("space carries no multiplication table")
-    return GroupWindow(space, table=space.group_table)
 
 
 def cyclic(n):
@@ -31,7 +26,7 @@ S3_TABLE = [
 
 
 def test_group_window_identity_and_inverse():
-    g = from_table_space(cyclic(4))
+    g = GroupWindow(cyclic(4))
     assert g.mul(1, 3) == 0
     assert g.inv(3) == 1
     assert g.identity == 0
@@ -39,7 +34,7 @@ def test_group_window_identity_and_inverse():
 
 
 def test_translation_scale_z4_frozen():
-    g = from_table_space(cyclic(4))
+    g = GroupWindow(cyclic(4))
     u, clipped = translation_scale(g, frozenset({0, 1}))
     assert clipped == 0
     got = sorted(sorted(e) for e in u.elements)
@@ -47,7 +42,7 @@ def test_translation_scale_z4_frozen():
 
 
 def test_translation_scale_adjoins_identity_before_translating():
-    g = from_table_space(cyclic(5))
+    g = GroupWindow(cyclic(5))
     u, _ = translation_scale(g, frozenset({2}))
     # F gains the identity, so every a lies in its own translate aF
     assert len(u) == 5
@@ -60,7 +55,7 @@ def test_translation_scale_adjoins_identity_before_translating():
 
 def test_translation_left_invariance():
     # g(hF) is again a translate, so the element set is translation stable
-    g = from_table_space(cyclic(6))
+    g = GroupWindow(cyclic(6))
     u, _ = translation_scale(g, frozenset({0, 1, 2}))
     els = u.element_set()
     for a in range(6):
@@ -70,7 +65,7 @@ def test_translation_left_invariance():
 
 
 def test_translation_s3_cosets_repeat():
-    g = from_table_space(builder_group_window(S3_TABLE))
+    g = GroupWindow(builder_group_window(S3_TABLE))
     h = frozenset({0, 1})  # the subgroup {e, (12)}
     u, clipped = translation_scale(g, h)
     assert clipped == 0
@@ -95,7 +90,7 @@ def test_z_window_translates_match_balls():
 
 
 def test_check_translation_ls_group_passes():
-    g = from_table_space(builder_group_window(S3_TABLE))
+    g = GroupWindow(builder_group_window(S3_TABLE))
     rep = check_translation_ls(g, [frozenset({0, 1}), frozenset({0, 4, 5})])
     assert rep.status
     assert not rep.notes  # no clipping on a genuine group
@@ -147,3 +142,31 @@ def test_window_values_at_the_bound_add_exactly():
 def test_z_window_level_step_must_leave_a_window(step):
     with pytest.raises(InstanceError, match="no interior window"):
         z_window(10, level_step=step)
+
+
+def test_check_translation_ls_reads_its_subsets_once():
+    g = window_group(z_window(3))
+    want = check_translation_ls(g, [[1, 2]]).to_payload()
+    assert check_translation_ls(g, (f for f in [[1, 2]])).to_payload() == want
+    assert check_translation_ls(g, [iter([1, 2])]).to_payload() == want
+    with pytest.raises(InstanceError, match="translate subsets are lists of point indices"):
+        check_translation_ls(g, 5)
+
+
+def test_a_space_without_a_table_or_values_has_no_group():
+    with pytest.raises(InstanceError, match="need a multiplication table or window values"):
+        GroupWindow(z_window(2))
+
+
+def test_a_large_window_builds_no_table_of_sums():
+    space = z_window(1000)
+    tracemalloc.start()
+    try:
+        g = window_group(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table of the 2001**2 sums alone would take 32 MB
+    assert peak < 4 * 2 ** 20
+    assert [int(space.points[g.inv(i)]) for i in range(space.n)] == \
+        [-int(p) for p in space.points]
