@@ -9,7 +9,6 @@ unity constructions that feed operators back into scale language.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -20,8 +19,8 @@ import numpy as np
 from .entourages import Entourage, compose
 from .metric import ball_ladder, sup_diameter
 from .model import (WORD, BoolRows, InstanceError, Space, distinct_first, distinct_sorted,
-                    fmt_value, packed_union, parse_points, real_value, unpack_rows,
-                    whole_size)
+                    fmt_value, packed_union, parse_numbers, parse_points, real_value,
+                    unpack_rows, whole_size)
 from .reports import CheckReport, truncation_label
 from .scales import (Cover, PartitionOfUnity, ScaleBase, fine_scales, first, pou_support,
                      refines, smaller_or_equal, star_family)
@@ -32,18 +31,6 @@ def _positions(error: str):
     an integer past int64."""
     return lambda k, outside: ("an entry position lies outside the carrier"
                                if outside else error)
-
-
-def _numbers(values: list, error: str, dtype=complex) -> np.ndarray:
-    """Numbers (real ones for a float dtype; not bools or strings) as an
-    array of ``dtype``; raises ``error`` otherwise."""
-    kind = numbers.Real if dtype is float else numbers.Number
-    if any(t is bool or not issubclass(t, kind) for t in set(map(type, values))):
-        raise InstanceError(error)
-    try:
-        return np.fromiter(values, dtype=dtype, count=len(values))
-    except OverflowError as exc:
-        raise InstanceError("an entry value is not finite") from exc
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,7 +69,7 @@ class OperatorMatrix:
             raise InstanceError("operator entries are keyed by (x, y) pairs")
         flat = parse_points(chain.from_iterable(keys), None,
                              _positions("entry positions must be integers"))
-        vals = _numbers(list(entries.values()), "entry values must be numbers")
+        vals = parse_numbers(list(entries.values()), "entry values must be numbers")
         self._checked(space, flat[0::2], flat[1::2], vals, name, obj=self)
 
     @classmethod
@@ -99,8 +86,8 @@ class OperatorMatrix:
         y = parse_points(ys, None, _positions(error))
         x = parse_points(xs, None, _positions(error))
         val = np.empty(x.size, dtype=complex)
-        val.real = _numbers(res, error, float)
-        val.imag = _numbers(ims, error, float)
+        val.real = parse_numbers(res, error, float)
+        val.imag = parse_numbers(ims, error, float)
         n = space.n
         inside = (x >= 0) & (x < n) & (y >= 0) & (y < n)
         # a position outside the carrier keeps a key of its own

@@ -26,7 +26,7 @@ def _windowed_line(values, window_tops) -> Space:
     levels = tuple(frozenset(np.flatnonzero(values <= top).tolist())
                    for top in window_tops)
     return Space([fmt_value(v) for v in values], metric_kind="line",
-                 coords=tuple(float(v) for v in values), filtration=Filtration(levels))
+                 coords=values, filtration=Filtration(levels))
 
 
 @lru_cache(maxsize=None)

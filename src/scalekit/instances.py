@@ -1,4 +1,4 @@
-"""Instance documents: parsing, validation, bundled lookup, round trips.
+"""Instance documents: reading, bundled lookup, round trips.
 
 A document is a plain JSON object.  Mandatory: "points".  Optional blocks:
 "metric" (kinds table, line, grid; the string "inf" marks infinite
@@ -6,7 +6,8 @@ distances), "filtration" (level sets, labels or indices), "covers",
 "functions" (values or [re, im] pairs), "operators" (triplet lists),
 "maps" (one target per point), "entourages" (pair lists), "group"
 (multiplication table), and "catalogues" (tag lists of function names).
-Anything malformed raises InstanceError with the offending key.
+The loader reads keys, "inf" strings and labels; ``Space`` and the payload
+constructors check the rest.  Anything malformed raises InstanceError.
 """
 from __future__ import annotations
 
@@ -93,56 +94,27 @@ def _point_rows(index: dict, rows, where) -> list:
     return [points[a:b] for a, b in zip(starts, starts[1:])]
 
 
-def _coords(block, n: int) -> tuple:
-    """Finite coordinates of a line or grid block, one per point: a number
-    on a line, an [a, b] integer pair on a grid."""
-    if "coords" not in block:
-        raise InstanceError("metric: kind %r needs coords" % block["kind"])
-    raw = block["coords"]
-    width = COORD_KINDS[block["kind"]]
-    what = "numbers" if width == 1 else "[a, b] number pairs"
-    if not isinstance(raw, (list, tuple)) or (width == 2 and not all(
-            isinstance(c, (list, tuple)) and len(c) == 2 for c in raw)):
-        raise InstanceError("metric: coords must be a list of %s" % what)
-    if len(raw) != n:
-        raise InstanceError("metric: one coordinate per point")
-    try:
-        coords = ([float(c) for c in raw] if width == 1
-                  else [(float(a), float(b)) for a, b in raw])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InstanceError("metric: coords must be a list of %s" % what) from exc
-    if not np.isfinite(coords).all():
-        raise InstanceError("metric: coords must be finite")
-    if width == 2 and (np.mod(coords, 1) != 0).any():
-        raise InstanceError("metric: grid coords must be integers")
-    return tuple(coords)
-
-
-def _parse_metric(block, points):
-    n = len(points)
+def _parse_metric(block):
+    """(table, kind, coords) of a metric block, as ``Space`` takes them."""
     if not isinstance(block, dict) or "kind" not in block:
         raise InstanceError("metric block needs a kind")
     kind = block["kind"]
     if isinstance(kind, str) and kind in COORD_KINDS:
-        return None, kind, _coords(block, n)
+        if "coords" not in block:
+            raise InstanceError("metric: kind %r needs coords" % kind)
+        return None, kind, block["coords"]
     if kind == "table":
         if "distances" not in block:
             raise InstanceError("metric: kind 'table' needs distances")
         rows = block["distances"]
+        if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(r, (list, tuple)) for r in rows):
+            raise InstanceError("metric: distance table rows must be lists")
         try:
-            square = len(rows) == n and all(len(r) == n for r in rows)
-        except TypeError as exc:
-            raise InstanceError("metric: distance table rows must be lists") from exc
-        if not square:
-            raise InstanceError("metric: distance table must be %d x %d" % (n, n))
-        try:
-            d = np.array([[math.inf if v == "inf" else float(v) for v in row]
-                          for row in rows], dtype=float).reshape(n, n)
+            return [[math.inf if v == "inf" else float(v) for v in r]
+                    for r in rows], kind, None
         except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceError('metric: distances must be numbers or "inf"') from exc
-        if np.isnan(d).any():
-            raise InstanceError("metric: distances must not be NaN")
-        return d, "table", None
     raise InstanceError("unknown metric kind %r" % kind)
 
 
@@ -173,7 +145,7 @@ def load_space(document) -> tuple:
     points = [str(p) for p in _listed(document["points"], "points")]
     metric = kind = coords = None
     if "metric" in document:
-        metric, kind, coords = _parse_metric(document["metric"], points)
+        metric, kind, coords = _parse_metric(document["metric"])
     filtration = None
     if "filtration" in document:
         index = {p: i for i, p in enumerate(points)}
@@ -219,12 +191,9 @@ def load_space(document) -> tuple:
     if entourages:
         from .entourages import Entourage
     for nm, raw in entourages.items():
-        rows = _listed(raw, "entourage %r" % nm)
-        for k, pair in enumerate(rows):
-            if len(_listed(pair, "entourage %r row %d" % (nm, k))) != 2:
-                raise InstanceError("entourage %r row %d is not a pair" % (nm, k))
-        cat.entourages[nm] = Entourage(space, _point_rows(space.index, rows,
-                                                          lambda k: "entourage %r" % nm))
+        rows = _point_rows(space.index, _listed(raw, "entourage %r" % nm),
+                           lambda k: "entourage %r row %d" % (nm, k))
+        cat.entourages[nm] = Entourage(space, rows)  # which checks the pairs
     for tag, names in _block(document, "catalogues").items():
         cat.tags[str(tag)] = tuple(str(v) for v in _listed(names, "catalogue %r" % tag))
     return space, cat

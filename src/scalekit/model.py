@@ -35,11 +35,27 @@ def fmt_value(v: float) -> str:
 
 
 def real_value(v, what: str) -> float:
-    """A real number as a float; a bool, a string or anything else that is
-    not a real number is refused, with ``what`` naming it in the error."""
+    """A real number as a float; a bool, a string, a number past the float
+    range or anything else is refused, with ``what`` naming it in the error."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise InstanceError("%s must be a real number, not %r" % (what, v))
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise InstanceError("%s lies past the float range" % what) from exc
+
+
+def parse_numbers(values, error: str, dtype=complex) -> np.ndarray:
+    """Numbers (real ones for a float dtype; not bools or strings) as a flat
+    array of ``dtype``; a value that is not such a number, or one past the
+    float range, raises InstanceError with ``error``."""
+    kind = numbers.Real if dtype is float else numbers.Number
+    if any(t is bool or not issubclass(t, kind) for t in set(map(type, values))):
+        raise InstanceError(error)
+    try:
+        return np.fromiter(values, dtype=dtype, count=len(values))
+    except OverflowError as exc:
+        raise InstanceError(error) from exc
 
 
 def positive_grid(values, what: str) -> tuple[float, ...]:
@@ -1197,15 +1213,23 @@ def runs_subset(e, f) -> bool:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Strictly increasing chain K_1 c K_2 c ... of declared-bounded windows."""
+    """Strictly increasing chain K_1 c K_2 c ... of declared-bounded windows,
+    each level parsed into a frozenset of point indices first."""
 
     levels: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if not self.levels:
+        error = "filtration level %d must hold point indices"
+        try:
+            levels = tuple(frozenset(parse_points(lv, None, error % (i + 1)).tolist())
+                           for i, lv in enumerate(self.levels))
+        except TypeError as exc:
+            raise InstanceError("a filtration is a list of levels") from exc
+        object.__setattr__(self, "levels", levels)
+        if not levels:
             raise InstanceError("a filtration needs at least one level")
         prev = None
-        for i, lv in enumerate(self.levels):
+        for i, lv in enumerate(levels):
             if not lv:
                 raise InstanceError("filtration level %d is empty" % (i + 1))
             if prev is not None and not (prev < lv):
@@ -1221,60 +1245,58 @@ class Filtration:
 
 class Space:
     """Finite point list with optional pseudometric, filtration and
-    multiplication table.  A space of a coordinate kind ("line", "grid")
-    keeps its coordinates and derives its distances from them; any other
-    space takes a distance table.  Both are read through ``d``
-    (``Distances``), which is None without a metric.  A group table is kept
-    as checked by ``check_group_table``, one row per point."""
+    multiplication table, all checked here and nowhere else (InstanceError
+    only).  A line or grid space keeps its finite coordinates as the
+    read-only float array ``coords`` and derives its distances from them;
+    any other space takes a distance table, read like them through ``d``
+    (``Distances``, None without a metric).  A group table is kept as
+    checked by ``check_group_table``, one row per point."""
 
     def __init__(self, points, metric=None, metric_kind=None, coords=None,
                  filtration=None, group_table=None):
-        points = tuple(str(p) for p in points)
+        try:
+            points = tuple(str(p) for p in points)
+        except TypeError as exc:
+            raise InstanceError("points must be a list of labels") from exc
         if len(points) == 0:
             raise InstanceError("a space needs at least one point")
         if len(set(points)) != len(points):
             raise InstanceError("duplicate point labels")
+        n = len(points)
         self.points = points
         self.index = {p: i for i, p in enumerate(points)}
         self.metric_kind = metric_kind
-        self.coords = coords
         if group_table is not None:
             group_table, _ = check_group_table(group_table)
-            if len(group_table) != len(points):
+            if len(group_table) != n:
                 raise InstanceError("group table needs one row per point")
         self.group_table = group_table
-        self.d = None
-        if metric_kind in COORD_KINDS:
+        self.coords = self.d = None  # coords of any other kind are not read
+        if isinstance(metric_kind, str) and metric_kind in COORD_KINDS:
             if metric is not None:
                 raise InstanceError("a %s space derives its metric from coords"
                                     % metric_kind)
-            coords_array = np.array(coords, dtype=float)
-            width = COORD_KINDS[metric_kind]
-            if coords_array.shape != ((len(points),) if width == 1 else (len(points), width)):
-                raise InstanceError("%s coords must give one coordinate per point"
-                                    % metric_kind)
-            if not np.isfinite(coords_array).all():
-                raise InstanceError("%s coordinates must be finite" % metric_kind)
+            self.coords = self._checked_coords(coords, metric_kind, n)
             # finite coordinates give a symmetric, nonnegative metric that is
             # zero on the diagonal and obeys the triangle inequality
-            self.d = Distances.of_coords(coords_array)
+            self.d = Distances.of_coords(self.coords)
         elif metric is not None:
             try:
                 metric = np.array(metric, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InstanceError("metric table must be a square table of numbers") from exc
-            if metric.shape != (len(points), len(points)):
+            if metric.shape != (n, n):
                 raise InstanceError("metric table shape does not match point count")
             self._check_pseudometric(metric)
             metric.setflags(write=False)
             self.d = Distances(metric)
         if filtration is not None:
-            if isinstance(filtration, Filtration):
-                filtration = filtration.levels
-            error = "filtration level %d has a point that is not an index of the space"
-            filtration = Filtration(tuple(
-                frozenset(parse_points(lv, len(points), error % (i + 1)).tolist())
-                for i, lv in enumerate(filtration)))
+            if not isinstance(filtration, Filtration):
+                filtration = Filtration(filtration)
+            top = filtration.levels[-1]  # which holds every level
+            if min(top) < 0 or max(top) >= n:
+                raise InstanceError("filtration level %d has a point that is not an "
+                                    "index of the space" % len(filtration))
         self.filtration = filtration
 
     @cached_property
@@ -1292,6 +1314,24 @@ class Space:
         return depth
 
     # -- structural checks -------------------------------------------------
+
+    @staticmethod
+    def _checked_coords(coords, kind: str, n: int) -> np.ndarray:
+        """A line's reals or a grid's real pairs, one per point, checked finite."""
+        width = COORD_KINDS[kind]
+        error = "%s coords must be a list of %s, one coordinate per point" % (
+            kind, "numbers" if width == 1 else "[a, b] number pairs")
+        try:
+            raw = np.array(coords, dtype=object)
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(error) from exc
+        if raw.shape != ((n,) if width == 1 else (n, width)):
+            raise InstanceError(error)
+        out = parse_numbers(raw.ravel(), error, float).reshape(raw.shape)
+        if not np.isfinite(out).all():
+            raise InstanceError("%s coordinates must be finite" % kind)
+        out.setflags(write=False)
+        return out
 
     @staticmethod
     def _check_pseudometric(d: np.ndarray) -> None:
@@ -1345,7 +1385,7 @@ class Space:
         """1-d coordinates for line-kind spaces (used by interval helpers)."""
         if self.metric_kind != "line":
             raise InstanceError("values() needs a line-kind space")
-        return np.asarray(self.coords, dtype=float)
+        return self.coords
 
     # -- equality / serialization -------------------------------------------
 
@@ -1368,14 +1408,12 @@ class Space:
     def to_document(self) -> dict:
         doc: dict = {"points": list(self.points)}
         if self.metric_kind == "line":
-            doc["metric"] = {"kind": "line", "coords": [float(c) for c in self.coords]}
+            doc["metric"] = {"kind": "line", "coords": self.coords.tolist()}
         elif self.metric_kind == "grid":
-            # a document holds integer grid coordinates only
-            if np.mod(self.coords, 1).any():
-                raise InstanceError("a grid with coordinates that are not integers "
-                                    "cannot be saved")
-            doc["metric"] = {"kind": "grid",
-                             "coords": [[int(a), int(b)] for a, b in self.coords]}
+            # integral values as ints, so integer-grid documents keep their bytes
+            doc["metric"] = {"kind": "grid", "coords": [
+                [int(c) if c.is_integer() else c for c in row]
+                for row in self.coords.tolist()]}
         elif self.d is not None:
             rows = [["inf" if math.isinf(v) else float(v) for v in self.d[i]]
                     for i in range(self.n)]
@@ -1400,10 +1438,10 @@ def whole_size(n, what: str) -> int:
 def builder_line(n: int, h: float) -> Space:
     """Points 0, h, ..., n*h on a line with the absolute-difference metric."""
     n = whole_size(n, "builder_line size")
-    if (n < 0 or isinstance(h, bool) or not isinstance(h, numbers.Real)
-            or not (math.isfinite(h) and h > 0)):
+    step = real_value(h, "builder_line step h")
+    if n < 0 or not (math.isfinite(step) and step > 0):
         raise InstanceError("builder_line needs n >= 0 and a finite h > 0")
-    coords = tuple(i * h for i in range(n + 1))
+    coords = tuple(i * h for i in range(n + 1))  # exact multiples of a Fraction h
     return Space([fmt_value(c) for c in coords], metric_kind="line", coords=coords)
 
 

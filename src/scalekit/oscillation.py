@@ -323,8 +323,9 @@ def build_bump_refuter(space, centers, eps: float) -> np.ndarray:
     """
     if space.d is None:
         raise InstanceError("refuters need a metric")
-    if eps <= 0:
-        raise InstanceError("eps must be positive")
+    eps = real_value(eps, "eps")
+    if not 0 < eps < np.inf:
+        raise InstanceError("eps must be positive and finite")
     centers = parse_points(centers, space.n, "centers must be point indices").tolist()
     if not centers or len(set(centers)) != len(centers):
         raise InstanceError("centers must be distinct and nonempty")

@@ -115,11 +115,15 @@ def z_window(n_half: int, level_step: int | None = None) -> Space:
             raise InstanceError("level step leaves no interior window")
         filt = Filtration(levels)
     return Space([str(v) for v in vals], metric_kind="line",
-                 coords=tuple(float(v) for v in vals), filtration=filt)
+                 coords=vals, filtration=filt)
 
 
 def window_group(space: Space) -> GroupWindow:
-    """Addition oracle for a space whose labels are integers."""
+    """Addition oracle for a space whose labels are integers; a space that
+    carries a group table is refused, as its own product is
+    ``GroupWindow(space)``."""
+    if space.group_table is not None:
+        raise InstanceError("the space carries a group table: use GroupWindow(space)")
     try:
         vals = [int(p) for p in space.points]
     except ValueError as exc:

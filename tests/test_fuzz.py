@@ -4,9 +4,12 @@ counterexample, shown as a failing report) or 2 (a bad request or instance,
 one line on stderr), and loading raises nothing but InstanceError; whatever
 the base, a base check gives a verdict or raises InstanceError; whatever
 stands in for a point index, a library function that takes point indices
-raises InstanceError rather than answer for another point."""
+raises InstanceError rather than answer for another point; whatever the
+points, metric, coordinates, filtration or sizes, the constructors build a
+carrier or raise InstanceError."""
 import copy
 import json
+import numbers
 import pathlib
 import tempfile
 from fractions import Fraction
@@ -26,7 +29,8 @@ from scalekit.entourages import (Entourage, check_coarse_axioms, check_uniform_a
                                  metric_entourage, slice_at)
 from scalekit.instances import load_space
 from scalekit.metric import ball_cover, metric_ls_base, metric_ss_base
-from scalekit.model import InstanceError, Space, builder_line, check_group_table
+from scalekit.model import (Filtration, InstanceError, Space, builder_grid, builder_line,
+                            check_group_table)
 from scalekit.oscillation import SOQuery, build_bump_refuter, build_scaled_refuter
 from scalekit.reports import CheckReport
 from scalekit.scales import (Cover, PartitionOfUnity, ScaleBase, check_ls_base,
@@ -345,3 +349,60 @@ def test_real_scalars_of_any_type_are_taken():
     assert ball_cover(PTS, np.int64(2)).name == "balls(2)"
     assert np.array_equal(build_scaled_refuter(PTS, [0], [Fraction(1, 2)]),
                           build_scaled_refuter(PTS, [0], [0.5]))
+
+
+# -- constructors: the one layer that decides what a carrier is --------------
+
+SCALARS = (0, 1, 2, -1, 0.5, 1e308, Fraction(1, 3), Fraction(10 ** 400), np.float64(2.5),
+           np.int64(3), "", "x", "1", None, True, False, np.bool_(True), float("nan"),
+           float("inf"), float("-inf"), 10 ** 400, -10 ** 400, 1j)
+HOSTILE_VALUES = st.recursive(
+    st.sampled_from(SCALARS),
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.sampled_from("ab"), inner, max_size=2)),
+    max_leaves=8)
+# a size that allocates nothing: a small integer, or no integer at all
+SIZES = st.sampled_from((-10 ** 400, -1, 0, 1, 3)) | HOSTILE_VALUES.filter(
+    lambda v: isinstance(v, bool) or not isinstance(v, numbers.Integral))
+
+
+@st.composite
+def spoiled(draw, valid):
+    """``valid`` (nested lists), a hostile value, or a copy of ``valid`` with
+    one entry at some depth replaced by a hostile value."""
+    choice = draw(st.integers(0, 2))
+    if choice < 2:
+        return valid if choice == 0 else draw(HOSTILE_VALUES)
+    out = copy.deepcopy(valid)
+    node = out
+    while True:
+        k = draw(st.integers(0, len(node) - 1))
+        if not isinstance(node[k], list) or draw(st.booleans()):
+            node[k] = draw(HOSTILE_VALUES)
+            return out
+        node = node[k]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_constructors_give_a_carrier_or_an_instance_error(data):
+    draw = data.draw
+    kind = draw(st.sampled_from((None, "line", "grid", "table", "graph")) | HOSTILE_VALUES)
+    coords = [[0, 0], [1, 2]] if kind == "grid" else [0, 1.5]
+    calls = [
+        lambda: Space(draw(spoiled(["a", "b"])),
+                      metric=draw(st.none() | spoiled([[0, 1], [1, 0]])),
+                      metric_kind=kind,
+                      coords=draw(st.none() | spoiled(coords)),
+                      filtration=draw(st.none() | spoiled([[0], [0, 1]])),
+                      group_table=draw(st.none() | spoiled([[0, 1], [1, 0]]))),
+        lambda: Filtration(draw(spoiled([[0], [0, 1]]))),
+        lambda: builder_line(draw(SIZES), draw(HOSTILE_VALUES)),
+        lambda: builder_grid(draw(SIZES)),
+        lambda: z_window(draw(SIZES), draw(st.none() | HOSTILE_VALUES)),
+    ]
+    for call in calls:
+        try:
+            call()
+        except InstanceError:
+            pass

@@ -115,8 +115,6 @@ def test_load_rejects_malformed_documents():
                  id="grid-string"),
     pytest.param({"kind": "grid", "coords": [[0, 0], ["x", 1]]}, "number pairs",
                  id="grid-text"),
-    pytest.param({"kind": "grid", "coords": [[0.5, 0], [1, 0]]}, "integers",
-                 id="grid-fraction"),
     pytest.param({"kind": "line", "coords": [0, 1, 2]}, "one coordinate per point",
                  id="line-count"),
     pytest.param({"kind": ["line"]}, "unknown metric kind", id="kind-list"),
@@ -130,6 +128,14 @@ def test_load_rejects_malformed_documents():
 def test_malformed_metric_block_is_an_instance_error(metric, message):
     with pytest.raises(InstanceError, match=message):
         load_space({"points": ["a", "b"], "metric": metric})
+
+
+def test_a_real_grid_document_round_trips():
+    # a grid takes any finite real pair; integral values are written as integers
+    doc = {"points": ["a", "b"], "metric": {"kind": "grid", "coords": [[0.5, 0], [1, -2.25]]}}
+    space, _ = load_space(doc)
+    assert space.d[0, 1] == 2.25
+    assert json.dumps(save_instance(space)) == json.dumps(doc)
 
 
 def test_load_path_errors_are_clean(tmp_path):

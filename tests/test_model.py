@@ -54,7 +54,8 @@ def test_metric_must_be_square_and_symmetric():
     [[0, 1], [1, 0, 2]],
     lambda: builder_line(1, 1.0).d,
     [[0, "x"], ["x", 0]],
-], ids=["ragged", "another-space-accessor", "strings"])
+    [[0, 10 ** 400], [1, 0]],
+], ids=["ragged", "another-space-accessor", "strings", "huge"])
 def test_metric_tables_that_are_not_numbers_are_refused(metric):
     if callable(metric):
         metric = metric()
@@ -138,7 +139,12 @@ def test_coordinate_spaces_need_finite_coordinates(build):
     ("line", ((0.0, 1.0), (1.0, 2.0))),
     ("grid", (0, 1)),
     ("grid", ((0, 0, 0), (1, 1, 1))),
-], ids=["line-count", "line-pairs", "grid-numbers", "grid-triples"])
+    ("line", ("x", 1.0)),
+    ("line", (0, True)),
+    ("line", (0, 10 ** 400)),
+    ("grid", ((0, 0), (1,))),
+], ids=["line-count", "line-pairs", "grid-numbers", "grid-triples", "line-text",
+        "line-bool", "line-huge", "grid-ragged"])
 def test_coordinate_spaces_need_one_coordinate_per_point(kind, coords):
     with pytest.raises(InstanceError, match="one coordinate per point"):
         Space(["a", "b"], metric_kind=kind, coords=coords)
@@ -190,6 +196,12 @@ def test_filtration_must_increase():
         Filtration((frozenset({0, 1}), frozenset({0, 1})))
     with pytest.raises(InstanceError):
         Filtration((frozenset({0, 1}), frozenset({2})))
+    with pytest.raises(InstanceError, match="strictly increase"):
+        Filtration(([0, 5], [1]))  # as lists, [0, 5] < [1]
+    with pytest.raises(InstanceError, match="list of levels"):
+        Filtration(5)
+    with pytest.raises(InstanceError, match="level 1 must hold point indices"):
+        Filtration((["a"],))
     with pytest.raises(InstanceError, match="level 1 is empty"):
         Filtration((frozenset(),))
     with pytest.raises(InstanceError, match="level 1 is empty"):
@@ -278,11 +290,22 @@ def test_an_integer_grid_is_saved_as_integers():
     assert load_space(doc)[0] == sp
 
 
-def test_a_grid_off_the_integers_is_not_saved():
-    # its document would round the coordinates and load back another metric
+def test_coordinates_take_the_reals_that_real_value_takes():
+    from fractions import Fraction
+    sp = Space(["a", "b"], metric_kind="line", coords=(Fraction(1, 3), np.float32(2)))
+    assert sp.d[0, 1] == 2 - 1 / 3
+    assert sp.coords.dtype == float and not sp.coords.flags.writeable
+
+
+def test_a_real_grid_is_saved_and_loads_back_equal():
+    # the document keeps the coordinates the space holds, so the metric survives
+    from scalekit.instances import load_space
     sp = Space(["p", "q"], metric_kind="grid", coords=((0.2, 0), (0.7, 0)))
-    with pytest.raises(InstanceError, match="not integers"):
-        sp.to_document()
+    doc = sp.to_document()
+    assert doc["metric"] == {"kind": "grid", "coords": [[0.2, 0], [0.7, 0]]}
+    back = load_space(json.loads(json.dumps(doc)))[0]
+    assert back == sp
+    assert back.d[0, 1] == sp.d[0, 1] == 0.49999999999999994
 
 
 @pytest.mark.parametrize("table, message", [

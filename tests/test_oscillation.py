@@ -186,6 +186,14 @@ def test_bump_refuter_rejects_centers_off_the_carrier(center):
         build_bump_refuter(SPACE, [center], 1.0)
 
 
+@pytest.mark.parametrize("eps", ["x", None, float("nan")], ids=["text", "none", "nan"])
+def test_bump_refuter_parses_eps(eps):
+    # a NaN eps used to give an all-zero function
+    c10 = next(iter(SPACE.subset(["10"])))
+    with pytest.raises(InstanceError, match="eps"):
+        build_bump_refuter(SPACE, [c10], eps)
+
+
 def test_bump_refuter_error_paths():
     space = SPACE
     c10 = next(iter(space.subset(["10"])))

@@ -96,9 +96,25 @@ def test_check_translation_ls_group_passes():
     assert not rep.notes  # no clipping on a genuine group
     # each recorded absorber must coarsen the star it certifies
     from scalekit.scales import refines, star_family
-    covers = {}
+    from scalekit.translation import _closure_candidates
+    f_list = [[0, 1], [0, 4, 5]]
+    covers = [translation_scale(g, f)[0] for f in f_list]
+    named = {name: translation_scale(g, s)[0]
+             for name, s, _ in _closure_candidates(g, f_list)}
+    assert len(rep.witnesses) == len(covers) ** 2
     for w in rep.witnesses:
-        assert "absorber" in w
+        i, j = w["pair"]
+        assert refines(star_family(covers[i], covers[j]), named[w["absorber"]])
+
+
+def test_window_group_refuses_a_space_with_a_group_table():
+    # its own product is GroupWindow(space); a window would clip it
+    from scalekit.model import Space
+    space = Space(["0", "1", "2"], group_table=[[(i + j) % 3 for j in range(3)]
+                                                 for i in range(3)])
+    assert GroupWindow(space).mul(1, 2) == 0
+    with pytest.raises(InstanceError, match=r"GroupWindow\(space\)"):
+        window_group(space)
 
 
 def test_check_translation_ls_window_notes_clipping():
